@@ -23,7 +23,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/registry.hh"
@@ -416,82 +415,6 @@ benchShard(const std::string& app, AppScale scale)
     row.deterministic = r2.cycles == r3.cycles
         && r2.simEvents == r3.simEvents
         && stageItems(r2) == stageItems(r3);
-    return row;
-}
-
-struct HostParallelRow
-{
-    std::string app;
-    /** One entry per host-thread count swept (1, 2, 4). */
-    std::vector<int> threads;
-    std::vector<double> seconds;
-    std::vector<double> eventsPerSec;
-    std::vector<std::uint64_t> events;
-    /** Wall-clock speedup of N threads over the serial loop. */
-    double speedup2 = 0.0;
-    double speedup4 = 0.0;
-    /** Cycles, event counts and per-stage work identical across
-     *  every thread count (the exact tier's contract). */
-    bool identical = false;
-    unsigned cores = 0;
-};
-
-/**
- * Host-parallel group loop: the same 2-device replicate run driven
- * by 1 (serial group loop), 2 and 4 host threads. The replicate plan
- * takes the exact tier, so every sweep must report bit-identical
- * simulated results; the wall-clock speedup is the whole point of
- * the parallel loop and is asserted (>= 1.4x at 2 threads) only when
- * the machine actually has 2+ hardware threads — on a single-core
- * host the sweep still gates determinism.
- */
-HostParallelRow
-benchHostParallel(const std::string& app, AppScale scale)
-{
-    DeviceConfig dev = DeviceConfig::byName("gtx1080");
-    auto stageItems = [](const RunResult& r) {
-        std::vector<std::uint64_t> v;
-        for (const auto& s : r.stages)
-            v.push_back(s.items + s.deadLettered);
-        return v;
-    };
-
-    HostParallelRow row;
-    row.app = app;
-    row.cores = std::thread::hardware_concurrency();
-
-    auto driver = makeApp(app, scale);
-    PipelineConfig cfg = makeMegakernelConfig(driver->pipeline());
-    ShardPlan plan = ShardPlan::replicateAll(driver->pipeline());
-
-    std::vector<RunResult> results;
-    for (int threads : {1, 2, 4}) {
-        Engine group(DeviceGroupConfig::homogeneous(dev, 2));
-        group.setHostThreads(threads);
-        auto t0 = Clock::now();
-        RunResult r = group.runSharded(*driver, cfg, plan);
-        double secs = secondsSince(t0);
-        row.threads.push_back(threads);
-        row.seconds.push_back(secs);
-        row.events.push_back(r.simEvents);
-        row.eventsPerSec.push_back(
-            secs > 0.0 ? static_cast<double>(r.simEvents) / secs
-                       : 0.0);
-        results.push_back(std::move(r));
-    }
-
-    row.identical = true;
-    for (const RunResult& r : results)
-        row.identical = row.identical && r.completed
-            && r.cycles == results[0].cycles
-            && r.simEvents == results[0].simEvents
-            && stageItems(r) == stageItems(results[0]);
-    row.speedup2 = row.seconds[1] > 0.0
-        ? row.seconds[0] / row.seconds[1]
-        : 0.0;
-    row.speedup4 = row.seconds[2] > 0.0
-        ? row.seconds[0] / row.seconds[2]
-        : 0.0;
     return row;
 }
 
@@ -1184,33 +1107,6 @@ main(int argc, char** argv)
         return 1;
     }
 
-    vp::bench::header(
-        "host-parallel group loop (raster, 2x gtx1080, replicate)");
-    HostParallelRow hp = benchHostParallel(
-        "raster", smoke ? AppScale::Small : AppScale::Full);
-    for (std::size_t i = 0; i < hp.threads.size(); ++i)
-        std::printf("  %d host thread%s    %8.3fs  %8.3fM ev/s\n",
-                    hp.threads[i], hp.threads[i] == 1 ? " " : "s",
-                    hp.seconds[i], hp.eventsPerSec[i] / 1e6);
-    std::printf("  speedup x2=%.2f x4=%.2f  (%u hardware threads)  "
-                "results %s\n",
-                hp.speedup2, hp.speedup4, hp.cores,
-                hp.identical ? "bit-identical" : "DIVERGED");
-    if (!hp.identical) {
-        std::fprintf(stderr,
-                     "ERROR: host-parallel runs diverged from the "
-                     "serial group loop\n");
-        return 1;
-    }
-    if (!smoke && hp.cores >= 2 && hp.speedup2 < 1.4) {
-        std::fprintf(stderr,
-                     "ERROR: host-parallel speedup %.2fx at 2 "
-                     "threads on a %u-thread host (budget: "
-                     ">=1.4x)\n",
-                     hp.speedup2, hp.cores);
-        return 1;
-    }
-
     vp::bench::header("adaptive load balancing (phase-skew, fine)");
     AdaptiveRow ad = benchAdaptive(smoke);
     std::printf("  static (wrong)    %12.0f cycles\n"
@@ -1431,27 +1327,6 @@ main(int argc, char** argv)
                      static_cast<unsigned long long>(sh.transfers),
                      sh.seconds, sh.conserved ? "true" : "false",
                      sh.deterministic ? "true" : "false");
-        std::fprintf(json,
-                     "  \"host_parallel\": {\"app\": \"%s\", "
-                     "\"devices\": 2, \"plan\": \"replicate\", "
-                     "\"hardware_threads\": %u, "
-                     "\"results_identical\": %s, "
-                     "\"speedup_2\": %.4f, \"speedup_4\": %.4f, "
-                     "\"sweep\": [",
-                     hp.app.c_str(), hp.cores,
-                     hp.identical ? "true" : "false", hp.speedup2,
-                     hp.speedup4);
-        for (std::size_t i = 0; i < hp.threads.size(); ++i)
-            std::fprintf(json,
-                         "{\"host_threads\": %d, \"seconds\": %.6f, "
-                         "\"events\": %llu, "
-                         "\"events_per_sec\": %.1f}%s",
-                         hp.threads[i], hp.seconds[i],
-                         static_cast<unsigned long long>(
-                             hp.events[i]),
-                         hp.eventsPerSec[i],
-                         i + 1 < hp.threads.size() ? ", " : "");
-        std::fprintf(json, "]},\n");
         std::fprintf(json,
                      "  \"adaptive\": {\"app\": \"phase-skew\", "
                      "\"static_cycles\": %.1f, "

@@ -7,7 +7,6 @@
  * Usage: inspect_app [--device=k20c|gtx1080] [app...]
  *                    [--config=baseline|megakernel|versapipe] [--only]
  *                    [--devices=N] [--shard=replicate|rr|pin:d0,d1,..]
- *                    [--host-threads=N]
  *                    [--kill-device=<dev>@<cycle>]
  *                    [--fail-link=<src>-><dst>@<cycle>]
  *                    [--adaptive[=epochCycles]]
@@ -42,9 +41,7 @@
  * interconnect, under the --shard plan (default replicate), and adds
  * per-device utilization plus interconnect totals to the output.
  * Host-sequenced configurations (the KBK baseline) stay on one
- * device. --host-threads=N drives eligible sharded runs with N host
- * threads (one event loop per device, docs/MODEL.md); results are
- * identical to the serial group loop.
+ * device.
  *
  * --kill-device and --fail-link (both repeatable) script failover
  * chaos into the sharded runs: the named device dies (or the
@@ -104,8 +101,6 @@ struct ObsOptions
     int devices = 1;
     /** Shard plan spec: replicate, rr, or pin:<d0>,<d1>,... */
     std::string shard = "replicate";
-    /** Host threads for sharded runs (1 = serial group loop). */
-    int hostThreads = 1;
     /** Scripted device kills / link failures for sharded runs. */
     FaultPlan faults;
     /** Arm the online load-balance controller where applicable. */
@@ -530,7 +525,6 @@ show(const std::string& name, const DeviceConfig& dev,
         if (sharded) {
             Engine engine(
                 DeviceGroupConfig::homogeneous(dev, devices));
-            engine.setHostThreads(opts.hostThreads);
             if (observe) {
                 ObsConfig oc;
                 oc.sampleIntervalCycles = opts.sampleCycles;
@@ -694,10 +688,6 @@ main(int argc, char** argv)
                        "--devices wants a positive count");
         } else if (flagValue(arg, "--shard", i, v)) {
             opts.shard = v;
-        } else if (flagValue(arg, "--host-threads", i, v)) {
-            opts.hostThreads = std::stoi(v);
-            VP_REQUIRE(opts.hostThreads >= 1,
-                       "--host-threads wants a positive count");
         } else if (flagValue(arg, "--kill-device", i, v)) {
             opts.faults.deviceEvents.push_back(parseKillDevice(v));
         } else if (flagValue(arg, "--fail-link", i, v)) {

@@ -15,9 +15,9 @@ Every field of every row is classified and checked:
   * wall-clock timings (*_seconds, events_per_sec): machine-relative,
     so they only fail when they differ from the baseline by more than
     a factor of --time-factor (default 10);
-  * machine-relative ratios (overhead_ratio, speedup_2, ...) and
-    hardware_threads: reported, never failed — the bench binary
-    already gates those against absolute budgets via its exit code.
+  * machine-relative ratios (overhead_ratio, ...): reported, never
+    failed — the bench binary already gates those against absolute
+    budgets via its exit code.
 
 Usage: bench_compare.py fresh.json [baseline.json]
 The baseline defaults to BENCH_simcore.json next to this script's
@@ -35,9 +35,6 @@ TIMING_SUFFIXES = ("seconds", "events_per_sec", "requests_per_sec",
 INFO_KEYS = {
     "overhead_ratio",
     "disabled_overhead_ratio",
-    "speedup_2",
-    "speedup_4",
-    "hardware_threads",
 }
 
 

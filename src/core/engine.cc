@@ -1,12 +1,9 @@
 #include "core/engine.hh"
 
-#include <algorithm>
 #include <limits>
 #include <memory>
-#include <string>
 
-#include "common/logging.hh"
-#include "core/serve_hook.hh"
+#include "core/supervisor.hh"
 
 namespace vp {
 
@@ -38,28 +35,9 @@ Engine::runTimed(AppDriver& driver, const PipelineConfig& config,
     Device dev(sim, cfg_);
     Host host(sim, dev);
 
-    // Under VP_LOG=trace, prefix every record of this run with the
-    // simulated clock (and SM id, tagged in processBatch). RAII so
-    // every return path — including structured failures — uninstalls
-    // the hook; other levels never pay the std::function call.
-    struct LogClockScope
-    {
-        bool armed = false;
-        explicit LogClockScope(Simulator* s)
-        {
-            if (Logger::enabled(LogLevel::Trace)) {
-                armed = true;
-                Logger::setClock([s] { return s->now(); });
-            }
-        }
-        ~LogClockScope()
-        {
-            if (armed) {
-                Logger::setClock({});
-                Logger::setSm(-1);
-            }
-        }
-    } logClock(&sim);
+    // Under VP_LOG=trace, log records carry this run's clock until
+    // the Supervisor unwinds, on every return path.
+    Supervisor supervisor(sim);
 
     // All fault/recovery state lives on this stack frame, keeping
     // runTimed const and re-entrant: repeated runs under the same
@@ -140,15 +118,26 @@ Engine::runTimed(AppDriver& driver, const PipelineConfig& config,
 
     runner->start(driver);
 
+    SupervisedRun sr;
+    sr.driver = &driver;
+    sr.config = &config;
+    sr.cycleLimit = cycleLimit;
+    sr.eventLimit = eventLimit_;
+    sr.recovery = faulted ? &rc : nullptr;
+    sr.obs = obs;
+    sr.adaptive = adaptOn ? &*adaptiveCfg_ : nullptr;
+    sr.pending = &runner->pending();
+    sr.progress = [r = runner.get()] { return r->drainProgress(); };
+    sr.diagnose = [r = runner.get()] { return r->diagnoseStall(); };
+    sr.adaptEpoch = [r = runner.get()] { r->adaptEpoch(); };
+    sr.collect = [r = runner.get()] { return r->collect(); };
+
     // Serving mode: the attached session ingests requests at epoch
     // boundaries through a run-lifetime Seeder and re-wakes retired
     // kernels; provenance lineage closure reports request completion
     // back to it (core/serve_hook.hh).
-    bool serveOn = serve_ != nullptr;
-    Tick serveEpoch = 0.0;
-    bool serveActive = false;
     Seeder serveSeeder;
-    if (serveOn) {
+    if (serve_) {
         VP_CHECK(config.top == PipelineConfig::Top::Groups,
                  ErrorCode::Config,
                  "serving requires a Groups configuration");
@@ -160,210 +149,12 @@ Engine::runTimed(AppDriver& driver, const PipelineConfig& config,
                  "serving cannot combine with scripted SM fault "
                  "events (their drain-cancellation trigger assumes "
                  "the one-shot drain)");
-        serveEpoch = serve_->epochCycles();
-        VP_CHECK(serveEpoch > 0.0, ErrorCode::Config,
-                 "serve session must use a positive epoch period");
         serveSeeder = runner->serveSeeder();
-        ServeBinding sb;
-        sb.sim = &sim;
-        sb.seeder = &serveSeeder;
-        sb.obs = obs.get();
-        sb.wake = [r = runner.get()] { r->serveWake(); };
-        sb.queueTraffic = [r = runner.get()] {
-            return r->drainProgress();
-        };
-        serve_->begin(sb);
-        serveActive = true;
+        sr.serve = serve_;
+        sr.serveSeeder = &serveSeeder;
+        sr.serveWake = [r = runner.get()] { r->serveWake(); };
     }
-
-    Tracer* tracer = obs ? obs->tracerPtr() : nullptr;
-
-    bool watchdogOn = faulted && rc.watchdogIntervalCycles > 0.0;
-    bool timeoutOn = faulted && rc.drainTimeoutCycles > 0.0;
-    bool samplerOn = obs && obs->sampler.enabled();
-
-    bool drained;
-    std::optional<RunOutcome> failure;
-    std::string reason;
-    if (!watchdogOn && !timeoutOn && !samplerOn && !adaptOn
-        && !serveOn) {
-        drained = sim.runUntil(cycleLimit, eventLimit_);
-    } else {
-        // Slice the run at watchdog checkpoints and sampler
-        // boundaries, and sample the runner's drain-progress
-        // heartbeat / metric probes between slices. This costs no
-        // simulation events, so a healthy run's event trace — and
-        // cycle count — is identical to an unsupervised one.
-        std::uint64_t lastProgress = runner->drainProgress();
-        std::uint64_t lastEvents = sim.eventsRun();
-        int stalledChecks = 0;
-        constexpr Tick kInf = std::numeric_limits<Tick>::infinity();
-        Tick checkpoint =
-            watchdogOn ? rc.watchdogIntervalCycles : kInf;
-        Tick sampNext = samplerOn ? obs->sampler.interval() : kInf;
-        Tick adaptNext = adaptOn ? adaptiveCfg_->epochCycles : kInf;
-        Tick serveNext = serveActive ? serveEpoch : kInf;
-        for (;;) {
-            Tick target =
-                std::min({checkpoint, sampNext, adaptNext, serveNext,
-                          cycleLimit});
-            if (timeoutOn)
-                target = std::min(target, rc.drainTimeoutCycles);
-            std::uint64_t budget = eventLimit_ > sim.eventsRun()
-                ? eventLimit_ - sim.eventsRun()
-                : 0;
-            drained = sim.runUntil(target, budget);
-            if (drained) {
-                if (serveActive) {
-                    // The pipeline idled dry between bursts: hop the
-                    // clock to the next epoch boundary (legal — no
-                    // pending events) and let the session refill it.
-                    if (sim.now() < serveNext)
-                        sim.advanceTo(serveNext);
-                    serveActive = serve_->epoch(serveNext);
-                    serveNext = serveActive ? serveNext + serveEpoch
-                                            : kInf;
-                    continue;
-                }
-                break;
-            }
-            if (sim.eventsRun() >= eventLimit_ || target >= cycleLimit)
-                break;
-            if (samplerOn && target >= sampNext) {
-                obs->sampler.sampleAt(sampNext);
-                sampNext += obs->sampler.interval();
-            }
-            if (adaptOn && target >= adaptNext) {
-                runner->adaptEpoch();
-                adaptNext += adaptiveCfg_->epochCycles;
-            }
-            if (serveActive && target >= serveNext) {
-                // runUntil already delivered every event at or
-                // before the boundary, so the hop is zero-event.
-                if (sim.now() < serveNext)
-                    sim.advanceTo(serveNext);
-                serveActive = serve_->epoch(serveNext);
-                serveNext = serveActive ? serveNext + serveEpoch
-                                        : kInf;
-            }
-            if (timeoutOn && target >= rc.drainTimeoutCycles) {
-                failure = RunOutcome::DrainTimeout;
-                reason = "global drain timeout ("
-                    + std::to_string(rc.drainTimeoutCycles)
-                    + " cycles) elapsed\n" + runner->diagnoseStall();
-                break;
-            }
-            if (!watchdogOn || target < checkpoint)
-                continue;
-            std::uint64_t progress = runner->drainProgress();
-            std::uint64_t events = sim.eventsRun();
-            if (tracer) {
-                tracer->instant(TraceKind::WatchdogCheck, 0,
-                                sim.now(), stalledChecks);
-            }
-            if (progress != lastProgress) {
-                stalledChecks = 0;
-            } else if (events != lastEvents
-                       && runner->pending().value() > 0) {
-                // Events are being dispatched but the queues are
-                // silent: the pipeline is spinning (polls, commit
-                // retries) without moving work. A window with NO
-                // events is not counted — the simulator is merely
-                // jumping time toward a scheduled future event
-                // (memcpy completion, retry backoff), which is
-                // legitimate waiting, not a stall.
-                if (++stalledChecks >= rc.watchdogStallChecks) {
-                    failure = RunOutcome::Stalled;
-                    reason = "watchdog: no drain progress for "
-                        + std::to_string(stalledChecks)
-                        + " checks\n" + runner->diagnoseStall();
-                    break;
-                }
-            }
-            lastProgress = progress;
-            lastEvents = events;
-            checkpoint += rc.watchdogIntervalCycles;
-        }
-    }
-
-    // Close out the run's trace and attach the observability data to
-    // whatever result goes back to the caller. On failure paths the
-    // tail of the trace ring is the flight recorder: append it to the
-    // diagnostic so post-mortems need no separate export step.
-    auto finishObs = [&](RunResult& result) {
-        if (serve_)
-            serve_->finish(result, sim.now());
-        if (!obs)
-            return;
-        if (tracer) {
-            tracer->span(TraceKind::RunSpan, 0, 0.0, sim.now(),
-                         tracer->intern(config.describe(pipe)));
-        }
-        if (obs->provenance)
-            obs->provenance->finalize(obs->metrics);
-        result.obs = obs;
-    };
-    auto attachTraceTail = [&](std::string& why) {
-        if (tracer && obs->config.diagnosticTailEvents > 0) {
-            why += "\nlast trace events:\n"
-                + tracer->tail(obs->config.diagnosticTailEvents);
-        }
-    };
-
-    if (failure) {
-        RunResult result = runner->collect();
-        result.completed = false;
-        result.outcome = *failure;
-        attachTraceTail(reason);
-        result.failureReason = std::move(reason);
-        result.faults.watchdogFired =
-            *failure == RunOutcome::Stalled;
-        finishObs(result);
-        return result;
-    }
-    if (!drained) {
-        VP_CHECK(sim.eventsRun() < eventLimit_, ErrorCode::Livelock,
-                 "run exceeded the event limit ("
-                 << eventLimit_ << ") — livelock in config `"
-                 << config.describe(pipe) << "`?");
-        VP_DEBUG("engine: timeout at " << sim.now() << " cycles for `"
-                 << config.describe(pipe) << "`");
-        return std::nullopt;
-    }
-    if (runner->pending().value() != 0) {
-        if (faulted) {
-            // With faults in play, leftover work is a diagnosable
-            // stall (e.g., every SM died), not a programming error.
-            RunResult result = runner->collect();
-            result.completed = false;
-            result.outcome = RunOutcome::Stalled;
-            std::string why = "drained events but work is left\n"
-                + runner->diagnoseStall();
-            attachTraceTail(why);
-            result.failureReason = std::move(why);
-            finishObs(result);
-            return result;
-        }
-        VP_REQUIRE(false,
-                   "run drained events but left work pending (config `"
-                   << config.describe(pipe) << "`)");
-    }
-
-    RunResult result = runner->collect();
-    // A serving run has no one-shot verify(): the pipeline was
-    // re-seeded continuously, so per-request conservation — checked
-    // by the session — replaces the app's whole-workload check.
-    result.completed = serve_ ? true : driver.verify();
-    if (result.completed) {
-        result.outcome = RunOutcome::Completed;
-    } else if (result.faults.deadLettered > 0
-               || result.faults.droppedPushes > 0) {
-        result.outcome = RunOutcome::Degraded;
-    } else {
-        result.outcome = RunOutcome::VerifyFailed;
-    }
-    finishObs(result);
-    return result;
+    return supervisor.run(sr);
 }
 
 } // namespace vp

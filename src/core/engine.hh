@@ -55,26 +55,6 @@ class Engine
         return group_;
     }
 
-    /**
-     * Host threads driving sharded runs (see
-     * DeviceGroupConfig::hostThreads). 1 keeps the serial group
-     * loop; >1 selects the host-parallel loop when the run is
-     * eligible. No effect on an engine without a device group.
-     */
-    void
-    setHostThreads(int threads)
-    {
-        if (group_)
-            group_->hostThreads = threads;
-    }
-
-    /** Configured host threads for sharded runs. */
-    int
-    hostThreads() const
-    {
-        return group_ ? group_->hostThreads : 1;
-    }
-
     /** @name Fault injection and recovery @{ */
 
     /**
@@ -217,7 +197,10 @@ class Engine
      * @p plan. Requires construction with a DeviceGroupConfig and a
      * Groups configuration (ShardPlan::validate). A single-device
      * group with a replicate plan is the degenerate case and matches
-     * run() event-for-event.
+     * run() event-for-event — except under distributed queues, where
+     * run() seeds whole flows onto queue shards but the group seeds
+     * item by item, so only per-stage work matches (see the
+     * Conformance.SingleDeviceGroupIsDegenerate lane).
      */
     RunResult runSharded(AppDriver& driver,
                          const PipelineConfig& config,
@@ -232,17 +215,6 @@ class Engine
     void setEventLimit(std::uint64_t limit) { eventLimit_ = limit; }
 
   private:
-    /**
-     * Host-parallel sharded loop (engine_group_parallel.cc): one
-     * simulator per device, each driven by its own host thread,
-     * synchronized in conservative lookahead windows. Dispatched to
-     * by runShardedTimed when hostParallelEligible.
-     */
-    std::optional<RunResult>
-    runShardedParallel(AppDriver& driver,
-                       const PipelineConfig& config,
-                       const ShardPlan& plan, double cycleLimit) const;
-
     DeviceConfig cfg_;
     std::uint64_t eventLimit_ = 400000000ULL;
     std::optional<FaultPlan> plan_;

@@ -15,16 +15,13 @@
 #include "core/engine.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
-#include "core/engine_group_internal.hh"
-#include "core/serve_hook.hh"
+#include "core/supervisor.hh"
 #include "gpu/device_group.hh"
 
 namespace vp {
@@ -36,9 +33,87 @@ Engine::Engine(DeviceGroupConfig group)
     group_ = std::move(group);
 }
 
-using groupdetail::mergeRunnerResult;
+/**
+ * Friend of Seeder: builds the routed seeders of a sharded run.
+ * Pinned stages seed straight to their home device; replicated
+ * stages hash each item over the group (shardSeedDevice), which is
+ * the only point where replicated work is distributed — intermediate
+ * outputs stay on the producing device for locality.
+ */
+class GroupCoordinator
+{
+  public:
+    /**
+     * A seeder that routes each item by (stage, ordinal) and counts
+     * it on the group's @p pending counter. The ordinal rolls for as
+     * long as the seeder lives.
+     */
+    static Seeder
+    routedSeeder(Pipeline& pipe,
+                 std::vector<std::unique_ptr<RunnerBase>>& runners,
+                 const ShardPlan& plan, PendingCounter& pending,
+                 ProvenanceTracker* prov)
+    {
+        int n = static_cast<int>(runners.size());
+        Seeder seeder;
+        seeder.pipe_ = &pipe;
+        seeder.prov_ = prov;
+        seeder.noteSeeded_ = [&pending](int stage, int items) {
+            (void)stage;
+            pending.add(items);
+        };
+        seeder.route_ = [&runners, &plan,
+                         n](int stage, int ordinal) -> QueueBase& {
+            int home = plan.homeDevice(stage);
+            int dev = home >= 0 ? home
+                                : shardSeedDevice(stage, ordinal, n);
+            return runners[static_cast<std::size_t>(dev)]
+                ->deliveryQueue(stage,
+                                static_cast<std::uint64_t>(ordinal));
+        };
+        return seeder;
+    }
+};
 
 namespace {
+
+/** Fold runner @p ri's collected stats into @p merged. */
+void
+mergeRunnerResult(RunResult& merged, const RunResult& ri)
+{
+    for (std::size_t s = 0; s < merged.stages.size(); ++s) {
+        StageRunStats& a = merged.stages[s];
+        const StageRunStats& b = ri.stages[s];
+        a.items += b.items;
+        a.batches += b.batches;
+        a.warpInsts += b.warpInsts;
+        a.execCycles += b.execCycles;
+        a.retried += b.retried;
+        a.deadLettered += b.deadLettered;
+        a.queue.pushes += b.queue.pushes;
+        a.queue.pops += b.queue.pops;
+        a.queue.maxDepth = std::max(a.queue.maxDepth,
+                                    b.queue.maxDepth);
+        a.queue.opCycles += b.queue.opCycles;
+        a.queue.contentionCycles += b.queue.contentionCycles;
+    }
+    merged.polls += ri.polls;
+    merged.retreats += ri.retreats;
+    merged.refills += ri.refills;
+
+    merged.faults.taskFaults += ri.faults.taskFaults;
+    merged.faults.tasksRetried += ri.faults.tasksRetried;
+    merged.faults.deadLettered += ri.faults.deadLettered;
+    merged.faults.droppedPushes += ri.faults.droppedPushes;
+    merged.faults.corruptedPushes += ri.faults.corruptedPushes;
+    merged.faults.slowdowns += ri.faults.slowdowns;
+    merged.faults.backpressureWaits += ri.faults.backpressureWaits;
+    merged.faults.degradeRelaunches += ri.faults.degradeRelaunches;
+    merged.faults.launchDelays += ri.faults.launchDelays;
+    merged.faults.smsFailed += ri.faults.smsFailed;
+    merged.faults.smsDegraded += ri.faults.smsDegraded;
+    merged.faults.blocksEvicted += ri.faults.blocksEvicted;
+}
 
 /**
  * Coordinator-side failover bookkeeping of one sharded run. Armed
@@ -116,23 +191,6 @@ Engine::runShardedTimed(AppDriver& driver,
     int n = gcfg.size();
 
     Pipeline& pipe = driver.pipeline();
-    // Timed runs (the tuner's candidate sweep) compare cycle counts
-    // across configs, and the conserving tier is fingerprint- but not
-    // cycle-identical to this loop; pinned plans under a finite limit
-    // therefore stay serial so the sweep's winner is reproducible at
-    // any hostThreads. Untimed pinned runs keep the conserving tier.
-    bool cycleExact = !plan.anyPinned();
-    // Provenance recording is single-threaded host state (one
-    // tracker, one id sequence); armed runs stay on the serial loop.
-    // Serving runs stay serial too: the session's epoch boundaries
-    // and the provenance tracker they ride are single-threaded host
-    // state (and serving always arms provenance anyway).
-    if (groupdetail::hostParallelEligible(gcfg, n, pipe, config, plan,
-                                          plan_)
-        && (cycleExact || std::isinf(cycleLimit))
-        && !(obsCfg_ && obsCfg_->provenance) && !serve_)
-        return runShardedParallel(driver, config, plan, cycleLimit);
-
     pipe.validate();
     for (const DeviceConfig& dcfg : gcfg.devices)
         config.validate(pipe, dcfg);
@@ -144,24 +202,9 @@ Engine::runShardedTimed(AppDriver& driver,
     DeviceGroup group(sim, gcfg);
     Interconnect& icx = group.interconnect();
 
-    struct LogClockScope
-    {
-        bool armed = false;
-        explicit LogClockScope(Simulator* s)
-        {
-            if (Logger::enabled(LogLevel::Trace)) {
-                armed = true;
-                Logger::setClock([s] { return s->now(); });
-            }
-        }
-        ~LogClockScope()
-        {
-            if (armed) {
-                Logger::setClock({});
-                Logger::setSm(-1);
-            }
-        }
-    } logClock(&sim);
+    // Under VP_LOG=trace, log records carry this run's clock until
+    // the Supervisor unwinds, on every return path.
+    Supervisor supervisor(sim);
 
     std::optional<FaultInjector> injector;
     RecoveryConfig rc;
@@ -549,183 +592,24 @@ Engine::runShardedTimed(AppDriver& driver,
                 adaptOn = true;
     }
 
-    GroupCoordinator::seedAll(driver, pipe, runners, plan, pending,
-                              prov);
+    for (int f = 0; f < driver.flowCount(); ++f) {
+        Seeder seeder = GroupCoordinator::routedSeeder(pipe, runners,
+                                                       plan, pending,
+                                                       prov);
+        driver.seedFlow(seeder, f);
+    }
     for (auto& r : runners)
         r->start(driver);
 
-    // Serving mode (core/serve_hook.hh): the session seeds admitted
-    // requests at epoch boundaries through one run-lifetime routed
-    // seeder — the same (stage, ordinal) placement as seedAll, with
-    // the ordinal rolling across epochs so sharded serving placement
-    // is a pure function of the admission order.
-    bool serveOn = serve_ != nullptr;
-    Tick serveEpoch = 0.0;
-    bool serveActive = false;
-    Seeder serveSeeder;
-    if (serveOn) {
-        VP_CHECK(obs && prov, ErrorCode::Config,
-                 "serving requires an armed provenance tracker "
-                 "(ServingEngine arms it; request roots are "
-                 "force-tracked regardless of the sampling stride)");
-        VP_CHECK(!plan_
-                     || (plan_->smEvents.empty()
-                         && !plan_->anyDeviceFaults()
-                         && !plan_->anyLinkFaults()),
-                 ErrorCode::Config,
-                 "serving cannot combine with scripted fault events "
-                 "(their drain-cancellation trigger assumes the "
-                 "one-shot drain)");
-        serveEpoch = serve_->epochCycles();
-        VP_CHECK(serveEpoch > 0.0, ErrorCode::Config,
-                 "serve session must use a positive epoch period");
-        serveSeeder.pipe_ = &pipe;
-        serveSeeder.prov_ = prov;
-        serveSeeder.noteSeeded_ = [&pending](int stage, int items) {
-            (void)stage;
-            pending.add(items);
-        };
-        serveSeeder.route_ = [&runners, &plan,
-                              n](int stage, int ordinal) -> QueueBase& {
-            int home = plan.homeDevice(stage);
-            int dev = home >= 0 ? home
-                                : shardSeedDevice(stage, ordinal, n);
-            return runners[static_cast<std::size_t>(dev)]
-                ->deliveryQueue(stage,
-                                static_cast<std::uint64_t>(ordinal));
-        };
-        ServeBinding sb;
-        sb.sim = &sim;
-        sb.seeder = &serveSeeder;
-        sb.obs = obs.get();
-        sb.wake = [&runners] {
-            for (auto& r : runners)
-                r->serveWake();
-        };
-        sb.queueTraffic = [&runners, &icx] {
-            std::uint64_t p = icx.stats().delivered;
-            for (const auto& r : runners)
-                p += r->drainProgress();
-            return p;
-        };
-        serve_->begin(sb);
-        serveActive = true;
-    }
-
-    auto groupProgress = [&runners, &icx] {
-        std::uint64_t p = icx.stats().delivered;
-        for (const auto& r : runners)
-            p += r->drainProgress();
-        return p;
-    };
-    auto groupDiagnose = [&runners, &icx] {
-        std::ostringstream os;
-        os << "interconnect: inFlight=" << icx.inFlight() << "\n";
-        for (std::size_t i = 0; i < runners.size(); ++i)
-            os << "device " << i << ":\n"
-               << runners[i]->diagnoseStall();
-        return os.str();
-    };
-
-    bool watchdogOn = faulted && rc.watchdogIntervalCycles > 0.0;
-    bool timeoutOn = faulted && rc.drainTimeoutCycles > 0.0;
-    bool samplerOn = obs && obs->sampler.enabled();
-
-    bool drained;
-    std::optional<RunOutcome> failure;
-    std::string reason;
-    if (!watchdogOn && !timeoutOn && !samplerOn && !adaptOn
-        && !serveOn) {
-        drained = sim.runUntil(cycleLimit, eventLimit_);
-    } else {
-        // Same supervision slicing as the single-device engine
-        // (engine.cc), with progress and diagnostics group-wide.
-        std::uint64_t lastProgress = groupProgress();
-        std::uint64_t lastEvents = sim.eventsRun();
-        int stalledChecks = 0;
-        constexpr Tick kInf = std::numeric_limits<Tick>::infinity();
-        Tick checkpoint =
-            watchdogOn ? rc.watchdogIntervalCycles : kInf;
-        Tick sampNext = samplerOn ? obs->sampler.interval() : kInf;
-        Tick adaptNext = adaptOn ? adaptiveCfg_->epochCycles : kInf;
-        Tick serveNext = serveActive ? serveEpoch : kInf;
-        for (;;) {
-            Tick target =
-                std::min({checkpoint, sampNext, adaptNext, serveNext,
-                          cycleLimit});
-            if (timeoutOn)
-                target = std::min(target, rc.drainTimeoutCycles);
-            std::uint64_t budget = eventLimit_ > sim.eventsRun()
-                ? eventLimit_ - sim.eventsRun()
-                : 0;
-            drained = sim.runUntil(target, budget);
-            if (drained) {
-                if (serveActive) {
-                    // The group idled dry between bursts: hop the
-                    // clock to the next epoch boundary (legal — no
-                    // pending events) and let the session refill it.
-                    if (sim.now() < serveNext)
-                        sim.advanceTo(serveNext);
-                    serveActive = serve_->epoch(serveNext);
-                    serveNext = serveActive ? serveNext + serveEpoch
-                                            : kInf;
-                    continue;
-                }
-                break;
-            }
-            if (sim.eventsRun() >= eventLimit_ || target >= cycleLimit)
-                break;
-            if (samplerOn && target >= sampNext) {
-                obs->sampler.sampleAt(sampNext);
-                sampNext += obs->sampler.interval();
-            }
-            if (adaptOn && target >= adaptNext) {
-                for (auto& r : runners)
-                    r->adaptEpoch();
-                adaptNext += adaptiveCfg_->epochCycles;
-            }
-            if (serveActive && target >= serveNext) {
-                // runUntil already delivered every event at or
-                // before the boundary, so the hop is zero-event.
-                if (sim.now() < serveNext)
-                    sim.advanceTo(serveNext);
-                serveActive = serve_->epoch(serveNext);
-                serveNext = serveActive ? serveNext + serveEpoch
-                                        : kInf;
-            }
-            if (timeoutOn && target >= rc.drainTimeoutCycles) {
-                failure = RunOutcome::DrainTimeout;
-                reason = "global drain timeout ("
-                    + std::to_string(rc.drainTimeoutCycles)
-                    + " cycles) elapsed\n" + groupDiagnose();
-                break;
-            }
-            if (!watchdogOn || target < checkpoint)
-                continue;
-            std::uint64_t progress = groupProgress();
-            std::uint64_t events = sim.eventsRun();
-            if (tracer) {
-                tracer->instant(TraceKind::WatchdogCheck, 0,
-                                sim.now(), stalledChecks);
-            }
-            if (progress != lastProgress) {
-                stalledChecks = 0;
-            } else if (events != lastEvents && pending.value() > 0) {
-                if (++stalledChecks >= rc.watchdogStallChecks) {
-                    failure = RunOutcome::Stalled;
-                    reason = "watchdog: no drain progress for "
-                        + std::to_string(stalledChecks)
-                        + " checks\n" + groupDiagnose();
-                    break;
-                }
-            }
-            lastProgress = progress;
-            lastEvents = events;
-            checkpoint += rc.watchdogIntervalCycles;
-        }
-    }
-
-    auto collectMerged = [&]() {
+    SupervisedRun sr;
+    sr.driver = &driver;
+    sr.config = &config;
+    sr.cycleLimit = cycleLimit;
+    sr.eventLimit = eventLimit_;
+    sr.recovery = faulted ? &rc : nullptr;
+    sr.obs = obs;
+    sr.adaptive = adaptOn ? &*adaptiveCfg_ : nullptr;
+    sr.collect = [&] {
         RunResult merged = runners[0]->collect();
         std::vector<RunResult> per;
         per.push_back(merged);
@@ -800,82 +684,55 @@ Engine::runShardedTimed(AppDriver& driver,
         return merged;
     };
 
-    auto finishObs = [&](RunResult& result) {
-        if (serve_)
-            serve_->finish(result, sim.now());
-        if (!obs)
-            return;
-        if (tracer) {
-            tracer->span(TraceKind::RunSpan, 0, 0.0, sim.now(),
-                         tracer->intern(result.configName));
-        }
-        if (obs->provenance)
-            obs->provenance->finalize(obs->metrics);
-        result.obs = obs;
+    sr.pending = &pending;
+    sr.progress = [&runners, &icx] {
+        std::uint64_t p = icx.stats().delivered;
+        for (const auto& r : runners)
+            p += r->drainProgress();
+        return p;
     };
-    auto attachTraceTail = [&](std::string& why) {
-        if (tracer && obs->config.diagnosticTailEvents > 0) {
-            why += "\nlast trace events:\n"
-                + tracer->tail(obs->config.diagnosticTailEvents);
-        }
+    sr.diagnose = [&runners, &icx] {
+        std::ostringstream os;
+        os << "interconnect: inFlight=" << icx.inFlight() << "\n";
+        for (std::size_t i = 0; i < runners.size(); ++i)
+            os << "device " << i << ":\n"
+               << runners[i]->diagnoseStall();
+        return os.str();
+    };
+    sr.adaptEpoch = [&runners] {
+        for (auto& r : runners)
+            r->adaptEpoch();
     };
 
-    if (failure) {
-        RunResult result = collectMerged();
-        result.completed = false;
-        result.outcome = *failure;
-        attachTraceTail(reason);
-        result.failureReason = std::move(reason);
-        result.faults.watchdogFired = *failure == RunOutcome::Stalled;
-        finishObs(result);
-        return result;
+    // Serving mode (core/serve_hook.hh): the session seeds admitted
+    // requests at epoch boundaries through one run-lifetime routed
+    // seeder — the same (stage, ordinal) placement as the initial
+    // seeding, with the ordinal rolling across epochs so sharded
+    // serving placement is a pure function of the admission order.
+    Seeder serveSeeder;
+    if (serve_) {
+        VP_CHECK(obs && prov, ErrorCode::Config,
+                 "serving requires an armed provenance tracker "
+                 "(ServingEngine arms it; request roots are "
+                 "force-tracked regardless of the sampling stride)");
+        VP_CHECK(!plan_
+                     || (plan_->smEvents.empty()
+                         && !plan_->anyDeviceFaults()
+                         && !plan_->anyLinkFaults()),
+                 ErrorCode::Config,
+                 "serving cannot combine with scripted fault events "
+                 "(their drain-cancellation trigger assumes the "
+                 "one-shot drain)");
+        serveSeeder = GroupCoordinator::routedSeeder(pipe, runners, plan,
+                                                     pending, prov);
+        sr.serve = serve_;
+        sr.serveSeeder = &serveSeeder;
+        sr.serveWake = [&runners] {
+            for (auto& r : runners)
+                r->serveWake();
+        };
     }
-    if (!drained) {
-        VP_CHECK(sim.eventsRun() < eventLimit_, ErrorCode::Livelock,
-                 "sharded run exceeded the event limit ("
-                 << eventLimit_ << ") — livelock in config `"
-                 << config.describe(pipe) << "`?");
-        VP_DEBUG("engine: sharded timeout at " << sim.now()
-                 << " cycles for `" << config.describe(pipe) << "`");
-        return std::nullopt;
-    }
-    if (pending.value() != 0) {
-        if (faulted) {
-            RunResult result = collectMerged();
-            result.completed = false;
-            result.outcome = RunOutcome::Stalled;
-            std::string why = "drained events but work is left\n"
-                + groupDiagnose();
-            attachTraceTail(why);
-            result.failureReason = std::move(why);
-            finishObs(result);
-            return result;
-        }
-        VP_REQUIRE(false,
-                   "sharded run drained events but left work pending "
-                   "(config `" << config.describe(pipe) << "`)");
-    }
-
-    RunResult result = collectMerged();
-    // Serving runs: per-request conservation (checked by the
-    // session) replaces the app's one-shot whole-workload verify.
-    result.completed = serve_ ? true : driver.verify();
-    // Surviving a device kill or link failure is by definition a
-    // degraded run, even when every item still made it through: the
-    // group no longer matches its configuration.
-    bool failedOver = fo->devicesFailed > 0 || fo->linksFailed > 0
-        || fo->linksDegraded > 0;
-    if (result.completed) {
-        result.outcome = failedOver ? RunOutcome::Degraded
-                                    : RunOutcome::Completed;
-    } else if (failedOver || result.faults.deadLettered > 0
-               || result.faults.droppedPushes > 0) {
-        result.outcome = RunOutcome::Degraded;
-    } else {
-        result.outcome = RunOutcome::VerifyFailed;
-    }
-    finishObs(result);
-    return result;
+    return supervisor.run(sr);
 }
 
 } // namespace vp

@@ -5,9 +5,10 @@
  * buffer that keeps termination detection exact while failed items
  * wait out their backoff.
  *
- * The watchdog itself lives in the Engine run loop (it slices
- * Simulator::runUntil at checkpoint boundaries and samples the
- * runner's drain-progress heartbeat), so a healthy run pays no extra
+ * The watchdog and drain timeout live in the Supervisor
+ * (core/supervisor.hh), the one run loop both engines share: it
+ * slices Simulator::runUntil at checkpoint boundaries and samples the
+ * engine's drain-progress heartbeat, so a healthy run pays no extra
  * simulation events for being supervised.
  */
 

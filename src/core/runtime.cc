@@ -178,18 +178,6 @@ RunnerBase::localWork(StageMask relevant) const
     return false;
 }
 
-StageMask
-RunnerBase::localWorkMask() const
-{
-    StageMask m = 0;
-    for (int i = 0; i < pipe_.stageCount(); ++i) {
-        StageMask bit = StageMask(1) << i;
-        if (localWork(bit))
-            m |= bit;
-    }
-    return m;
-}
-
 bool
 RunnerBase::futureWorkPossible(int s) const
 {
@@ -347,10 +335,6 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
                        std::move(next), pushInto);
         return;
     }
-    // Host-parallel: application code below (runBatch -> execute())
-    // may touch cross-device shared state; run it in merged order.
-    if (shard_ && shard_->execFence)
-        shard_->execFence();
     StageBase& st = pipe_.stage(s);
     QueueBase& q = *qs[s];
     const DeviceConfig& dcfg = dev_.config();
@@ -477,10 +461,6 @@ RunnerBase::processBatchFI(BlockContext& ctx, QueueSet& qs, int s,
                            StageMask inlineMask, int maxItems,
                            EventFn next, QueueSet* pushInto)
 {
-    // Host-parallel: application code below (runBatch -> execute())
-    // may touch cross-device shared state; run it in merged order.
-    if (shard_ && shard_->execFence)
-        shard_->execFence();
     StageBase& st = pipe_.stage(s);
     QueueBase& q = *qs[s];
     const DeviceConfig& dcfg = dev_.config();

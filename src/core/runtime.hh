@@ -81,17 +81,6 @@ struct ShardContext
      * backpressure exactly like the home device's own producers.
      */
     std::function<bool(int)> remoteFull;
-    /**
-     * Execution fence for host-parallel runs. Stage execute() is
-     * arbitrary application code and may touch state shared across
-     * devices (join counters, shared image levels), so batches must
-     * run in the group's merged event order, never concurrently.
-     * Called by processBatch before any application code runs;
-     * blocks until every peer device has simulated past this
-     * device's current event. Null everywhere except the
-     * host-parallel group loop.
-     */
-    std::function<void()> execFence;
 };
 
 /**
@@ -163,7 +152,6 @@ class Seeder
   private:
     friend class RunnerBase;
     friend class GroupCoordinator;
-    friend class Engine; // builds the sharded serving seeder
     Pipeline* pipe_ = nullptr;
     QueueSet* queues_ = nullptr;
     std::function<void(int, int)> noteSeeded_;
@@ -249,14 +237,6 @@ class RunnerBase
      * a remote device may still produce work.
      */
     bool localWork(StageMask relevant) const;
-
-    /**
-     * Bitmask of stages this runner currently holds work for
-     * (localWork(m) == (localWorkMask() & m) != 0). The host-parallel
-     * coordinator snapshots it at window barriers so remote-work
-     * queries stay deterministic.
-     */
-    StageMask localWorkMask() const;
 
     /**
      * Monotonic heartbeat sampled by the engine's watchdog between

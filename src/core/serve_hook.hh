@@ -5,11 +5,11 @@
  *
  * A one-shot run seeds everything up front and drains. A serving run
  * instead pauses on *epoch boundaries* — zero-sim-event instants
- * carved out of the supervision slicing loop, the same technique the
+ * carved out of the Supervisor's slicing loop, the same technique the
  * watchdog and metrics sampler use — and lets an attached
  * ServeSession admit freshly arrived requests and seed them into the
  * live pipeline. Between bursts the pipeline may drain dry; the
- * engine then jumps the clock to the next boundary (legal: no
+ * Supervisor then jumps the clock to the next boundary (legal: no
  * pending events) instead of ending the run, until the session
  * reports itself quiescent.
  *

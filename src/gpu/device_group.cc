@@ -57,23 +57,4 @@ DeviceGroup::DeviceGroup(Simulator& sim, const DeviceGroupConfig& cfg)
     }
 }
 
-DeviceGroup::DeviceGroup(const std::vector<Simulator*>& sims,
-                         const DeviceGroupConfig& cfg)
-    : cfg_(cfg),
-      interconnect_(*sims.at(0), cfg.interconnect,
-                    static_cast<int>(cfg.devices.size()))
-{
-    cfg_.validate();
-    VP_REQUIRE(sims.size() == cfg_.devices.size(),
-               "device group needs one simulator per device");
-    for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
-        const DeviceConfig& dc = cfg_.devices[i];
-        smTrackBase_.push_back(totalSms_);
-        devices_.push_back(std::make_unique<Device>(*sims[i], dc));
-        hosts_.push_back(
-            std::make_unique<Host>(*sims[i], *devices_.back()));
-        totalSms_ += dc.numSms;
-    }
-}
-
 } // namespace vp

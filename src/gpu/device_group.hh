@@ -32,15 +32,6 @@ struct DeviceGroupConfig
     std::vector<DeviceConfig> devices;
     /** Link topology and cost parameters. */
     InterconnectConfig interconnect;
-    /**
-     * Host threads driving a sharded run. 1 (the default) keeps the
-     * serial group loop: every device on one shared simulator. >1
-     * selects the host-parallel loop — one simulator per device,
-     * each driven by its own thread, synchronized in conservative
-     * lookahead windows (see docs/MODEL.md). Excluded from
-     * describe(): it changes wall-clock speed, not the simulation.
-     */
-    int hostThreads = 1;
 
     /** @p n identical devices of configuration @p cfg. */
     static DeviceGroupConfig
@@ -70,16 +61,6 @@ class DeviceGroup
 {
   public:
     DeviceGroup(Simulator& sim, const DeviceGroupConfig& cfg);
-
-    /**
-     * Host-parallel variant: device i (and its host) live on
-     * *sims[i] so each device's event loop can run on its own host
-     * thread. The interconnect is built on *sims[0] but the parallel
-     * coordinator never lets it schedule events there (transfers go
-     * through route() + explicit mailbox delivery).
-     */
-    DeviceGroup(const std::vector<Simulator*>& sims,
-                const DeviceGroupConfig& cfg);
 
     DeviceGroup(const DeviceGroup&) = delete;
     DeviceGroup& operator=(const DeviceGroup&) = delete;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/error.hh"
-
 namespace vp {
 
 Histogram::Histogram(double lo, double growth)
@@ -55,18 +53,6 @@ Histogram::add(double v)
         buckets_.resize(i + 1, 0);
     ++buckets_[i];
     acc_.add(v);
-}
-
-void
-Histogram::merge(const Histogram& other)
-{
-    VP_ASSERT(lo_ == other.lo_ && growth_ == other.growth_,
-              "merging histograms with different bucket geometry");
-    if (other.buckets_.size() > buckets_.size())
-        buckets_.resize(other.buckets_.size(), 0);
-    for (std::size_t i = 0; i < other.buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    acc_.merge(other.acc_);
 }
 
 double

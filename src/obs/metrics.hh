@@ -6,8 +6,9 @@
  *
  * Everything here is plain host-side bookkeeping — no simulation
  * events are ever scheduled, so metrics collection cannot perturb a
- * run. The sampler is driven from Engine::runTimed's slicing loop
- * (the same zero-sim-event technique the watchdog uses).
+ * run. The sampler is driven from the Supervisor's slicing loop
+ * (core/supervisor.hh; the same zero-sim-event technique the
+ * watchdog uses).
  */
 
 #ifndef VP_OBS_METRICS_HH
@@ -63,14 +64,6 @@ class Histogram
     explicit Histogram(double lo = 1.0, double growth = 1.25);
 
     void add(double v);
-
-    /**
-     * Fold @p other into this histogram. Requires identical bucket
-     * geometry (lo, growth) so counts can be added bucket-wise; the
-     * host-parallel group loop uses this to merge per-device shards
-     * into the run's single reported histogram.
-     */
-    void merge(const Histogram& other);
 
     /** Index of the bucket @p v falls in. */
     std::size_t bucketIndex(double v) const;

@@ -97,44 +97,6 @@ Tracer::tail(std::size_t k) const
     return os.str();
 }
 
-void
-Tracer::absorb(const Tracer& shard)
-{
-    if (ring_.empty())
-        return;
-    // Map shard string ids to this table lazily: most events carry
-    // no string argument at all.
-    std::vector<std::int32_t> idMap(shard.strings_.size(), -1);
-    auto remap = [&](std::int32_t a) {
-        if (a < 0
-            || static_cast<std::size_t>(a) >= shard.strings_.size())
-            return a; // Out of table: export falls back by kind.
-        if (idMap[static_cast<std::size_t>(a)] < 0)
-            idMap[static_cast<std::size_t>(a)] =
-                intern(shard.strings_[static_cast<std::size_t>(a)]);
-        return idMap[static_cast<std::size_t>(a)];
-    };
-    for (TraceEvent e : shard.snapshot()) {
-        switch (e.kind) {
-        case TraceKind::KernelLaunch:
-        case TraceKind::KernelSpan:
-        case TraceKind::LaunchDelay:
-        case TraceKind::QueueDepth:
-            e.a = remap(e.a);
-            break;
-        default:
-            // StageBatch deliberately keeps its raw stage index: the
-            // serial group loop records it the same way, and the
-            // export resolves it against device 0's queue names.
-            break;
-        }
-        record(e);
-    }
-    // Events the shard ring had already overwritten stay lost.
-    recorded_ += shard.dropped_;
-    dropped_ += shard.dropped_;
-}
-
 namespace {
 
 /** Process (pid) grouping of the exported timeline. */

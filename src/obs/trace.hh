@@ -221,18 +221,6 @@ class Tracer
      */
     std::string tail(std::size_t k) const;
 
-    /**
-     * Append every retained event of @p shard, re-interning
-     * string-table arguments (KernelLaunch/KernelSpan/LaunchDelay
-     * name ids, QueueDepth queue-name ids) into this tracer's table.
-     * StageBatch events keep their raw stage-index argument, exactly
-     * like the serial group loop records them. Used to merge the
-     * per-device tracer shards of a host-parallel run; call once per
-     * shard, in device order, before recording run-final events so
-     * the merged string table starts with device 0's queue names.
-     */
-    void absorb(const Tracer& shard);
-
   private:
     void
     record(TraceEvent e)

@@ -17,13 +17,6 @@ void
 PendingCounter::sub(std::int64_t n)
 {
     VP_ASSERT(n >= 0, "negative sub " << n);
-    if (groupMode_) {
-        // Delta mode: a pinned consumer may retire items added on
-        // another device's counter, so a negative local value is
-        // fine and drain detection happens at window barriers.
-        value_ -= n;
-        return;
-    }
     VP_ASSERT(value_ >= n, "pending counter underflow: " << value_
               << " - " << n);
     value_ -= n;
@@ -51,14 +44,6 @@ PendingCounter::reset()
     value_ = 0;
     started_ = false;
     onDrain_.clear();
-}
-
-void
-PendingCounter::enableGroupMode(
-    std::function<std::int64_t()> groupValue)
-{
-    groupMode_ = true;
-    groupValue_ = std::move(groupValue);
 }
 
 } // namespace vp

@@ -28,12 +28,8 @@ class PendingCounter
     /** Retire @p n units; fires drain callbacks on reaching zero. */
     void sub(std::int64_t n = 1);
 
-    /** Current outstanding units (see enableGroupMode). */
-    std::int64_t
-    value() const
-    {
-        return groupValue_ ? groupValue_() : value_;
-    }
+    /** Current outstanding units. */
+    std::int64_t value() const { return value_; }
 
     /** True when work was ever added and all of it has retired. */
     bool done() const { return started_ && value() == 0; }
@@ -41,36 +37,12 @@ class PendingCounter
     /** Register a callback to fire when the counter drains. */
     void notifyOnDrain(std::function<void()> fn);
 
-    /** Reset to the pristine state (keeps group mode off). */
+    /** Reset to the pristine state. */
     void reset();
-
-    /**
-     * Switch this counter into group (delta) mode: it records one
-     * device's local adds/subs of a host-parallel sharded run, which
-     * may legitimately go negative (a pinned consumer retires items
-     * that a producer on another device added), so the underflow
-     * check and the drain callbacks are disabled. value()/done()
-     * answer through @p groupValue, which sums every member
-     * counter's localValue() — callers only consult it at window
-     * barriers, where the sum is exact.
-     */
-    void enableGroupMode(std::function<std::int64_t()> groupValue);
-
-    /**
-     * Mark work as having started without counting it here. Group
-     * mode seeds items on their home device's counter; members that
-     * received nothing must still not report done() vacuously.
-     */
-    void markStarted() { started_ = true; }
-
-    /** This counter's own delta, ignoring any group-value probe. */
-    std::int64_t localValue() const { return value_; }
 
   private:
     std::int64_t value_ = 0;
     bool started_ = false;
-    bool groupMode_ = false;
-    std::function<std::int64_t()> groupValue_;
     std::vector<std::function<void()>> onDrain_;
 };
 

@@ -91,24 +91,6 @@ Interconnect::transfer(int src, int dst, double bytes, EventFn deliver)
             });
 }
 
-Tick
-Interconnect::route(int src, int dst, double bytes, Tick submitTick)
-{
-    VP_ASSERT(src >= 0 && src < devices_ && dst >= 0
-                  && dst < devices_,
-              "interconnect: device index out of range");
-    VP_ASSERT(src != dst, "interconnect: transfer to self");
-    VP_ASSERT(bytes >= 0.0, "interconnect: negative transfer size");
-
-    if (cfg_.kind == InterconnectConfig::Kind::Peer)
-        return peerLink(src, dst).occupy(bytes, submitTick);
-    Tick atHost =
-        links_[static_cast<std::size_t>(src)].occupy(bytes,
-                                                     submitTick);
-    return links_[static_cast<std::size_t>(devices_ + dst)].occupy(
-        bytes, atHost);
-}
-
 void
 Interconnect::failLink(int src, int dst)
 {

@@ -166,37 +166,6 @@ class Interconnect
      */
     void transfer(int src, int dst, double bytes, EventFn deliver);
 
-    /**
-     * Occupy the links of a @p src -> @p dst transfer of @p bytes
-     * submitted at @p submitTick, without scheduling a delivery
-     * event or touching the in-flight counters.
-     * @return the modeled arrival time.
-     *
-     * The host-parallel group loop replays each window's mailbox
-     * posts through this in merged (submit tick, device, seq) order,
-     * so link serialization and contention match the serial loop
-     * exactly; delivery events and counters are managed by the
-     * caller (see setDeliveryCounters).
-     */
-    Tick route(int src, int dst, double bytes, Tick submitTick);
-
-    /**
-     * Overwrite the delivery-side counters. The host-parallel
-     * coordinator reconstructs delivered/in-flight/peak from its
-     * mailbox ledger at window barriers; transfer() keeps them
-     * itself and never needs this.
-     */
-    void
-    setDeliveryCounters(std::uint64_t delivered,
-                        std::uint64_t inFlight,
-                        std::uint64_t maxInFlight)
-    {
-        delivered_ = delivered;
-        inFlight_ = inFlight;
-        if (maxInFlight > maxInFlight_)
-            maxInFlight_ = maxInFlight;
-    }
-
     /** Transfers submitted but not yet delivered. */
     std::uint64_t inFlight() const { return inFlight_; }
 

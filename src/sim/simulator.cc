@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace vp {
 
@@ -170,22 +169,6 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
             return false;
         dispatchNext();
     }
-    return true;
-}
-
-Tick
-Simulator::nextEventTime() const
-{
-    return heap_.empty() ? std::numeric_limits<Tick>::infinity()
-                         : heap_[0].when;
-}
-
-bool
-Simulator::step()
-{
-    if (heap_.empty() || stop_)
-        return false;
-    dispatchNext();
     return true;
 }
 

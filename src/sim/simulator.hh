@@ -254,22 +254,10 @@ class Simulator
     bool runUntil(Tick timeLimit, std::uint64_t eventLimit);
 
     /**
-     * Absolute time of the earliest pending event, or +infinity when
-     * the queue is empty. The window scheduler of the host-parallel
-     * group loop uses this to derive each device's safe horizon.
-     */
-    Tick nextEventTime() const;
-
-    /**
-     * Dispatch exactly one event (the earliest pending one).
-     * @return false when the queue was empty or a stop was requested.
-     */
-    bool step();
-
-    /**
      * Advance the clock to @p t without dispatching anything. Only
-     * legal when no pending event fires before @p t; used at window
-     * barriers so supervision hooks observe a common group time.
+     * legal when no pending event fires before @p t; the Supervisor
+     * uses it to hop a serving run's clock to its next epoch
+     * boundary.
      */
     void advanceTo(Tick t);
 

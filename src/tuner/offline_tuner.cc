@@ -24,9 +24,6 @@ autotune(Engine& engine, AppDriver& driver, const TunerOptions& opts)
     double best = std::numeric_limits<double>::infinity();
     bool have_best = false;
     int nDevices = engine.deviceCount();
-    int priorHostThreads = engine.hostThreads();
-    if (opts.hostThreads > 0 && nDevices > 1)
-        engine.setHostThreads(opts.hostThreads);
 
     bool sweepAdaptive = opts.adaptive && opts.adaptive->enabled;
 
@@ -84,7 +81,6 @@ autotune(Engine& engine, AppDriver& driver, const TunerOptions& opts)
                 consider(cfg, nullptr, true);
         }
     }
-    engine.setHostThreads(priorHostThreads);
     VP_REQUIRE(have_best, "every candidate configuration timed out");
     return result;
 }

@@ -44,17 +44,6 @@ struct TunerOptions
      * hardware thread). autotune() ignores this.
      */
     int threads = 1;
-    /**
-     * Host threads for each sharded candidate run when the engine
-     * holds a device group (Engine::setHostThreads). 0 keeps the
-     * engine's current setting. The winning configuration and its
-     * RunResult are identical to a serial sweep: eligible parallel
-     * runs reproduce the serial group loop's results, and ineligible
-     * ones fall back to it. autotuneParallel's workers are
-     * single-device engines, so this only affects the group sweep of
-     * autotune().
-     */
-    int hostThreads = 0;
 };
 
 /** Outcome of one autotuning session. */

@@ -9,6 +9,10 @@
  * no model and no device split may lose, duplicate, or invent work.
  * Every run's verify() must also pass (RunResult::completed).
  *
+ * The degeneracy lane pins the shared Supervisor: a 1-device group
+ * must replay the single-device run exactly, with and without
+ * supervision armed.
+ *
  * Runs under the `conformance` ctest label.
  */
 
@@ -18,8 +22,11 @@
 #include <sstream>
 
 #include "apps/registry.hh"
+#include "core/adaptive.hh"
 #include "core/engine.hh"
+#include "core/recovery.hh"
 #include "core/shard.hh"
+#include "obs/obs.hh"
 
 using namespace vp;
 
@@ -152,57 +159,75 @@ TEST_P(Conformance, TwoDeviceShardsMatchSingleDevice)
     EXPECT_GE(covered, 2) << GetParam();
 }
 
-// Host-parallel conformance: driving a 2-device group with two host
-// threads (one event loop per device, conservative lookahead
-// windows) reproduces the serial group loop's fingerprint under
-// every default shard plan. Parallelism must change wall-clock time
-// only — never what work happens.
-TEST_P(Conformance, HostParallelShardsMatchSerial)
+// Degeneracy: a 1-device group under replicateAll is the same
+// simulation as a plain run, so both engine entry points must hand
+// the Supervisor identical runs — once with nothing armed (the
+// unsupervised fast path) and once with the drain timeout, sampler
+// and adaptive epochs slicing the run. Distributed-queue configs
+// are the documented exception: a plain run seeds each whole flow
+// onto queue shard f % numSms, while the group coordinator routes
+// item by item onto shard ordinal % numSms, so their cycles differ
+// and only the work fingerprint must agree.
+TEST_P(Conformance, SingleDeviceGroupIsDegenerate)
 {
     DeviceConfig dev = DeviceConfig::byName("gtx1080");
     auto app = makeApp(GetParam(), AppScale::Small);
     Pipeline& pipe = app->pipeline();
-    Engine serial(DeviceGroupConfig::homogeneous(dev, 2));
-    Engine parallel(DeviceGroupConfig::homogeneous(dev, 2));
-    parallel.setHostThreads(2);
+    ShardPlan plan = ShardPlan::replicateAll(pipe);
 
-    int covered = 0;
-    for (auto& [label, cfg] : allModels(pipe, dev)) {
-        if (cfg.top != PipelineConfig::Top::Groups)
-            continue;
-        for (const ShardPlan& plan :
-             defaultShardPlans(cfg, pipe, 2)) {
-            RunResult r1 = serial.runSharded(*app, cfg, plan);
-            ASSERT_TRUE(r1.completed)
-                << GetParam() << "/" << label << "/"
-                << plan.describe() << ": " << r1.failureReason;
-            RunResult r2 = parallel.runSharded(*app, cfg, plan);
-            ASSERT_TRUE(r2.completed)
-                << GetParam() << "/" << label << "/"
-                << plan.describe() << ": " << r2.failureReason;
-            EXPECT_EQ(fingerprint(r2), fingerprint(r1))
-                << GetParam() << "/" << label << "/"
-                << plan.describe() << "\n got "
-                << describeFp(fingerprint(r2)) << "\nwant "
-                << describeFp(fingerprint(r1));
-            // Replicated plans take the exact tier: the merged
-            // schedule is the serial one, event for event.
-            if (!plan.anyPinned()) {
-                EXPECT_EQ(r2.simEvents, r1.simEvents)
-                    << GetParam() << "/" << label << "/"
-                    << plan.describe();
-                EXPECT_EQ(r2.cycles, r1.cycles)
-                    << GetParam() << "/" << label << "/"
-                    << plan.describe();
-                EXPECT_EQ(r2.polls, r1.polls)
-                    << GetParam() << "/" << label << "/"
-                    << plan.describe();
+    auto arm = [](Engine& e) {
+        RecoveryConfig rc;
+        rc.drainTimeoutCycles = 1e8;
+        e.setRecovery(rc);
+        ObsConfig oc;
+        oc.sampleIntervalCycles = 5000.0;
+        e.setObservability(oc);
+        AdaptiveConfig ac;
+        ac.enabled = true;
+        ac.epochCycles = 7000.0;
+        e.setAdaptive(ac);
+    };
+
+    int exact = 0;
+    int fingerprintOnly = 0;
+    for (bool armed : {false, true}) {
+        Engine single(dev);
+        Engine group(DeviceGroupConfig::homogeneous(dev, 1));
+        if (armed) {
+            arm(single);
+            arm(group);
+        }
+        for (auto& [label, cfg] : allModels(pipe, dev)) {
+            if (cfg.top != PipelineConfig::Top::Groups)
+                continue;
+            std::string what = GetParam() + "/" + label
+                + (armed ? "/armed" : "/plain");
+            RunResult r1 = single.run(*app, cfg);
+            RunResult r2 = group.runSharded(*app, cfg, plan);
+            ASSERT_TRUE(r1.completed) << what << ": " << r1.failureReason;
+            ASSERT_TRUE(r2.completed) << what << ": " << r2.failureReason;
+            EXPECT_EQ(fingerprint(r2), fingerprint(r1)) << what;
+            if (cfg.distributedQueues) {
+                ++fingerprintOnly;
+                continue;
             }
-            ++covered;
+            EXPECT_EQ(r2.outcome, r1.outcome) << what;
+            EXPECT_EQ(r2.cycles, r1.cycles) << what;
+            EXPECT_EQ(r2.simEvents, r1.simEvents) << what;
+            EXPECT_EQ(r2.polls, r1.polls) << what;
+            ASSERT_EQ(r2.stages.size(), r1.stages.size()) << what;
+            for (std::size_t s = 0; s < r1.stages.size(); ++s) {
+                EXPECT_EQ(r2.stages[s].items, r1.stages[s].items)
+                    << what << " stage " << r1.stages[s].name;
+                EXPECT_EQ(r2.stages[s].batches, r1.stages[s].batches)
+                    << what << " stage " << r1.stages[s].name;
+            }
+            ++exact;
         }
     }
-    // Megakernel (x2) always shards under replicate at minimum.
-    EXPECT_GE(covered, 2) << GetParam();
+    // Megakernel in both modes at minimum, plus its dq variant.
+    EXPECT_GE(exact, 2) << GetParam();
+    EXPECT_EQ(fingerprintOnly, 2) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, Conformance,

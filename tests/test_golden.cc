@@ -56,13 +56,9 @@ appendRun(std::ostream& out, const std::string& label,
     out << "}\n    }" << (last ? "\n" : ",\n");
 }
 
-/**
- * The full golden document of one application. @p hostThreads
- * drives the multi-device run's host parallelism (1 = the serial
- * group loop); the document must come out byte-identical either way.
- */
+/** The full golden document of one application. */
 std::string
-goldenFor(const std::string& app, int hostThreads = 1)
+goldenFor(const std::string& app)
 {
     DeviceConfig dev = DeviceConfig::byName("gtx1080");
     std::ostringstream out;
@@ -88,7 +84,6 @@ goldenFor(const std::string& app, int hostThreads = 1)
     {
         auto driver = makeApp(app, AppScale::Small);
         Engine engine(DeviceGroupConfig::homogeneous(dev, 2));
-        engine.setHostThreads(hostThreads);
         PipelineConfig cfg =
             makeMegakernelConfig(driver->pipeline());
         RunResult r = engine.runSharded(
@@ -136,27 +131,6 @@ TEST_P(Golden, MatchesCorpus)
         << app << " diverged from its golden corpus entry. If the "
         << "change is intentional, run scripts/regen_golden.sh and "
         << "commit the diff.";
-}
-
-// The host-parallel loop must reproduce the golden corpus
-// byte-for-byte: the megakernel-x2 run under two host threads takes
-// the exact tier (replicate plan, one event loop per device) and its
-// cycles/sim_events/polls/per-stage totals are checked against the
-// same corpus files the serial loop generated. Never regenerates.
-TEST_P(Golden, MatchesCorpusHostParallel)
-{
-    const std::string app = GetParam();
-    const std::string path = goldenPath(app);
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good())
-        << path << " is missing; run scripts/regen_golden.sh";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(goldenFor(app, 2), want.str())
-        << app << ": the host-parallel group loop diverged from the "
-        << "serial golden corpus — the exact tier must be "
-        << "bit-identical, not regenerated.";
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, Golden,

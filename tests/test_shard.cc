@@ -160,28 +160,6 @@ TEST(Shard, RerunsAreBitIdentical)
     EXPECT_EQ(a.polls, b.polls);
 }
 
-TEST(Shard, SingleDeviceGroupIsDegenerate)
-{
-    auto app = makeApp("pyramid", AppScale::Small);
-    PipelineConfig cfg = makeMegakernelConfig(app->pipeline());
-
-    Engine single(DeviceConfig::byName("gtx1080"));
-    RunResult r1 = single.run(*app, cfg);
-
-    Engine group(DeviceGroupConfig::homogeneous(
-        DeviceConfig::byName("gtx1080"), 1));
-    RunResult r2 = group.runSharded(
-        *app, cfg, ShardPlan::replicateAll(app->pipeline()));
-
-    ASSERT_TRUE(r1.completed);
-    ASSERT_TRUE(r2.completed);
-    // One device + replicate routes every seed to device 0 in seed
-    // order: the same simulation as a plain run, event for event.
-    EXPECT_EQ(r1.cycles, r2.cycles);
-    EXPECT_EQ(r1.simEvents, r2.simEvents);
-    EXPECT_EQ(stageItems(r1), stageItems(r2));
-}
-
 TEST(Shard, PinnedPlanPaysTransfersAndConserves)
 {
     auto app = makeApp("ldpc", AppScale::Small);
