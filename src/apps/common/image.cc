@@ -1,6 +1,7 @@
 #include "apps/common/image.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 
@@ -71,63 +72,82 @@ makeTestImage(int w, int h, std::uint64_t seed,
     return img;
 }
 
+// The row kernels read widths into locals: a byte store may alias
+// any object, so the compiler would otherwise reload them per pixel.
+
+void
+grayscaleRows(const RgbImage& src, GrayImage& dst, int y0, int y1)
+{
+    const int w = src.width();
+    for (int y = y0; y < y1; ++y) {
+        const std::uint8_t* rgb = src.row(y);
+        std::uint8_t* out = dst.row(y);
+        for (int x = 0; x < w; ++x, rgb += 3) {
+            out[x] = static_cast<std::uint8_t>(
+                (299 * rgb[0] + 587 * rgb[1] + 114 * rgb[2]) / 1000);
+        }
+    }
+}
+
+void
+downsampleRows(const GrayImage& src, GrayImage& dst, int y0, int y1)
+{
+    const int w = dst.width();
+    for (int y = y0; y < y1; ++y) {
+        const std::uint8_t* top = src.row(2 * y);
+        const std::uint8_t* bottom = src.row(2 * y + 1);
+        std::uint8_t* out = dst.row(y);
+        for (int x = 0; x < w; ++x) {
+            int sum = top[2 * x] + top[2 * x + 1] + bottom[2 * x]
+                + bottom[2 * x + 1];
+            out[x] = static_cast<std::uint8_t>(sum / 4);
+        }
+    }
+}
+
 GrayImage
 referenceGrayscale(const RgbImage& src)
 {
     GrayImage out(src.width(), src.height());
-    for (int y = 0; y < src.height(); ++y) {
-        for (int x = 0; x < src.width(); ++x) {
-            int v = (299 * src.at(x, y, 0) + 587 * src.at(x, y, 1)
-                     + 114 * src.at(x, y, 2)) / 1000;
-            out.at(x, y) = static_cast<std::uint8_t>(v);
-        }
-    }
+    grayscaleRows(src, out, 0, src.height());
     return out;
 }
 
 GrayImage
 referenceHistEq(const GrayImage& src)
 {
-    std::vector<std::uint64_t> hist(256, 0);
-    for (std::uint8_t p : src.pixels())
-        ++hist[p];
-    std::vector<std::uint64_t> cdf(256, 0);
+    const std::uint8_t* in = src.pixels().data();
+    const std::size_t total = src.pixels().size();
+    std::array<std::uint64_t, 256> hist{};
+    for (std::size_t i = 0; i < total; ++i)
+        ++hist[in[i]];
+    // One division per gray level instead of one per pixel. Levels
+    // below the darkest pixel have run == cdf_min == 0 and map to 0;
+    // no pixel reads them.
     std::uint64_t run = 0;
     std::uint64_t cdf_min = 0;
-    for (int i = 0; i < 256; ++i) {
-        run += hist[i];
-        cdf[i] = run;
+    std::array<std::uint8_t, 256> remap;
+    for (int v = 0; v < 256; ++v) {
+        run += hist[v];
         if (cdf_min == 0 && run > 0)
             cdf_min = run;
-    }
-    std::uint64_t total = src.pixels().size();
-    GrayImage out(src.width(), src.height());
-    for (std::size_t i = 0; i < src.pixels().size(); ++i) {
-        std::uint64_t c = cdf[src.pixels()[i]];
         std::uint64_t denom = total - cdf_min;
-        std::uint8_t v = denom == 0
-            ? src.pixels()[i]
-            : static_cast<std::uint8_t>(
-                  (c - cdf_min) * 255 / denom);
-        out.pixels()[i] = v;
+        remap[v] = denom == 0
+            ? static_cast<std::uint8_t>(v)
+            : static_cast<std::uint8_t>((run - cdf_min) * 255 / denom);
     }
+    GrayImage out(src.width(), src.height());
+    std::uint8_t* dst = out.pixels().data();
+    for (std::size_t i = 0; i < total; ++i)
+        dst[i] = remap[in[i]];
     return out;
 }
 
 GrayImage
 referenceDownsample(const GrayImage& src)
 {
-    int w = src.width() / 2;
-    int h = src.height() / 2;
-    GrayImage out(w, h);
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            int sum = src.at(2 * x, 2 * y) + src.at(2 * x + 1, 2 * y)
-                + src.at(2 * x, 2 * y + 1)
-                + src.at(2 * x + 1, 2 * y + 1);
-            out.at(x, y) = static_cast<std::uint8_t>(sum / 4);
-        }
-    }
+    GrayImage out(src.width() / 2, src.height() / 2);
+    downsampleRows(src, out, 0, out.height());
     return out;
 }
 

@@ -42,6 +42,19 @@ class GrayImage
         return pixels_[static_cast<std::size_t>(y) * width_ + x];
     }
 
+    /** First pixel of row y; the row's width() pixels follow it. */
+    std::uint8_t*
+    row(int y)
+    {
+        return pixels_.data() + static_cast<std::size_t>(y) * width_;
+    }
+
+    const std::uint8_t*
+    row(int y) const
+    {
+        return pixels_.data() + static_cast<std::size_t>(y) * width_;
+    }
+
     const std::vector<std::uint8_t>& pixels() const { return pixels_; }
     std::vector<std::uint8_t>& pixels() { return pixels_; }
 
@@ -82,6 +95,13 @@ class RgbImage
                        + c];
     }
 
+    /** First byte of row y: width() interleaved R, G, B triples. */
+    const std::uint8_t*
+    row(int y) const
+    {
+        return pixels_.data() + static_cast<std::size_t>(y) * width_ * 3;
+    }
+
     double
     bytes() const
     {
@@ -106,10 +126,28 @@ RgbImage makeTestImage(int w, int h, std::uint64_t seed,
                        const std::vector<std::pair<int, int>>& faces
                        = {});
 
+/**
+ * Row kernel: RGB-to-luma (BT.601 integer approximation) of rows
+ * [y0, y1) of src into the same rows of dst, which has src's size.
+ */
+void grayscaleRows(const RgbImage& src, GrayImage& dst, int y0, int y1);
+
+/**
+ * Row kernel: 2x2 box filter into rows [y0, y1) of dst, each output
+ * pixel the floored mean of src's pixels (2x..2x+1, 2y..2y+1). dst
+ * is at most half of src in each dimension.
+ */
+void downsampleRows(const GrayImage& src, GrayImage& dst, int y0,
+                    int y1);
+
 /** Reference RGB-to-luma conversion (BT.601 integer approximation). */
 GrayImage referenceGrayscale(const RgbImage& src);
 
-/** Reference histogram equalization over a gray image. */
+/**
+ * Reference histogram equalization over a gray image: each pixel maps
+ * to (cdf(v) - cdf_min) * 255 / (pixels - cdf_min), or keeps its value
+ * when every pixel has the same value.
+ */
 GrayImage referenceHistEq(const GrayImage& src);
 
 /** Reference 2x box-filter downsample (floor dimensions). */

@@ -25,7 +25,7 @@ lbpCode(const GrayImage& img, int x, int y)
 }
 
 /** True when an LBP code is "uniform" (<= 2 bit transitions). */
-bool
+constexpr bool
 uniform(std::uint8_t code)
 {
     std::uint8_t rotated = static_cast<std::uint8_t>(
@@ -35,7 +35,43 @@ uniform(std::uint8_t code)
     return transitions <= 2;
 }
 
+/** uniform() of every code: a cascade sample looks its code up
+ *  instead of counting bits (a library call on baseline x86-64). */
+constexpr std::array<bool, 256> kUniform = [] {
+    std::array<bool, 256> table{};
+    for (int code = 0; code < 256; ++code)
+        table[code] = uniform(static_cast<std::uint8_t>(code));
+    return table;
+}();
+
 } // namespace
+
+void
+lbpRows(const GrayImage& src, GrayImage& codes, int y0, int y1)
+{
+    const int w = src.width();
+    for (int y = y0; y < y1; ++y) {
+        std::uint8_t* out = codes.row(y);
+        if (y == 0 || y == src.height() - 1 || w < 3) {
+            for (int x = 0; x < w; ++x)
+                out[x] = lbpCode(src, x, y);
+            continue;
+        }
+        const std::uint8_t* up = src.row(y - 1);
+        const std::uint8_t* mid = src.row(y);
+        const std::uint8_t* down = src.row(y + 1);
+        out[0] = lbpCode(src, 0, y);
+        for (int x = 1; x < w - 1; ++x) {
+            const std::uint8_t c = mid[x];
+            out[x] = static_cast<std::uint8_t>(
+                (up[x - 1] >= c) | (up[x] >= c) << 1
+                | (up[x + 1] >= c) << 2 | (mid[x + 1] >= c) << 3
+                | (down[x + 1] >= c) << 4 | (down[x] >= c) << 5
+                | (down[x - 1] >= c) << 6 | (mid[x - 1] >= c) << 7);
+        }
+        out[w - 1] = lbpCode(src, w - 1, y);
+    }
+}
 
 FdParams
 FdParams::small()
@@ -78,16 +114,9 @@ void
 FdGrayscale::execute(ExecContext& ctx, FdItem& item)
 {
     const RgbImage& src = app_.inputs_[item.image];
-    GrayImage& dst = app_.gray_[item.image];
     int y0 = item.a * app_.params_.bandRows;
     int y1 = std::min(src.height(), y0 + app_.params_.bandRows);
-    for (int y = y0; y < y1; ++y) {
-        for (int x = 0; x < src.width(); ++x) {
-            int v = (299 * src.at(x, y, 0) + 587 * src.at(x, y, 1)
-                     + 114 * src.at(x, y, 2)) / 1000;
-            dst.at(x, y) = static_cast<std::uint8_t>(v);
-        }
-    }
+    grayscaleRows(src, app_.gray_[item.image], y0, y1);
     if (--app_.grayRemaining_[item.image] == 0)
         ctx.enqueue<FdHistEq>(FdItem{item.image, 0, 0, 0});
 }
@@ -164,14 +193,7 @@ FdResize::execute(ExecContext& ctx, FdItem& item)
         dst = GrayImage(w, h);
     int y0 = item.a * app_.params_.bandRows;
     int y1 = std::min(h, y0 + app_.params_.bandRows);
-    for (int y = y0; y < y1; ++y) {
-        for (int x = 0; x < w; ++x) {
-            int sum = src.at(2 * x, 2 * y) + src.at(2 * x + 1, 2 * y)
-                + src.at(2 * x, 2 * y + 1)
-                + src.at(2 * x + 1, 2 * y + 1);
-            dst.at(x, y) = static_cast<std::uint8_t>(sum / 4);
-        }
-    }
+    downsampleRows(src, dst, y0, y1);
     if (--app_.levelRemaining_[item.image][item.level] == 0) {
         int fbands = app_.bandsInLevel(item.level);
         app_.featureRemaining_[item.image][item.level] = fbands;
@@ -222,9 +244,7 @@ FdFeature::execute(ExecContext& ctx, FdItem& item)
         dst = GrayImage(src.width(), src.height());
     int y0 = item.a * app_.params_.bandRows;
     int y1 = std::min(src.height(), y0 + app_.params_.bandRows);
-    for (int y = y0; y < y1; ++y)
-        for (int x = 0; x < src.width(); ++x)
-            dst.at(x, y) = lbpCode(src, x, y);
+    lbpRows(src, dst, y0, y1);
 
     // Join: once the level's codes are complete, emit one scan item
     // per search window (paper: the load-balance choice).
@@ -249,13 +269,23 @@ FdScan::FdScan(FaceDetectApp& app)
     resources.codeBytes = 9216;
 }
 
+int
+FdScan::depth(const FdItem& item) const
+{
+    if (item != lastItem_) {
+        lastDepth_ = app_.cascadeDepth(item);
+        lastItem_ = item;
+    }
+    return lastDepth_;
+}
+
 TaskCost
 FdScan::cost(const FdItem& item) const
 {
-    int depth = app_.cascadeDepth(item);
+    int d = depth(item);
     TaskCost c;
-    c.computeInsts = 150.0 + 420.0 * depth;
-    c.memInsts = 30.0 + 70.0 * depth;
+    c.computeInsts = 150.0 + 420.0 * d;
+    c.memInsts = 30.0 + 70.0 * d;
     c.l1HitRate = 0.75;
     return c;
 }
@@ -263,7 +293,7 @@ FdScan::cost(const FdItem& item) const
 void
 FdScan::execute(ExecContext&, FdItem& item)
 {
-    if (app_.cascadeDepth(item) == FaceDetectApp::kCascadeStages) {
+    if (depth(item) == FaceDetectApp::kCascadeStages) {
         app_.detections_.emplace_back(item.image, item.level, item.a,
                                       item.b);
     }
@@ -274,8 +304,17 @@ FdScan::execute(ExecContext&, FdItem& item)
 FaceDetectApp::FaceDetectApp(FdParams params)
     : params_(params)
 {
-    VP_REQUIRE(params_.images > 0 && params_.width >= 2
-               * params_.window, "bad face-detection parameters");
+    const FdParams& p = params_;
+    VP_CHECK(p.images > 0 && p.height > 0, ErrorCode::Config,
+             "facedetect: images and height must be positive");
+    VP_CHECK(p.window >= 2 && p.width >= 2 * p.window,
+             ErrorCode::Config,
+             "facedetect: window " << p.window << " must be >= 2 and "
+             "at most half the width " << p.width);
+    VP_CHECK(p.minDim > 0 && p.bandRows > 0 && p.stride > 0,
+             ErrorCode::Config,
+             "facedetect: minDim, bandRows and stride must be "
+             "positive");
     pipe_.addStage<FdGrayscale>(*this);
     pipe_.addStage<FdHistEq>(*this);
     pipe_.addStage<FdResize>(*this);
@@ -289,6 +328,18 @@ FaceDetectApp::FaceDetectApp(FdParams params)
     pipe_.link<FdFeature, FdScan>();
     pipe_.setStructure(PipelineStructure::Recursion);
     pipe_.megakernelExtraRegs = 18; // 69 + 18 = 87 (paper sec 8.3)
+
+    // Fixed integer ring offsets (no trig for determinism) around the
+    // window's center, stored relative to its top-left corner.
+    const int half = p.window / 2;
+    for (int stage = 0; stage < kCascadeStages; ++stage) {
+        int radius = 2 + stage;
+        for (int k = 0; k < kRingSamples; ++k) {
+            int ox = ((k * 2 + stage) % p.window - half) * radius / half;
+            int oy = ((k * 5 + 3) % p.window - half) * radius / half;
+            ring_[stage * kRingSamples + k] = {half + ox, half + oy};
+        }
+    }
 
     Rng face_rng(params_.seed * 7919);
     for (int i = 0; i < params_.images; ++i) {
@@ -343,24 +394,20 @@ int
 FaceDetectApp::cascadeDepth(const FdItem& item) const
 {
     const GrayImage& codes = lbp_[item.image][item.level];
-    const int w = params_.window;
-    // Each cascade stage samples 16 LBP codes from a ring at growing
-    // radius and requires enough uniform patterns. The planted face
-    // pattern (high-contrast frame) yields uniform codes; texture
+    // Each cascade stage samples kRingSamples LBP codes from a ring at
+    // growing radius and requires enough uniform patterns. The planted
+    // face pattern (high-contrast frame) yields uniform codes; texture
     // noise rarely does for all rings.
-    for (int stage = 0; stage < kCascadeStages; ++stage) {
-        int radius = 2 + stage;
+    const RingOffset* ring = ring_.data();
+    for (int stage = 0; stage < kCascadeStages;
+         ++stage, ring += kRingSamples) {
         int hits = 0;
-        for (int k = 0; k < 16; ++k) {
-            // Fixed integer ring offsets (no trig for determinism).
-            int ox = ((k * 2 + stage) % w - w / 2) * radius / (w / 2);
-            int oy = ((k * 5 + 3) % w - w / 2) * radius / (w / 2);
-            int x = std::clamp(item.a + w / 2 + ox, 0,
+        for (int k = 0; k < kRingSamples; ++k) {
+            int x = std::clamp(item.a + ring[k].x, 0,
                                codes.width() - 1);
-            int y = std::clamp(item.b + w / 2 + oy, 0,
+            int y = std::clamp(item.b + ring[k].y, 0,
                                codes.height() - 1);
-            if (uniform(codes.at(x, y)))
-                ++hits;
+            hits += kUniform[codes.at(x, y)];
         }
         if (hits < 12)
             return stage;
@@ -405,9 +452,7 @@ FaceDetectApp::buildReference()
             if (l > 0)
                 level = referenceDownsample(level);
             GrayImage codes(level.width(), level.height());
-            for (int y = 0; y < level.height(); ++y)
-                for (int x = 0; x < level.width(); ++x)
-                    codes.at(x, y) = lbpCode(level, x, y);
+            lbpRows(level, codes, 0, level.height());
             lbp_[i][l] = std::move(codes);
             const FdParams& p = params_;
             for (int wy = 0; wy + p.window <= level.height();

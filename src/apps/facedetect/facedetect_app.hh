@@ -13,6 +13,7 @@
 #ifndef VP_APPS_FACEDETECT_FACEDETECT_APP_HH
 #define VP_APPS_FACEDETECT_FACEDETECT_APP_HH
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <tuple>
@@ -46,8 +47,18 @@ struct FdItem
     std::int32_t level;
     std::int32_t a; //!< band (early stages) / window x (scan)
     std::int32_t b; //!< window y (scan)
+
+    bool operator==(const FdItem&) const = default;
 };
 static_assert(sizeof(FdItem) == 16, "paper reports 16-byte items");
+
+/**
+ * LBP codes of rows [y0, y1) of src into the same rows of codes (src's
+ * size): per pixel, bit k is set when neighbour k (clockwise from the
+ * top-left) is >= the center, with coordinates clamped at the border.
+ * Interior pixels read their neighbours straight from the three rows.
+ */
+void lbpRows(const GrayImage& src, GrayImage& codes, int y0, int y1);
 
 class FaceDetectApp;
 
@@ -108,7 +119,14 @@ class FdScan : public Stage<FdItem>
     void execute(ExecContext& ctx, FdItem& item) override;
 
   private:
+    /** app_.cascadeDepth(item), remembered for the last item: a
+     *  task's cost() and execute() ask for the same window. Not
+     *  shared: each driver, with its stages, runs on one thread. */
+    int depth(const FdItem& item) const;
+
     FaceDetectApp& app_;
+    mutable FdItem lastItem_{-1, -1, -1, -1};
+    mutable int lastDepth_ = 0;
 };
 
 /** A detected face: (image, level, x, y). */
@@ -157,6 +175,8 @@ class FaceDetectApp : public AppDriver
     int cascadeDepth(const FdItem& item) const;
 
     static constexpr int kCascadeStages = 8;
+    /** LBP codes each cascade stage samples, on a ring. */
+    static constexpr int kRingSamples = 16;
 
   private:
     friend class FdGrayscale;
@@ -182,6 +202,14 @@ class FaceDetectApp : public AppDriver
     /** Reference detections from the sequential CPU pipeline. */
     std::set<Detection> refDetections_;
     bool refBuilt_ = false;
+
+    /** Per (stage, sample): the sampled code's offset from a window's
+     *  top-left corner, fixed by the window size. */
+    struct RingOffset
+    {
+        int x, y;
+    };
+    std::array<RingOffset, kCascadeStages * kRingSamples> ring_{};
 
     void buildReference();
 };

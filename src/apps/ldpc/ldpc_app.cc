@@ -12,6 +12,42 @@ constexpr int kThreads = 256;
 constexpr float kLlrMag = 4.0f;
 } // namespace
 
+void
+minSumC2v(const std::vector<float>& v2c, std::vector<float>& c2v,
+          int checkDeg)
+{
+    const std::size_t dc = static_cast<std::size_t>(checkDeg);
+    for (std::size_t base = 0; base + dc <= v2c.size(); base += dc) {
+        // 1e30 stands for "no other edge", as in the per-edge form.
+        // The minima are selected, never computed, so they are the
+        // per-edge form's exact floats.
+        float min1 = 1e30f;
+        float min2 = 1e30f;
+        std::size_t argMin = dc;
+        float sign = 1.0f;
+        for (std::size_t j = 0; j < dc; ++j) {
+            float m = v2c[base + j];
+            sign *= (m < 0.0f) ? -1.0f : 1.0f;
+            float mag = std::fabs(m);
+            if (mag < min1) {
+                min2 = min1;
+                min1 = mag;
+                argMin = j;
+            } else if (mag < min2) {
+                min2 = mag;
+            }
+        }
+        for (std::size_t k = 0; k < dc; ++k) {
+            // Every factor is +-1, so multiplying this edge's own
+            // sign back out of the product is exact.
+            float others =
+                sign * ((v2c[base + k] < 0.0f) ? -1.0f : 1.0f);
+            float mag = k == argMin ? min2 : min1;
+            c2v[base + k] = 0.8f * others * mag; // normalized min-sum
+        }
+    }
+}
+
 LdpcParams
 LdpcParams::small()
 {
@@ -86,7 +122,8 @@ C2vStage::cost(const LdpcItem&) const
 void
 C2vStage::execute(ExecContext& ctx, LdpcItem& item)
 {
-    app_.doC2v(app_.v2c_[item.frame], app_.c2v_[item.frame]);
+    minSumC2v(app_.v2c_[item.frame], app_.c2v_[item.frame],
+              app_.params_.checkDeg);
     ctx.enqueue<V2cStage>(item);
 }
 
@@ -158,12 +195,13 @@ ProbVarStage::execute(ExecContext&, LdpcItem& item)
 LdpcApp::LdpcApp(LdpcParams params)
     : params_(params)
 {
-    VP_REQUIRE(params_.n > 0 && params_.varDeg > 0
-               && (params_.n * params_.varDeg) % params_.checkDeg
-                      == 0,
-               "bad LDPC parameters: edges must divide evenly into "
-               "checks");
-    checks_ = params_.n * params_.varDeg / params_.checkDeg;
+    VP_CHECK(params_.frames > 0 && params_.n > 0
+             && params_.varDeg > 0 && params_.checkDeg > 0,
+             ErrorCode::Config,
+             "ldpc: frames, n, varDeg and checkDeg must be positive");
+    VP_CHECK((params_.n * params_.varDeg) % params_.checkDeg == 0,
+             ErrorCode::Config,
+             "ldpc: edges must divide evenly into checks");
 
     pipe_.addStage<InitStage>(*this);
     pipe_.addStage<C2vStage>(*this);
@@ -215,30 +253,6 @@ LdpcApp::LdpcApp(LdpcParams params)
 }
 
 void
-LdpcApp::doC2v(std::vector<float>& v2c, std::vector<float>& c2v)
-    const
-{
-    int dc = params_.checkDeg;
-    for (int c = 0; c < checks_; ++c) {
-        int base = c * dc;
-        // Min-sum: per output edge, product of signs and min of
-        // magnitudes over the other edges.
-        for (int k = 0; k < dc; ++k) {
-            float sign = 1.0f;
-            float mag = 1e30f;
-            for (int j = 0; j < dc; ++j) {
-                if (j == k)
-                    continue;
-                float m = v2c[base + j];
-                sign *= (m < 0.0f) ? -1.0f : 1.0f;
-                mag = std::min(mag, std::fabs(m));
-            }
-            c2v[base + k] = 0.8f * sign * mag; // normalized min-sum
-        }
-    }
-}
-
-void
 LdpcApp::doV2c(const std::vector<float>& llr,
                const std::vector<float>& c2v,
                std::vector<float>& v2c) const
@@ -282,7 +296,7 @@ LdpcApp::refDecode(const std::vector<float>& llr) const
             v2c[varEdges_[static_cast<std::size_t>(v)
                           * params_.varDeg + k]] = llr[v];
     for (int it = 0; it < params_.iterations; ++it) {
-        doC2v(v2c, c2v);
+        minSumC2v(v2c, c2v, params_.checkDeg);
         doV2c(llr, c2v, v2c);
     }
     return decide(llr, c2v);

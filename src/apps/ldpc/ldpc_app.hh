@@ -44,6 +44,18 @@ struct LdpcItem
 };
 static_assert(sizeof(LdpcItem) == 12, "paper reports 12-byte items");
 
+/**
+ * Normalized min-sum check-node update over edges grouped by check,
+ * checkDeg consecutive edges per check: each edge's c2v message is
+ * 0.8 * (product of the other edges' v2c signs) * (minimum of their
+ * magnitudes), with 1e30 standing for the minimum of no edges.
+ * Two-minimum form: one pass per check finds the smallest and
+ * second-smallest magnitude and the sign product, so a check costs
+ * O(checkDeg).
+ */
+void minSumC2v(const std::vector<float>& v2c, std::vector<float>& c2v,
+               int checkDeg);
+
 class LdpcApp;
 
 /** Channel LLRs and message initialization for one frame. */
@@ -124,8 +136,6 @@ class LdpcApp : public AppDriver
     std::vector<std::uint8_t>
     refDecode(const std::vector<float>& llr) const;
 
-    void doC2v(std::vector<float>& v2c, std::vector<float>& c2v)
-        const;
     void doV2c(const std::vector<float>& llr,
                const std::vector<float>& c2v,
                std::vector<float>& v2c) const;
@@ -136,7 +146,6 @@ class LdpcApp : public AppDriver
     LdpcParams params_;
     Pipeline pipe_;
 
-    int checks_ = 0;
     /** Edge -> variable and edge -> check (grouped by check). */
     std::vector<std::int32_t> edgeVar_;
     /** Variable -> its varDeg edge indices. */

@@ -49,16 +49,9 @@ void
 GrayscaleStage::execute(ExecContext& ctx, PyrItem& item)
 {
     const RgbImage& src = app_.inputs_[item.image];
-    GrayImage& dst = app_.gray_[item.image];
     int y0 = item.band * app_.params_.bandRows;
     int y1 = std::min(src.height(), y0 + app_.params_.bandRows);
-    for (int y = y0; y < y1; ++y) {
-        for (int x = 0; x < src.width(); ++x) {
-            int v = (299 * src.at(x, y, 0) + 587 * src.at(x, y, 1)
-                     + 114 * src.at(x, y, 2)) / 1000;
-            dst.at(x, y) = static_cast<std::uint8_t>(v);
-        }
-    }
+    grayscaleRows(src, app_.gray_[item.image], y0, y1);
     // Join: the last band of an image hands it to equalization.
     if (--app_.grayRemaining_[item.image] == 0)
         ctx.enqueue<HistEqStage>(PyrItem{item.image, 0, 0});
@@ -134,14 +127,7 @@ ResizeStage::execute(ExecContext& ctx, PyrItem& item)
         dst = GrayImage(w, h);
     int y0 = item.band * app_.params_.bandRows;
     int y1 = std::min(h, y0 + app_.params_.bandRows);
-    for (int y = y0; y < y1; ++y) {
-        for (int x = 0; x < w; ++x) {
-            int sum = src.at(2 * x, 2 * y) + src.at(2 * x + 1, 2 * y)
-                + src.at(2 * x, 2 * y + 1)
-                + src.at(2 * x + 1, 2 * y + 1);
-            dst.at(x, y) = static_cast<std::uint8_t>(sum / 4);
-        }
-    }
+    downsampleRows(src, dst, y0, y1);
     // Join: the last band of a level spawns the next level.
     if (--app_.levelRemaining_[item.image][item.level] == 0
         && item.level + 1 < app_.levelCount()) {
@@ -159,8 +145,12 @@ ResizeStage::execute(ExecContext& ctx, PyrItem& item)
 PyramidApp::PyramidApp(PyrParams params)
     : params_(params)
 {
-    VP_REQUIRE(params_.images > 0 && params_.width > 16
-               && params_.height > 16, "bad pyramid parameters");
+    VP_CHECK(params_.images > 0 && params_.width > 16
+             && params_.height > 16, ErrorCode::Config,
+             "pyramid: need images > 0 and a frame over 16x16");
+    VP_CHECK(params_.minDim > 0 && params_.bandRows > 0,
+             ErrorCode::Config,
+             "pyramid: minDim and bandRows must be positive");
     pipe_.addStage<GrayscaleStage>(*this);
     pipe_.addStage<HistEqStage>(*this);
     pipe_.addStage<ResizeStage>(*this);

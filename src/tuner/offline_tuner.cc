@@ -10,9 +10,26 @@
 
 namespace vp {
 
+namespace {
+
+/**
+ * A factor below 1 (or NaN) abandons a candidate that beats
+ * best-so-far but not best * factor, so the sweep could miss the
+ * optimum.
+ */
+void
+checkTimeoutFactor(double factor)
+{
+    VP_CHECK(factor >= 1.0, ErrorCode::Config,
+             "timeoutFactor must be >= 1, got " << factor);
+}
+
+} // namespace
+
 TunerResult
 autotune(Engine& engine, AppDriver& driver, const TunerOptions& opts)
 {
+    checkTimeoutFactor(opts.timeoutFactor);
     Pipeline& pipe = driver.pipeline();
     ProfileResult profile = profileApp(engine, driver);
 
@@ -92,8 +109,7 @@ autotuneParallel(const DeviceConfig& deviceCfg,
 {
     VP_REQUIRE(makeDriver != nullptr,
                "autotuneParallel needs a driver factory");
-    VP_REQUIRE(opts.timeoutFactor >= 1.0,
-               "timeoutFactor < 1 could abandon the best candidate");
+    checkTimeoutFactor(opts.timeoutFactor);
 
     int threads = opts.threads;
     if (threads <= 0) {

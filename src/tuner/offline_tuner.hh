@@ -26,6 +26,8 @@ struct TunerOptions
     /**
      * A candidate is abandoned once it exceeds best-so-far times
      * this factor (the paper's timeout-execute with a small margin).
+     * Must be >= 1: both sweeps reject anything else (NaN included)
+     * with ErrorCode::Config.
      */
     double timeoutFactor = 1.02;
     /** Enable online adaptation in the returned configuration. */

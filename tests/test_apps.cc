@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <iterator>
+
 #include "apps/cfd/cfd_app.hh"
 #include "apps/facedetect/facedetect_app.hh"
 #include "apps/ldpc/ldpc_app.hh"
@@ -234,3 +239,193 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("pyramid", "facedetect", "reyes", "cfd",
                           "raster", "ldpc"),
         ::testing::Range(0, 5)));
+
+// ------------------------------------------------------------------
+// App kernels against the formulations they replaced, bit for bit.
+// ldpc's and pyramid's cost() do not read the data, so golden cycles
+// would not catch a drift in these.
+
+namespace {
+
+/** Per-pixel LBP code with every neighbour coordinate clamped. */
+std::uint8_t
+lbpCodeClamped(const GrayImage& img, int x, int y)
+{
+    static const int dx[8] = {-1, 0, 1, 1, 1, 0, -1, -1};
+    static const int dy[8] = {-1, -1, -1, 0, 1, 1, 1, 0};
+    std::uint8_t center = img.at(x, y);
+    std::uint8_t code = 0;
+    for (int k = 0; k < 8; ++k) {
+        int nx = std::clamp(x + dx[k], 0, img.width() - 1);
+        int ny = std::clamp(y + dy[k], 0, img.height() - 1);
+        if (img.at(nx, ny) >= center)
+            code |= std::uint8_t(1) << k;
+    }
+    return code;
+}
+
+/** O(dc^2) normalized min-sum: per output edge, a pass over the
+ *  other edges. */
+void
+minSumPerEdge(const std::vector<float>& v2c, std::vector<float>& c2v,
+              int dc)
+{
+    for (std::size_t base = 0; base < v2c.size(); base += dc) {
+        for (int k = 0; k < dc; ++k) {
+            float sign = 1.0f;
+            float mag = 1e30f;
+            for (int j = 0; j < dc; ++j) {
+                if (j == k)
+                    continue;
+                float m = v2c[base + j];
+                sign *= (m < 0.0f) ? -1.0f : 1.0f;
+                mag = std::min(mag, std::fabs(m));
+            }
+            c2v[base + k] = 0.8f * sign * mag;
+        }
+    }
+}
+
+std::uint32_t
+bits(float f)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof u);
+    return u;
+}
+
+} // namespace
+
+TEST(AppKernels, LbpRowsMatchClampedPerPixelCodes)
+{
+    const std::pair<int, int> sizes[] = {
+        {1, 1}, {1, 6}, {6, 1}, {2, 2}, {3, 3}, {4, 7}, {37, 23}};
+    Rng rng(11);
+    for (auto [w, h] : sizes) {
+        // Full range, and three levels so that ties (>=) are common.
+        for (std::uint32_t levels : {256u, 3u}) {
+            GrayImage src(w, h);
+            for (std::uint8_t& p : src.pixels())
+                p = static_cast<std::uint8_t>(rng.nextBelow(levels));
+            GrayImage codes(w, h);
+            // Band by band, as FdFeature runs it.
+            for (int y0 = 0; y0 < h; y0 += 4)
+                facedetect::lbpRows(src, codes, y0,
+                                    std::min(h, y0 + 4));
+            for (int y = 0; y < h; ++y) {
+                for (int x = 0; x < w; ++x) {
+                    EXPECT_EQ(codes.at(x, y),
+                              lbpCodeClamped(src, x, y))
+                        << w << "x" << h << " at " << x << "," << y;
+                }
+            }
+        }
+    }
+}
+
+TEST(AppKernels, TwoMinimumMatchesPerEdgeMinSum)
+{
+    // Few distinct magnitudes give ties; zeros of both signs and
+    // large values exercise the sign rule and the 1e30 sentinel.
+    const float pool[] = {0.0f, -0.0f, 1.5f, -1.5f, 0.25f, -0.25f,
+                          4.0f, -4.0f, 3e30f, -7.125f};
+    Rng rng(23);
+    for (int dc : {1, 2, 6}) {
+        for (int trial = 0; trial < 200; ++trial) {
+            std::vector<float> v2c(static_cast<std::size_t>(dc) * 16);
+            for (float& m : v2c) {
+                m = rng.nextBool(0.7)
+                    ? pool[rng.nextBelow(std::size(pool))]
+                    : static_cast<float>(rng.nextRange(-9.0, 9.0));
+            }
+            std::vector<float> want(v2c.size(), 2.0f);
+            std::vector<float> got(v2c.size(), 2.0f);
+            minSumPerEdge(v2c, want, dc);
+            ldpc::minSumC2v(v2c, got, dc);
+            for (std::size_t e = 0; e < v2c.size(); ++e)
+                ASSERT_EQ(bits(got[e]), bits(want[e]))
+                    << "dc " << dc << " trial " << trial << " edge "
+                    << e << ": " << got[e] << " vs " << want[e];
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Malformed parameters end in ErrorCode::Config, not a hang or trap.
+
+namespace {
+
+template <typename App, typename Params>
+void
+expectConfigError(const Params& params)
+{
+    try {
+        App app(params);
+        ADD_FAILURE() << "parameters accepted";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
+    }
+}
+
+} // namespace
+
+TEST(AppParams, FaceDetectRejectsZeroMinDim)
+{
+    // Would loop forever in levelCount().
+    facedetect::FdParams p = facedetect::FdParams::small();
+    p.minDim = 0;
+    expectConfigError<facedetect::FaceDetectApp>(p);
+}
+
+TEST(AppParams, FaceDetectRejectsZeroBandRows)
+{
+    // Would divide by zero in bandsInLevel().
+    facedetect::FdParams p = facedetect::FdParams::small();
+    p.bandRows = 0;
+    expectConfigError<facedetect::FaceDetectApp>(p);
+}
+
+TEST(AppParams, FaceDetectRejectsZeroStride)
+{
+    // Would loop forever in the feature join.
+    facedetect::FdParams p = facedetect::FdParams::small();
+    p.stride = 0;
+    expectConfigError<facedetect::FaceDetectApp>(p);
+}
+
+TEST(AppParams, FaceDetectRejectsWindowBelowTwo)
+{
+    // Would divide by zero (window / 2) in the cascade's ring.
+    for (int window : {1, 0, -4}) {
+        facedetect::FdParams p = facedetect::FdParams::small();
+        p.window = window;
+        expectConfigError<facedetect::FaceDetectApp>(p);
+    }
+}
+
+TEST(AppParams, LdpcRejectsZeroCheckDegree)
+{
+    // Would divide by zero checking that edges split into checks.
+    ldpc::LdpcParams p = ldpc::LdpcParams::small();
+    p.checkDeg = 0;
+    expectConfigError<ldpc::LdpcApp>(p);
+}
+
+TEST(AppParams, LdpcRejectsNegativeFrames)
+{
+    // Would size the per-frame vectors from a negative count.
+    ldpc::LdpcParams p = ldpc::LdpcParams::small();
+    p.frames = -3;
+    expectConfigError<ldpc::LdpcApp>(p);
+}
+
+TEST(AppParams, PyramidRejectsZeroMinDimAndBandRows)
+{
+    // The same levelCount() hang and bandsInLevel() division.
+    pyramid::PyrParams p = pyramid::PyrParams::small();
+    p.minDim = 0;
+    expectConfigError<pyramid::PyramidApp>(p);
+    p = pyramid::PyrParams::small();
+    p.bandRows = 0;
+    expectConfigError<pyramid::PyramidApp>(p);
+}

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/common/image.hh"
 
 using namespace vp;
@@ -93,4 +95,156 @@ TEST(Image, ChecksumDependsOnDims)
 {
     GrayImage a(4, 2), b(2, 4);
     EXPECT_NE(a.checksum(), b.checksum());
+}
+
+// ------------------------------------------------------------------
+// Row kernels and the equalization table against the per-pixel forms
+// they replaced, byte for byte. The sizes include the degenerate
+// 1-pixel and 2-pixel images where a row kernel could overrun.
+
+namespace {
+
+const std::pair<int, int> kSizes[] = {
+    {1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 3}, {5, 4}, {33, 17}, {64, 48}};
+
+GrayImage
+randomGray(int w, int h, std::uint64_t seed, std::uint32_t levels = 256)
+{
+    GrayImage img(w, h);
+    Rng rng(seed);
+    for (std::uint8_t& p : img.pixels())
+        p = static_cast<std::uint8_t>(rng.nextBelow(levels));
+    return img;
+}
+
+RgbImage
+randomRgb(int w, int h, std::uint64_t seed)
+{
+    RgbImage img(w, h);
+    Rng rng(seed);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            for (int c = 0; c < 3; ++c)
+                img.at(x, y, c) =
+                    static_cast<std::uint8_t>(rng.nextBelow(256));
+    return img;
+}
+
+std::uint8_t
+lumaPixel(const RgbImage& src, int x, int y)
+{
+    int v = (299 * src.at(x, y, 0) + 587 * src.at(x, y, 1)
+             + 114 * src.at(x, y, 2)) / 1000;
+    return static_cast<std::uint8_t>(v);
+}
+
+std::uint8_t
+boxPixel(const GrayImage& src, int x, int y)
+{
+    int sum = src.at(2 * x, 2 * y) + src.at(2 * x + 1, 2 * y)
+        + src.at(2 * x, 2 * y + 1) + src.at(2 * x + 1, 2 * y + 1);
+    return static_cast<std::uint8_t>(sum / 4);
+}
+
+/** Histogram equalization with one 64-bit division per pixel. */
+GrayImage
+histEqPerPixel(const GrayImage& src)
+{
+    std::vector<std::uint64_t> hist(256, 0);
+    for (std::uint8_t p : src.pixels())
+        ++hist[p];
+    std::vector<std::uint64_t> cdf(256, 0);
+    std::uint64_t run = 0;
+    std::uint64_t cdf_min = 0;
+    for (int i = 0; i < 256; ++i) {
+        run += hist[i];
+        cdf[i] = run;
+        if (cdf_min == 0 && run > 0)
+            cdf_min = run;
+    }
+    std::uint64_t total = src.pixels().size();
+    GrayImage out(src.width(), src.height());
+    for (std::size_t i = 0; i < src.pixels().size(); ++i) {
+        std::uint64_t c = cdf[src.pixels()[i]];
+        std::uint64_t denom = total - cdf_min;
+        out.pixels()[i] = denom == 0
+            ? src.pixels()[i]
+            : static_cast<std::uint8_t>((c - cdf_min) * 255 / denom);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(ImageKernels, GrayscaleRowsMatchPerPixelLuma)
+{
+    std::uint64_t seed = 1;
+    for (auto [w, h] : kSizes) {
+        RgbImage src = randomRgb(w, h, seed++);
+        // A band in the middle: rows outside it stay untouched.
+        int y0 = h / 3, y1 = h - h / 4;
+        GrayImage dst(w, h);
+        for (std::uint8_t& p : dst.pixels())
+            p = 0xA5;
+        grayscaleRows(src, dst, y0, y1);
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < w; ++x) {
+                EXPECT_EQ(dst.at(x, y),
+                          y >= y0 && y < y1 ? lumaPixel(src, x, y)
+                                            : 0xA5)
+                    << w << "x" << h << " at " << x << "," << y;
+            }
+        }
+        GrayImage whole = referenceGrayscale(src);
+        for (int y = 0; y < h; ++y)
+            for (int x = 0; x < w; ++x)
+                EXPECT_EQ(whole.at(x, y), lumaPixel(src, x, y));
+    }
+}
+
+TEST(ImageKernels, DownsampleRowsMatchPerPixelBoxFilter)
+{
+    std::uint64_t seed = 100;
+    for (auto [w, h] : kSizes) {
+        GrayImage src = randomGray(w, h, seed++);
+        GrayImage half = referenceDownsample(src);
+        ASSERT_EQ(half.width(), w / 2);
+        ASSERT_EQ(half.height(), h / 2);
+        for (int y = 0; y < h / 2; ++y)
+            for (int x = 0; x < w / 2; ++x)
+                EXPECT_EQ(half.at(x, y), boxPixel(src, x, y))
+                    << w << "x" << h << " at " << x << "," << y;
+        // One band at a time, as the resize stages call it.
+        GrayImage banded(w / 2, h / 2);
+        for (int y0 = 0; y0 < h / 2; y0 += 3)
+            downsampleRows(src, banded, y0, std::min(h / 2, y0 + 3));
+        EXPECT_EQ(banded.pixels(), half.pixels()) << w << "x" << h;
+    }
+}
+
+TEST(ImageKernels, HistEqTableMatchesPerPixelDivision)
+{
+    std::uint64_t seed = 200;
+    for (auto [w, h] : kSizes) {
+        // Full range, a narrow band (many empty levels) and two
+        // levels (large ties).
+        for (std::uint32_t levels : {256u, 9u, 2u}) {
+            GrayImage src = randomGray(w, h, seed++, levels);
+            EXPECT_EQ(referenceHistEq(src).pixels(),
+                      histEqPerPixel(src).pixels())
+                << w << "x" << h << " levels " << levels;
+        }
+    }
+    // Constant images: the denominator is 0 and pixels keep their
+    // value, at both ends of the range.
+    for (int v : {0, 77, 255}) {
+        GrayImage flat(7, 5);
+        for (std::uint8_t& p : flat.pixels())
+            p = static_cast<std::uint8_t>(v);
+        EXPECT_EQ(referenceHistEq(flat).pixels(),
+                  histEqPerPixel(flat).pixels());
+        EXPECT_EQ(referenceHistEq(flat).pixels(), flat.pixels());
+    }
+    GrayImage empty;
+    EXPECT_TRUE(referenceHistEq(empty).pixels().empty());
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "toy_apps.hh"
 #include "tuner/offline_tuner.hh"
 
@@ -85,4 +87,23 @@ TEST(OfflineTuner, OnlineAdaptationFlagPropagates)
     opts.onlineAdaptation = true;
     auto result = autotune(engine, app, opts);
     EXPECT_TRUE(result.best.onlineAdaptation);
+}
+
+TEST(OfflineTuner, RejectsTimeoutFactorBelowOne)
+{
+    // A factor below 1 abandons a candidate faster than best-so-far
+    // but slower than best * factor: the sweep could miss the optimum.
+    LinearApp app;
+    Engine engine(DeviceConfig::k20c());
+    for (double factor :
+         {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+        TunerOptions opts = quickOptions();
+        opts.timeoutFactor = factor;
+        try {
+            autotune(engine, app, opts);
+            ADD_FAILURE() << "accepted timeoutFactor " << factor;
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::Config) << factor;
+        }
+    }
 }

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "apps/registry.hh"
 #include "tuner/offline_tuner.hh"
 
@@ -87,11 +89,18 @@ TEST(ParallelTuner, RejectsBadArguments)
 {
     EXPECT_THROW(autotuneParallel(DeviceConfig::k20c(), nullptr),
                  FatalError);
-    TunerOptions opts;
-    opts.timeoutFactor = 0.5;
-    EXPECT_THROW(
-        autotuneParallel(
-            DeviceConfig::k20c(),
-            [] { return makeApp("pyramid", AppScale::Small); }, opts),
-        FatalError);
+    for (double factor :
+         {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+        TunerOptions opts;
+        opts.timeoutFactor = factor;
+        try {
+            autotuneParallel(
+                DeviceConfig::k20c(),
+                [] { return makeApp("pyramid", AppScale::Small); },
+                opts);
+            ADD_FAILURE() << "accepted timeoutFactor " << factor;
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::Config) << factor;
+        }
+    }
 }
