@@ -131,9 +131,16 @@ TimeStepStage::execute(ExecContext& ctx, CfdItem& item)
 CfdApp::CfdApp(CfdParams params)
     : params_(params)
 {
-    VP_REQUIRE(params_.elements >= params_.blockElems
-               && params_.elements % params_.blockElems == 0,
-               "elements must be a positive multiple of blockElems");
+    // blockElems first: the modulo below divides by it.
+    VP_CHECK(params_.blockElems > 0
+                 && params_.elements >= params_.blockElems
+                 && params_.elements % params_.blockElems == 0,
+             ErrorCode::Config,
+             "cfd: elements must be a positive multiple of a positive "
+             "blockElems");
+    VP_CHECK(params_.outerIters > 0 && params_.innerIters > 0,
+             ErrorCode::Config,
+             "cfd: outerIters and innerIters must be positive");
     pipe_.addStage<StepFactorStage>(*this);
     pipe_.addStage<FluxStage>(*this);
     pipe_.addStage<TimeStepStage>(*this);

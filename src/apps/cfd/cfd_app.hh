@@ -94,6 +94,10 @@ class CfdApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
+    /** (block, outer, inner) names one step of one composite; its
+     *  cost and successor depend on nothing else. */
+    bool keyedItems() const override { return true; }
+
     const CfdParams& params() const { return params_; }
 
     /** Composite blocks per wave. */

@@ -118,6 +118,10 @@ class LdpcApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
+    /** (frame, iter, pass) names one pass over one frame; its cost
+     *  and successor depend on nothing else. */
+    bool keyedItems() const override { return true; }
+
     const LdpcParams& params() const { return params_; }
 
     /** Frames whose decoded word matched the transmitted word. */

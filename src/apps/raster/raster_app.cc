@@ -132,7 +132,10 @@ RShadeStage::execute(ExecContext&, RasterItem& item)
 RasterApp::RasterApp(RasterParams params)
     : params_(params)
 {
-    VP_REQUIRE(params_.cubes > 0, "bad raster parameters");
+    VP_CHECK(params_.cubes > 0 && params_.width > 0
+                 && params_.height > 0 && params_.tile > 0,
+             ErrorCode::Config,
+             "raster: cubes, width, height and tile must be positive");
     pipe_.addStage<ClipStage>(*this);
     pipe_.addStage<InterpolateStage>(*this);
     pipe_.addStage<RShadeStage>(*this);

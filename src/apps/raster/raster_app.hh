@@ -86,6 +86,10 @@ class RasterApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
+    /** A triangle id (or triangle-tile pair) fixes the cull result,
+     *  the touched tiles and so every cost and child. */
+    bool keyedItems() const override { return true; }
+
     const RasterParams& params() const { return params_; }
 
     /** Depth/triangle packed framebuffer (min-combined). */

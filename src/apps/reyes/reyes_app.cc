@@ -191,8 +191,11 @@ ShadeStage::execute(ExecContext&, GridItem& item)
 ReyesApp::ReyesApp(ReyesParams params)
     : params_(params)
 {
-    VP_REQUIRE(params_.patches > 0 && params_.grid >= 2,
-               "bad Reyes parameters");
+    VP_CHECK(params_.patches > 0 && params_.grid >= 2
+                 && params_.width > 0 && params_.height > 0,
+             ErrorCode::Config,
+             "reyes: patches, width and height must be positive and "
+             "grid at least 2");
     pipe_.addStage<SplitStage>(*this);
     pipe_.addStage<DiceStage>(*this);
     pipe_.addStage<ShadeStage>(*this);

@@ -221,13 +221,14 @@ VsFilter::execute(ExecContext&, VsItem& item)
 VidstreamApp::VidstreamApp(VsParams params)
     : params_(params)
 {
-    VP_REQUIRE(params_.cameras > 0 && params_.frames > 0
-                   && params_.maxFaces > 0 && params_.driftPeriod > 0
-                   && params_.filterWindow > 0
-                   && params_.roi > 0
-                   && params_.width >= params_.roi
-                   && params_.height >= params_.roi,
-               "bad vidstream parameters");
+    VP_CHECK(params_.cameras > 0 && params_.frames > 0
+                 && params_.maxFaces > 0 && params_.driftPeriod > 0
+                 && params_.filterWindow > 0 && params_.roi > 0
+                 && params_.width >= params_.roi
+                 && params_.height >= params_.roi,
+             ErrorCode::Config,
+             "vidstream: counts and sizes must be positive, and the "
+             "frame at least one roi wide and high");
     pipe_.addStage<VsDecode>(*this);
     pipe_.addStage<VsDetect>(*this);
     pipe_.addStage<VsTrack>(*this);

@@ -13,21 +13,65 @@ Engine::Engine(DeviceConfig cfg)
 }
 
 RunResult
-Engine::run(AppDriver& driver, const PipelineConfig& config) const
+Engine::run(AppDriver& driver, const PipelineConfig& config,
+            TaskGraph* capture) const
 {
-    auto r = runTimed(driver, config,
-                      std::numeric_limits<double>::infinity());
+    auto r = runSingle(driver, config,
+                       std::numeric_limits<double>::infinity(), capture,
+                       nullptr);
     VP_ASSERT(r.has_value(), "untimed run reported a timeout");
     return *r;
 }
 
 std::optional<RunResult>
 Engine::runTimed(AppDriver& driver, const PipelineConfig& config,
-                 double cycleLimit) const
+                 double cycleLimit, const TaskGraph* replay) const
+{
+    return runSingle(driver, config, cycleLimit, nullptr, replay);
+}
+
+bool
+Engine::canReplay(AppDriver& driver) const
+{
+    if (!driver.keyedItems() || plan_ || recovery_ || obsCfg_ || serve_)
+        return false;
+    const Pipeline& pipe = driver.pipeline();
+    for (int s = 0; s < pipe.stageCount(); ++s)
+        if (pipe.stage(s).queueCapacity > 0)
+            return false;
+    return true;
+}
+
+void
+Engine::requireTaskGraph(AppDriver& driver, const TaskGraph& graph) const
+{
+    VP_CHECK(canReplay(driver), ErrorCode::Config,
+             "task-graph capture and replay need an app that declares "
+             "keyed items, no bounded stage, and no fault plan, "
+             "recovery policy, observability or serving session");
+    const Pipeline& pipe = driver.pipeline();
+    VP_CHECK(graph.stageCount() == pipe.stageCount(), ErrorCode::Config,
+             "task graph spans " << graph.stageCount() << " stages, "
+             << driver.name() << " has " << pipe.stageCount());
+    for (int s = 0; s < pipe.stageCount(); ++s)
+        VP_CHECK(pipe.stage(s).keyable(), ErrorCode::Config,
+                 driver.name() << " declares keyed items, but the items "
+                 "of stage `" << pipe.stage(s).name << "` have no byte "
+                 "key (padding or floating-point members)");
+}
+
+std::optional<RunResult>
+Engine::runSingle(AppDriver& driver, const PipelineConfig& config,
+                  double cycleLimit, TaskGraph* capture,
+                  const TaskGraph* replay) const
 {
     Pipeline& pipe = driver.pipeline();
     pipe.validate();
     config.validate(pipe, cfg_);
+    if (capture)
+        requireTaskGraph(driver, *capture);
+    if (replay)
+        requireTaskGraph(driver, *replay);
     driver.reset();
     pipe.resetStages();
 
@@ -79,6 +123,8 @@ Engine::runTimed(AppDriver& driver, const PipelineConfig& config,
         fc.recovery = &*recovery_;
     }
 
+    fc.capture = capture;
+    fc.replay = replay;
     auto runner = makeRunner(sim, dev, host, pipe, config, fc);
 
     // Scripted SM failures/degradations become ordinary engine
@@ -123,6 +169,7 @@ Engine::runTimed(AppDriver& driver, const PipelineConfig& config,
     sr.config = &config;
     sr.cycleLimit = cycleLimit;
     sr.eventLimit = eventLimit_;
+    sr.replayed = replay != nullptr;
     sr.recovery = faulted ? &rc : nullptr;
     sr.obs = obs;
     sr.adaptive = adaptOn ? &*adaptiveCfg_ : nullptr;

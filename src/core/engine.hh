@@ -176,21 +176,31 @@ class Engine
      * Run @p driver under @p config to completion.
      * Fatal when the run livelocks or leaves work pending.
      *
+     * With @p capture (an empty graph over the pipeline's stages),
+     * the run also records every task's cost and children into it
+     * (core/task_graph.hh); @p config must inline nothing, and
+     * canReplay(driver) must hold.
+     *
      * const — a run builds all mutable state (simulator, device,
      * runner) on its own stack, so distinct drivers can run through
      * the same Engine from different threads concurrently.
      */
-    RunResult run(AppDriver& driver,
-                  const PipelineConfig& config) const;
+    RunResult run(AppDriver& driver, const PipelineConfig& config,
+                  TaskGraph* capture = nullptr) const;
 
     /**
      * Timeout-execute (the auto-tuner primitive of Fig. 10): run,
      * but abandon once virtual time exceeds @p cycleLimit.
+     *
+     * With @p replay (a sealed capture of the same app), every task
+     * takes its recorded cost and children instead of running the
+     * payload, and the run skips verify(); canReplay(driver) must
+     * hold.
      * @return the result, or nullopt on timeout.
      */
-    std::optional<RunResult> runTimed(AppDriver& driver,
-                                      const PipelineConfig& config,
-                                      double cycleLimit) const;
+    std::optional<RunResult>
+    runTimed(AppDriver& driver, const PipelineConfig& config,
+             double cycleLimit, const TaskGraph* replay = nullptr) const;
 
     /**
      * Run @p driver sharded over the engine's device group under
@@ -206,15 +216,38 @@ class Engine
                          const PipelineConfig& config,
                          const ShardPlan& plan) const;
 
-    /** Timeout-execute variant of runSharded (auto-tuner primitive). */
+    /** Timeout-execute variant of runSharded (auto-tuner
+     *  primitive); @p replay as in runTimed. */
     std::optional<RunResult>
     runShardedTimed(AppDriver& driver, const PipelineConfig& config,
-                    const ShardPlan& plan, double cycleLimit) const;
+                    const ShardPlan& plan, double cycleLimit,
+                    const TaskGraph* replay = nullptr) const;
+
+    /**
+     * True when runs of @p driver here may capture and replay its
+     * task graph: the app declares keyed items
+     * (AppDriver::keyedItems), no stage has a bounded queue, and no
+     * fault plan, recovery policy, observability or serving session
+     * is armed — nothing then reads app state during a run.
+     */
+    bool canReplay(AppDriver& driver) const;
 
     /** Cap on simulation events per run (livelock guard). */
     void setEventLimit(std::uint64_t limit) { eventLimit_ = limit; }
 
   private:
+    /** Fatal (ErrorCode::Config) unless a run of @p driver may
+     *  capture into or replay @p graph. */
+    void requireTaskGraph(AppDriver& driver,
+                          const TaskGraph& graph) const;
+
+    /** run() and runTimed(): at most one of @p capture and
+     *  @p replay is set. */
+    std::optional<RunResult>
+    runSingle(AppDriver& driver, const PipelineConfig& config,
+              double cycleLimit, TaskGraph* capture,
+              const TaskGraph* replay) const;
+
     DeviceConfig cfg_;
     std::uint64_t eventLimit_ = 400000000ULL;
     std::optional<FaultPlan> plan_;

@@ -181,8 +181,8 @@ Engine::runSharded(AppDriver& driver, const PipelineConfig& config,
 std::optional<RunResult>
 Engine::runShardedTimed(AppDriver& driver,
                         const PipelineConfig& config,
-                        const ShardPlan& plan,
-                        double cycleLimit) const
+                        const ShardPlan& plan, double cycleLimit,
+                        const TaskGraph* replay) const
 {
     VP_CHECK(group_.has_value(), ErrorCode::Config,
              "runSharded requires an Engine built from a "
@@ -195,6 +195,8 @@ Engine::runShardedTimed(AppDriver& driver,
     for (const DeviceConfig& dcfg : gcfg.devices)
         config.validate(pipe, dcfg);
     plan.validate(pipe, config, n);
+    if (replay)
+        requireTaskGraph(driver, *replay);
     driver.reset();
     pipe.resetStages();
 
@@ -277,6 +279,7 @@ Engine::runShardedTimed(AppDriver& driver,
             fc.recovery = &*recovery_;
         if (obs)
             fc.obs = obs.get();
+        fc.replay = replay;
         runners.push_back(makeRunner(sim, group.device(i),
                                      group.host(i), pipe, config,
                                      fc));
@@ -606,6 +609,7 @@ Engine::runShardedTimed(AppDriver& driver,
     sr.config = &config;
     sr.cycleLimit = cycleLimit;
     sr.eventLimit = eventLimit_;
+    sr.replayed = replay != nullptr;
     sr.recovery = faulted ? &rc : nullptr;
     sr.obs = obs;
     sr.adaptive = adaptOn ? &*adaptiveCfg_ : nullptr;

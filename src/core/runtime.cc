@@ -60,6 +60,10 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
             || captureForReplay_;
     }
     instrumentBatches_ |= anyBoundedQueue;
+    graphCapture_ = fc.capture;
+    graphReplay_ = fc.replay;
+    VP_ASSERT(!instrumentBatches_ || (!graphCapture_ && !graphReplay_),
+              "task graphs run on the plain batch path only");
     dev_.setBlockAbortHook(
         [this](BlockContext& ctx) { blockAborted(ctx); });
     dev_.setSmFailedHook([this](int sm) { smFailed(sm); });
@@ -346,6 +350,8 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
 
     ExecContext ectx(pipe_, inlineMask, ctx.smId(),
                      std::max(1, st.threadNum));
+    if (graphCapture_ || graphReplay_)
+        ectx.setTaskGraph(s, graphCapture_, graphReplay_);
     int avail = static_cast<int>(std::min<std::size_t>(q.size(), cap));
     Tick bstart = sim_.now();
     Tick pop_cost = q.accessCost(dcfg, sim_.now(), std::max(avail, 1));

@@ -99,6 +99,12 @@ struct FaultContext
     ObsData* obs = nullptr;
     /** Multi-device shard wiring; null runs single-device. */
     const ShardContext* shard = nullptr;
+    /** Task graph the run records into as its payload executes;
+     *  owned by the caller (core/task_graph.hh). */
+    TaskGraph* capture = nullptr;
+    /** Sealed task graph the run replays instead of the payload;
+     *  owned by the caller. */
+    const TaskGraph* replay = nullptr;
 };
 
 /** One stage's input queues (per execution flow). */
@@ -195,6 +201,16 @@ class AppDriver
 
     /** Check results against the reference; true when correct. */
     virtual bool verify() { return true; }
+
+    /**
+     * True when every item's bytes identify its task: the same
+     * (stage, item) always costs the same and enqueues the same
+     * children, whatever the schedule, and no item executes twice.
+     * The auto-tuner then captures the app's task graph once and
+     * replays it for its candidates instead of the payload
+     * (docs/MODEL.md, "Tuner replay"). Every stage must be keyable.
+     */
+    virtual bool keyedItems() const { return false; }
 };
 
 /** Shared machinery of all runners. */
@@ -478,6 +494,11 @@ class RunnerBase
     bool instrumentBatches_ = false;
     /** True when executed items are captured for SM-kill replay. */
     bool captureForReplay_ = false;
+
+    /** Task-graph capture / replay of the plain batch path (see
+     *  FaultContext); null runs the payload only. */
+    TaskGraph* graphCapture_ = nullptr;
+    const TaskGraph* graphReplay_ = nullptr;
 
     /** A batch between fetch and commit, replayable on eviction. */
     struct InFlightBatch

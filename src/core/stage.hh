@@ -15,14 +15,17 @@
 #ifndef VP_CORE_STAGE_HH
 #define VP_CORE_STAGE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <typeindex>
 #include <vector>
 
 #include "common/error.hh"
+#include "core/task_graph.hh"
 #include "gpu/resources.hh"
 #include "queueing/remote_queue.hh"
 #include "queueing/work_queue.hh"
@@ -132,6 +135,13 @@ class StageBase
     /** Payload size in bytes. */
     virtual int itemBytes() const = 0;
 
+    /**
+     * True when this stage's items have a replay key: their bytes are
+     * their value (std::has_unique_object_representations_v), so
+     * equal bytes mean equal items (core/task_graph.hh).
+     */
+    virtual bool keyable() const = 0;
+
     /** Create this stage's input work queue. */
     virtual std::unique_ptr<QueueBase> makeQueue() const = 0;
 
@@ -148,7 +158,9 @@ class StageBase
 
     /**
      * Pop up to @p maxItems items from @p q and execute each,
-     * recording outputs and costs in @p ctx.
+     * recording outputs and costs in @p ctx. When @p ctx replays a
+     * task graph, each item's recorded cost and children stand in
+     * for cost() and execute().
      */
     virtual BatchResult runBatch(ExecContext& ctx, QueueBase& q,
                                  int maxItems) = 0;
@@ -285,7 +297,49 @@ class ExecContext
 
     /** @} */
 
+    /** @name Task-graph capture and replay (core/task_graph.hh) @{ */
+
+    /**
+     * This batch runs stage @p stage. With @p capture, record each
+     * task's cost and children into it (the batch must inline
+     * nothing); with @p replay, take them from that sealed graph
+     * instead of running the payload. Both null: the payload only.
+     */
+    void setTaskGraph(int stage, TaskGraph* capture,
+                      const TaskGraph* replay);
+
+    bool capturing() const { return capture_ != nullptr; }
+    bool replaying() const { return replay_ != nullptr; }
+
+    /** Record the task just executed, item @p key, with the children
+     *  it enqueued. */
+    void captureTask(std::string key);
+
+    /** Begin the recorded task of item @p key: its cost, its inline
+     *  chain and its staged outputs. */
+    void replayTask(const std::string& key);
+
+    /** @} */
+
   private:
+    /** @p c of an inlined task of a stage with @p threadNum threads
+     *  per task, as charged to this batch's entry threads. */
+    TaskCost
+    inlinedCost(TaskCost c, int threadNum) const
+    {
+        // Per-thread costs of a wider stage fall on the (fewer)
+        // entry threads when inlined into their task.
+        double ratio = double(std::max(1, threadNum)) / entryThreads_;
+        if (ratio > 1.0) {
+            c.computeInsts *= ratio;
+            c.memInsts *= ratio;
+            c.serialInsts *= ratio;
+        }
+        return c;
+    }
+
+    void replayChildren(const TaskGraph::Task& t);
+
     Pipeline& pipe_;
     StageMask inlineMask_;
     int smId_;
@@ -295,6 +349,13 @@ class ExecContext
     TaskCost taskCost_;
     std::vector<StagedOutput> outputs_;
     std::vector<std::pair<int, int>> inlineRuns_;
+
+    int stage_ = -1;
+    TaskGraph* capture_ = nullptr;
+    const TaskGraph* replay_ = nullptr;
+    /** Keys of the children the current task enqueued, under
+     *  capture. */
+    std::vector<std::string> capturedKeys_;
 
     static constexpr int kMaxInlineDepth = 64;
 };
@@ -326,6 +387,12 @@ class Stage : public StageBase
     itemBytes() const override
     {
         return static_cast<int>(sizeof(T));
+    }
+
+    bool
+    keyable() const override
+    {
+        return std::has_unique_object_representations_v<T>;
     }
 
     std::unique_ptr<QueueBase>

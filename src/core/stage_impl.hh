@@ -26,22 +26,14 @@ ExecContext::enqueue(typename S::DataItemType item)
                   "inline chain too deep (cycle in RTC group?)");
         ++inlineDepth_;
         S& st = pipe_.stageAs<S>();
-        // Per-thread costs of a wider stage fall on the (fewer)
-        // entry threads when inlined into their task.
-        TaskCost c = st.cost(item);
-        double ratio = double(std::max(1, st.threadNum))
-            / entryThreads_;
-        if (ratio > 1.0) {
-            c.computeInsts *= ratio;
-            c.memInsts *= ratio;
-            c.serialInsts *= ratio;
-        }
-        addInlineCost(c);
+        addInlineCost(inlinedCost(st.cost(item), st.threadNum));
         noteInlineRun(idx);
         st.execute(*this, item);
         --inlineDepth_;
         return;
     }
+    if (capture_)
+        capturedKeys_.push_back(itemKey(item));
     outputs_.push_back(StagedOutput{
         idx,
         [item = std::move(item)](QueueBase& q) mutable {
@@ -70,8 +62,18 @@ Stage<T>::runBatch(ExecContext& ctx, QueueBase& q, int maxItems)
         T& item = items[i];
         if (!ids.empty())
             ctx.setProvParent(ids[i]);
-        ctx.beginTask(cost(item));
-        execute(ctx, item);
+        if (ctx.replaying()) {
+            ctx.replayTask(itemKey(item));
+        } else if (ctx.capturing()) {
+            // The key is the item as popped: execute() may change it.
+            std::string key = itemKey(item);
+            ctx.beginTask(cost(item));
+            execute(ctx, item);
+            ctx.captureTask(std::move(key));
+        } else {
+            ctx.beginTask(cost(item));
+            execute(ctx, item);
+        }
         TaskCost c = ctx.endTask();
         r.maxTaskInsts = std::max(r.maxTaskInsts,
                                   c.computeInsts + c.memInsts);

@@ -220,8 +220,10 @@ Supervisor::run(const SupervisedRun& r)
     RunResult result = r.collect();
     // A serving run has no one-shot verify(): the pipeline was
     // re-seeded continuously, so per-request conservation — checked
-    // by the session — replaces the app's whole-workload check.
-    result.completed = r.serve ? true : r.driver->verify();
+    // by the session — replaces the app's whole-workload check. A
+    // replayed run produced no output at all.
+    result.completed =
+        r.serve || r.replayed ? true : r.driver->verify();
     // Surviving a device kill or link failure is by definition a
     // degraded run, even when every item still made it through: the
     // group no longer matches its configuration.

@@ -48,6 +48,10 @@ struct SupervisedRun
     double cycleLimit = std::numeric_limits<double>::infinity();
     /** Livelock guard: fatal once this many events have fired. */
     std::uint64_t eventLimit = 0;
+    /** The run replayed a task graph instead of the payload: there
+     *  is no output to verify (the tuner verifies its winner's real
+     *  re-run instead). */
+    bool replayed = false;
 
     /** @name Armed supervision (null / empty = off) @{ */
 

@@ -24,14 +24,109 @@ checkTimeoutFactor(double factor)
              "timeoutFactor must be >= 1, got " << factor);
 }
 
+/**
+ * Payload replay of one sweep (docs/MODEL.md, "Tuner replay"). The
+ * profiling run captures the app's task graph when the engine allows
+ * it (Engine::canReplay); every candidate then replays that graph,
+ * and confirm() re-runs the winner with the real payload.
+ */
+class SweepReplay
+{
+  public:
+    /** Profile @p driver on @p engine, capturing its task graph when
+     *  replay is sound there. */
+    ProfileResult
+    profile(Engine& engine, AppDriver& driver)
+    {
+        if (!engine.canReplay(driver))
+            return profileApp(engine, driver);
+        graph_.emplace(driver.pipeline().stageCount());
+        ProfileResult p = profileApp(engine, driver, &*graph_);
+        graph_->seal();
+        return p;
+    }
+
+    /** The sealed graph candidates replay; null when declined. */
+    const TaskGraph*
+    graph() const
+    {
+        return graph_ ? &*graph_ : nullptr;
+    }
+
+    /**
+     * Re-run the replayed winner of @p result with its payload on
+     * @p engine, armed as the winning candidate was, and make that
+     * verified run bestRun. Fatal (ErrorCode::Config) unless its
+     * cycles, events and polls equal the replayed run's.
+     */
+    void
+    confirm(const Engine& engine, AppDriver& driver,
+            TunerResult& result) const
+    {
+        if (!graph_)
+            return;
+        result.replayed = result.evaluated;
+        RunResult real = result.bestSharded
+            ? engine.runSharded(driver, result.best, result.bestPlan)
+            : engine.run(driver, result.best);
+        const RunResult& rep = result.bestRun;
+        VP_CHECK(real.cycles == rep.cycles
+                     && real.simEvents == rep.simEvents
+                     && real.polls == rep.polls,
+                 ErrorCode::Config,
+                 driver.name() << ": winner `" << real.configName
+                 << "` replayed in " << rep.cycles << " cycles, "
+                 << rep.simEvents << " events, " << rep.polls
+                 << " polls but ran in " << real.cycles << ", "
+                 << real.simEvents << ", " << real.polls
+                 << ": its items do not identify its tasks "
+                    "(AppDriver::keyedItems)");
+        result.bestRun = std::move(real);
+    }
+
+  private:
+    std::optional<TaskGraph> graph_;
+};
+
+/** Clears an engine's adaptive controller for a sweep and restores
+ *  the caller's configuration on every exit path. */
+class AdaptiveRestore
+{
+  public:
+    explicit AdaptiveRestore(Engine& engine)
+        : engine_(engine), saved_(engine.adaptive())
+    {
+        engine_.clearAdaptive();
+    }
+
+    ~AdaptiveRestore()
+    {
+        // setAdaptive() revalidates a config that validated when the
+        // caller set it, so it cannot throw here.
+        if (saved_)
+            engine_.setAdaptive(*saved_);
+        else
+            engine_.clearAdaptive();
+    }
+
+    AdaptiveRestore(const AdaptiveRestore&) = delete;
+    AdaptiveRestore& operator=(const AdaptiveRestore&) = delete;
+
+  private:
+    Engine& engine_;
+    std::optional<AdaptiveConfig> saved_;
+};
+
 } // namespace
 
 TunerResult
 autotune(Engine& engine, AppDriver& driver, const TunerOptions& opts)
 {
     checkTimeoutFactor(opts.timeoutFactor);
+    AdaptiveRestore restore(engine);
     Pipeline& pipe = driver.pipeline();
-    ProfileResult profile = profileApp(engine, driver);
+    SweepReplay replay;
+    ProfileResult profile = replay.profile(engine, driver);
 
     std::vector<PipelineConfig> candidates = enumerateConfigs(
         pipe, engine.deviceConfig(), profile, opts.search);
@@ -43,6 +138,12 @@ autotune(Engine& engine, AppDriver& driver, const TunerOptions& opts)
     int nDevices = engine.deviceCount();
 
     bool sweepAdaptive = opts.adaptive && opts.adaptive->enabled;
+    auto arm = [&](bool adaptive) {
+        if (adaptive)
+            engine.setAdaptive(*opts.adaptive);
+        else
+            engine.clearAdaptive();
+    };
 
     auto consider = [&](const PipelineConfig& cfg,
                         const ShardPlan* plan, bool adaptive) {
@@ -50,13 +151,11 @@ autotune(Engine& engine, AppDriver& driver, const TunerOptions& opts)
             ? best * opts.timeoutFactor
             : std::numeric_limits<double>::infinity();
         ++result.evaluated;
-        if (adaptive)
-            engine.setAdaptive(*opts.adaptive);
+        arm(adaptive);
         auto run = plan
-            ? engine.runShardedTimed(driver, cfg, *plan, limit)
-            : engine.runTimed(driver, cfg, limit);
-        if (adaptive)
-            engine.clearAdaptive();
+            ? engine.runShardedTimed(driver, cfg, *plan, limit,
+                                     replay.graph())
+            : engine.runTimed(driver, cfg, limit, replay.graph());
         if (!run) {
             ++result.timedOut;
             return;
@@ -99,6 +198,8 @@ autotune(Engine& engine, AppDriver& driver, const TunerOptions& opts)
         }
     }
     VP_REQUIRE(have_best, "every candidate configuration timed out");
+    arm(result.bestAdaptive);
+    replay.confirm(engine, driver, result);
     return result;
 }
 
@@ -124,7 +225,10 @@ autotuneParallel(const DeviceConfig& deviceCfg,
     std::unique_ptr<AppDriver> driver0 = makeDriver();
     VP_REQUIRE(driver0 != nullptr, "driver factory returned null");
     Pipeline& pipe = driver0->pipeline();
-    ProfileResult profile = profileApp(engine, *driver0);
+    // The sealed graph is read-only, so every worker replays it.
+    SweepReplay replay;
+    ProfileResult profile = replay.profile(engine, *driver0);
+    const TaskGraph* graph = replay.graph();
 
     std::vector<PipelineConfig> configs = enumerateConfigs(
         pipe, deviceCfg, profile, opts.search);
@@ -173,8 +277,8 @@ autotuneParallel(const DeviceConfig& deviceCfg,
                     eng.setAdaptive(*opts.adaptive);
                 else
                     eng.clearAdaptive();
-                auto run =
-                    eng.runTimed(driver, candidates[i].first, limit);
+                auto run = eng.runTimed(driver, candidates[i].first,
+                                        limit, graph);
                 if (!run)
                     continue;
                 double cycles = run->cycles;
@@ -241,6 +345,9 @@ autotuneParallel(const DeviceConfig& deviceCfg,
         }
     }
     VP_REQUIRE(have_best, "every candidate configuration timed out");
+    if (result.bestAdaptive)
+        engine.setAdaptive(*opts.adaptive);
+    replay.confirm(engine, *driver0, result);
     return result;
 }
 

@@ -55,6 +55,14 @@ struct TunerResult
     RunResult bestRun;
     int evaluated = 0;
     int timedOut = 0;
+    /**
+     * Candidates that replayed the app's captured task graph instead
+     * of running its payload (docs/MODEL.md, "Tuner replay"): every
+     * candidate when the app declares keyed items and no candidate
+     * run reads app state, otherwise none. `bestRun` is then the
+     * winner's real, verified re-run, checked against its replay.
+     */
+    int replayed = 0;
     /** (config synopsis, cycles) of every finished candidate. */
     std::vector<std::pair<std::string, double>> finished;
     /**
@@ -76,7 +84,10 @@ struct TunerResult
 
 /**
  * Autotune @p driver on @p engine: profile, enumerate candidates,
- * timeout-execute each, return the fastest configuration.
+ * timeout-execute each, return the fastest configuration. Candidates
+ * arm and clear the engine's adaptive controller themselves; the
+ * caller's adaptive configuration is restored on return, also when
+ * the sweep throws.
  */
 TunerResult autotune(Engine& engine, AppDriver& driver,
                      const TunerOptions& opts = {});

@@ -17,11 +17,11 @@ ProfileResult::workOf(const std::vector<int>& which) const
 }
 
 ProfileResult
-profileApp(Engine& engine, AppDriver& driver)
+profileApp(Engine& engine, AppDriver& driver, TaskGraph* capture)
 {
     Pipeline& pipe = driver.pipeline();
-    RunResult run = engine.run(driver,
-                               makeMegakernelConfig(pipe));
+    RunResult run = engine.run(driver, makeMegakernelConfig(pipe),
+                               capture);
 
     ProfileResult out;
     out.profileCycles = run.cycles;

@@ -45,9 +45,12 @@ struct ProfileResult
 /**
  * Profile @p driver on @p engine's device with one Megakernel run
  * (any model that touches every stage works; Megakernel needs no
- * structure assumptions).
+ * structure assumptions). With @p capture, the run also records the
+ * app's task graph into it (Engine::run); Megakernel inlines
+ * nothing, so every recorded cost is the task's own.
  */
-ProfileResult profileApp(Engine& engine, AppDriver& driver);
+ProfileResult profileApp(Engine& engine, AppDriver& driver,
+                         TaskGraph* capture = nullptr);
 
 } // namespace vp
 

@@ -19,6 +19,7 @@
 #include "apps/raster/raster_app.hh"
 #include "apps/registry.hh"
 #include "apps/reyes/reyes_app.hh"
+#include "apps/vidstream/vidstream_app.hh"
 
 using namespace vp;
 
@@ -428,4 +429,75 @@ TEST(AppParams, PyramidRejectsZeroMinDimAndBandRows)
     p = pyramid::PyrParams::small();
     p.bandRows = 0;
     expectConfigError<pyramid::PyramidApp>(p);
+}
+
+TEST(AppParams, CfdRejectsZeroBlockElems)
+{
+    // Would trap (SIGFPE) in the constructor's own divisibility check.
+    cfd::CfdParams p = cfd::CfdParams::small();
+    p.blockElems = 0;
+    expectConfigError<cfd::CfdApp>(p);
+    p = cfd::CfdParams::small();
+    p.elements = p.blockElems + 1;
+    expectConfigError<cfd::CfdApp>(p);
+}
+
+TEST(AppParams, CfdRejectsZeroIterations)
+{
+    // The pipeline always runs one step set; the reference would run
+    // none, so the output could never verify.
+    cfd::CfdParams p = cfd::CfdParams::small();
+    p.outerIters = 0;
+    expectConfigError<cfd::CfdApp>(p);
+    p = cfd::CfdParams::small();
+    p.innerIters = 0;
+    expectConfigError<cfd::CfdApp>(p);
+}
+
+TEST(AppParams, RasterRejectsZeroTile)
+{
+    // Would trap (SIGFPE) counting tiles.
+    raster::RasterParams p = raster::RasterParams::small();
+    p.tile = 0;
+    expectConfigError<raster::RasterApp>(p);
+}
+
+TEST(AppParams, RasterRejectsNonPositiveFramebuffer)
+{
+    // A negative width sized the framebuffer from a negative count
+    // (an untyped std::length_error).
+    for (int width : {-256, 0}) {
+        raster::RasterParams p = raster::RasterParams::small();
+        p.width = width;
+        expectConfigError<raster::RasterApp>(p);
+    }
+    raster::RasterParams p = raster::RasterParams::small();
+    p.height = -1;
+    expectConfigError<raster::RasterApp>(p);
+    p = raster::RasterParams::small();
+    p.cubes = 0;
+    expectConfigError<raster::RasterApp>(p);
+}
+
+TEST(AppParams, ReyesRejectsBadSizes)
+{
+    reyes::ReyesParams p = reyes::ReyesParams::small();
+    p.grid = 1;
+    expectConfigError<reyes::ReyesApp>(p);
+    p = reyes::ReyesParams::small();
+    p.patches = 0;
+    expectConfigError<reyes::ReyesApp>(p);
+    p = reyes::ReyesParams::small();
+    p.width = -8;
+    expectConfigError<reyes::ReyesApp>(p);
+}
+
+TEST(AppParams, VidstreamRejectsBadSizes)
+{
+    vidstream::VsParams p = vidstream::VsParams::small();
+    p.cameras = 0;
+    expectConfigError<vidstream::VidstreamApp>(p);
+    p = vidstream::VsParams::small();
+    p.width = p.roi - 1;
+    expectConfigError<vidstream::VidstreamApp>(p);
 }

@@ -7,6 +7,7 @@
 
 #include <limits>
 
+#include "apps/registry.hh"
 #include "toy_apps.hh"
 #include "tuner/offline_tuner.hh"
 
@@ -106,4 +107,233 @@ TEST(OfflineTuner, RejectsTimeoutFactorBelowOne)
             EXPECT_EQ(e.code(), ErrorCode::Config) << factor;
         }
     }
+}
+
+// ------------------------------------------------------------------
+// The adaptive controller belongs to the candidates, not the caller.
+
+namespace {
+
+AdaptiveConfig
+callerAdaptive()
+{
+    AdaptiveConfig ac;
+    ac.enabled = true;
+    ac.epochCycles = 5000.0;
+    return ac;
+}
+
+TunerOptions
+adaptiveOptions()
+{
+    TunerOptions opts = quickOptions();
+    AdaptiveConfig ac;
+    ac.enabled = true;
+    ac.epochCycles = 20000.0;
+    opts.adaptive = ac;
+    return opts;
+}
+
+/** A LinearApp whose run number @p failAt throws from reset(). */
+class FailingRunApp : public LinearApp
+{
+  public:
+    explicit FailingRunApp(int failAt) : failAt_(failAt) {}
+
+    void
+    reset() override
+    {
+        if (++runs_ == failAt_)
+            VP_FATAL("run " << runs_ << " fails");
+    }
+
+  private:
+    int failAt_;
+    int runs_ = 0;
+};
+
+void
+expectCallerAdaptive(const Engine& engine)
+{
+    ASSERT_TRUE(engine.adaptive().has_value());
+    EXPECT_TRUE(engine.adaptive()->enabled);
+    EXPECT_EQ(engine.adaptive()->epochCycles, 5000.0);
+}
+
+} // namespace
+
+TEST(OfflineTuner, RestoresTheCallersAdaptiveConfig)
+{
+    Engine engine(DeviceConfig::k20c());
+    engine.setAdaptive(callerAdaptive());
+    auto app = makeApp("pyramid", AppScale::Small);
+    TunerResult r = autotune(engine, *app, adaptiveOptions());
+    EXPECT_GT(r.evaluated, 0);
+    expectCallerAdaptive(engine);
+
+    // An engine the caller left disarmed comes back disarmed.
+    Engine plain(DeviceConfig::k20c());
+    autotune(plain, *app, adaptiveOptions());
+    EXPECT_FALSE(plain.adaptive().has_value());
+}
+
+TEST(OfflineTuner, RestoresTheCallersAdaptiveConfigWhenACandidateThrows)
+{
+    // Run 1 profiles; every later run is a candidate, adaptive ones
+    // included.
+    for (int failAt = 2; failAt <= 8; ++failAt) {
+        Engine engine(DeviceConfig::k20c());
+        engine.setAdaptive(callerAdaptive());
+        FailingRunApp app(failAt);
+        EXPECT_THROW(autotune(engine, app, adaptiveOptions()),
+                     FatalError)
+            << failAt;
+        expectCallerAdaptive(engine);
+    }
+}
+
+TEST(OfflineTuner, CandidatesIgnoreTheCallersAdaptiveConfig)
+{
+    // Without TunerOptions::adaptive every candidate runs with the
+    // controller cleared, as on a fresh engine. (A caller-armed
+    // controller moves cfd's fine candidates.)
+    auto app = makeApp("cfd", AppScale::Small);
+    Engine armed(DeviceConfig::k20c());
+    armed.setAdaptive(callerAdaptive());
+    Engine fresh(DeviceConfig::k20c());
+    TunerResult a = autotune(armed, *app, quickOptions());
+    TunerResult b = autotune(fresh, *app, quickOptions());
+    EXPECT_EQ(a.bestRun.configName, b.bestRun.configName);
+    EXPECT_EQ(a.bestRun.cycles, b.bestRun.cycles);
+    EXPECT_EQ(a.finished, b.finished);
+    EXPECT_FALSE(a.bestAdaptive);
+    expectCallerAdaptive(armed);
+}
+
+// ------------------------------------------------------------------
+// The shard-plan and adaptive dimensions of the serial sweep.
+
+namespace {
+
+/** What a sweep decided. */
+struct SweepOutcome
+{
+    int evaluated = 0;
+    int timedOut = 0;
+    std::vector<std::pair<std::string, double>> finished;
+    std::string best;
+    std::string bestPlan;
+    bool bestSharded = false;
+    bool bestAdaptive = false;
+    /** Candidates with a shard plan / the controller armed. */
+    int sharded = 0;
+    int adaptive = 0;
+};
+
+/**
+ * The serial sweep recomputed from real runs in candidate order:
+ * config x shard plan x controller, each under best-so-far times the
+ * timeout factor.
+ */
+SweepOutcome
+referenceSweep(Engine& engine, AppDriver& app, const TunerOptions& opts)
+{
+    Pipeline& pipe = app.pipeline();
+    ProfileResult profile = profileApp(engine, app);
+    SweepOutcome ref;
+    double best = std::numeric_limits<double>::infinity();
+    auto consider = [&](const PipelineConfig& cfg, const ShardPlan* plan,
+                        bool adaptive) {
+        double limit = ref.evaluated > ref.timedOut
+            ? best * opts.timeoutFactor
+            : std::numeric_limits<double>::infinity();
+        ++ref.evaluated;
+        ref.sharded += plan != nullptr;
+        ref.adaptive += adaptive;
+        if (adaptive)
+            engine.setAdaptive(*opts.adaptive);
+        else
+            engine.clearAdaptive();
+        auto run = plan ? engine.runShardedTimed(app, cfg, *plan, limit)
+                        : engine.runTimed(app, cfg, limit);
+        if (!run) {
+            ++ref.timedOut;
+            return;
+        }
+        std::string synopsis = cfg.describe(pipe);
+        if (plan)
+            synopsis += " shard=" + plan->describe();
+        if (adaptive)
+            synopsis += " +adaptive";
+        ref.finished.emplace_back(synopsis, run->cycles);
+        if (run->cycles < best) {
+            best = run->cycles;
+            ref.best = cfg.describe(pipe);
+            ref.bestPlan = plan ? plan->describe() : ShardPlan{}.describe();
+            ref.bestSharded = plan != nullptr;
+            ref.bestAdaptive = adaptive;
+        }
+    };
+    for (PipelineConfig cfg : enumerateConfigs(
+             pipe, engine.deviceConfig(), profile, opts.search)) {
+        cfg.onlineAdaptation = opts.onlineAdaptation;
+        bool adaptable = adaptiveApplicable(cfg);
+        if (cfg.top == PipelineConfig::Top::Groups) {
+            for (const ShardPlan& plan :
+                 defaultShardPlans(cfg, pipe, engine.deviceCount())) {
+                consider(cfg, &plan, false);
+                if (adaptable)
+                    consider(cfg, &plan, true);
+            }
+        } else {
+            consider(cfg, nullptr, false);
+            if (adaptable)
+                consider(cfg, nullptr, true);
+        }
+    }
+    engine.clearAdaptive();
+    return ref;
+}
+
+void
+expectSweepDimensions(const std::string& name, bool replayed)
+{
+    SCOPED_TRACE(name);
+    DeviceGroupConfig two = DeviceGroupConfig::homogeneous(
+        DeviceConfig::byName("gtx1080"), 2);
+    TunerOptions opts = adaptiveOptions();
+    opts.search.maxConfigs = 40;
+
+    Engine engine(two);
+    auto app = makeApp(name, AppScale::Small);
+    TunerResult got = autotune(engine, *app, opts);
+
+    Engine refEngine(two);
+    auto refApp = makeApp(name, AppScale::Small);
+    SweepOutcome want = referenceSweep(refEngine, *refApp, opts);
+    ASSERT_GT(want.sharded, 0);
+    ASSERT_GT(want.adaptive, 0);
+
+    Pipeline& pipe = app->pipeline();
+    EXPECT_EQ(got.evaluated, want.evaluated);
+    EXPECT_EQ(got.timedOut, want.timedOut);
+    EXPECT_EQ(got.finished, want.finished);
+    EXPECT_EQ(got.best.describe(pipe), want.best);
+    EXPECT_EQ(got.bestPlan.describe(), want.bestPlan);
+    EXPECT_EQ(got.bestSharded, want.bestSharded);
+    EXPECT_EQ(got.bestAdaptive, want.bestAdaptive);
+    EXPECT_EQ(got.replayed, replayed ? got.evaluated : 0);
+    EXPECT_TRUE(got.bestRun.completed);
+}
+
+} // namespace
+
+TEST(OfflineTuner, ShardAndAdaptiveSweepOfAReplayedApp)
+{
+    expectSweepDimensions("raster", true);
+}
+
+TEST(OfflineTuner, ShardAndAdaptiveSweepOfARealPayloadApp)
+{
+    expectSweepDimensions("pyramid", false);
 }

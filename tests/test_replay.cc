@@ -1,0 +1,580 @@
+/**
+ * @file
+ * Tuner replay (docs/MODEL.md, "Tuner replay"): a run that replays
+ * the captured task graph of an app that declares keyed items must
+ * equal the real run of every candidate the tuner could try, and an
+ * app whose items do not identify its tasks must be refused before
+ * any candidate runs.
+ */
+
+#include <gtest/gtest.h>
+
+#include <limits>
+#include <memory>
+
+#include "apps/ldpc/ldpc_app.hh"
+#include "apps/registry.hh"
+#include "tuner/offline_tuner.hh"
+
+using namespace vp;
+
+namespace {
+
+constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+
+/** The search options of fig11 (bench::versapipeConfig). */
+SearchOptions
+fig11Search()
+{
+    SearchOptions s;
+    s.smCandidates = 5;
+    s.blockCandidates = 6;
+    s.maxConfigs = 400;
+    return s;
+}
+
+/** A replayed run against the real run of the same candidate. */
+void
+expectSameRun(const RunResult& real, const RunResult& rep,
+              const std::string& what)
+{
+    ASSERT_TRUE(real.completed) << what;
+    EXPECT_EQ(rep.cycles, real.cycles) << what;
+    EXPECT_EQ(rep.simEvents, real.simEvents) << what;
+    EXPECT_EQ(rep.polls, real.polls) << what;
+    ASSERT_EQ(rep.stages.size(), real.stages.size()) << what;
+    for (std::size_t s = 0; s < real.stages.size(); ++s) {
+        const StageRunStats& a = real.stages[s];
+        const StageRunStats& b = rep.stages[s];
+        EXPECT_EQ(b.items, a.items) << what << " stage " << s;
+        EXPECT_EQ(b.batches, a.batches) << what << " stage " << s;
+        EXPECT_EQ(b.warpInsts, a.warpInsts) << what << " stage " << s;
+        EXPECT_EQ(b.execCycles, a.execCycles) << what << " stage " << s;
+    }
+}
+
+/** Capture @p app's task graph from the profiling run on @p engine:
+ *  one record per processed item. */
+std::unique_ptr<TaskGraph>
+capture(Engine& engine, AppDriver& app, ProfileResult& profile)
+{
+    auto graph = std::make_unique<TaskGraph>(
+        app.pipeline().stageCount());
+    profile = profileApp(engine, app, graph.get());
+    graph->seal();
+    std::uint64_t items = 0;
+    for (const StageProfile& s : profile.stages)
+        items += s.items;
+    EXPECT_EQ(graph->size(), items) << app.name();
+    return graph;
+}
+
+} // namespace
+
+TEST(Replay, EveryCandidateMatchesItsRealRun)
+{
+    int runs = 0;
+    int rtcGroups = 0; // inline chains: replay recurses through them
+    for (const char* dev : {"k20c", "gtx1080"}) {
+        DeviceConfig cfg = DeviceConfig::byName(dev);
+        Engine engine(cfg);
+        Engine group(DeviceGroupConfig::homogeneous(cfg, 2));
+        for (const char* name : {"cfd", "ldpc", "raster"}) {
+            auto app = makeApp(name, AppScale::Small);
+            ASSERT_TRUE(engine.canReplay(*app)) << name;
+            ProfileResult profile;
+            auto graph = capture(engine, *app, profile);
+            Pipeline& pipe = app->pipeline();
+            for (const PipelineConfig& c : enumerateConfigs(
+                     pipe, cfg, profile, fig11Search())) {
+                std::string what = std::string(name) + "@" + dev + " "
+                    + c.describe(pipe);
+                auto real = engine.runTimed(*app, c, kNoLimit);
+                auto rep = engine.runTimed(*app, c, kNoLimit,
+                                           graph.get());
+                ASSERT_TRUE(real && rep) << what;
+                expectSameRun(*real, *rep, what);
+                ++runs;
+                for (const StageGroup& g : c.groups)
+                    rtcGroups += g.model == ExecModel::RTC;
+                if (c.top != PipelineConfig::Top::Groups)
+                    continue;
+                for (const ShardPlan& plan :
+                     defaultShardPlans(c, pipe, 2)) {
+                    std::string w = what + " shard=" + plan.describe();
+                    auto sreal =
+                        group.runShardedTimed(*app, c, plan, kNoLimit);
+                    auto srep = group.runShardedTimed(
+                        *app, c, plan, kNoLimit, graph.get());
+                    ASSERT_TRUE(sreal && srep) << w;
+                    expectSameRun(*sreal, *srep, w);
+                    ++runs;
+                }
+            }
+        }
+    }
+    EXPECT_GT(runs, 1000);
+    EXPECT_GT(rtcGroups, 0);
+}
+
+TEST(Replay, AdaptiveCandidatesMatchTheirRealRuns)
+{
+    // The controller migrates blocks between a fine group's stages
+    // mid-run; replayed tasks must see the same schedule.
+    Engine engine(DeviceConfig::k20c());
+    AdaptiveConfig ac;
+    ac.enabled = true;
+    ac.epochCycles = 20000.0;
+    engine.setAdaptive(ac);
+    for (const char* name : {"cfd", "ldpc", "raster"}) {
+        auto app = makeApp(name, AppScale::Small);
+        ProfileResult profile;
+        auto graph = capture(engine, *app, profile);
+        Pipeline& pipe = app->pipeline();
+        int adaptive = 0;
+        for (const PipelineConfig& c : enumerateConfigs(
+                 pipe, engine.deviceConfig(), profile, fig11Search())) {
+            if (!adaptiveApplicable(c))
+                continue;
+            std::string what = std::string(name) + " " + c.describe(pipe);
+            auto real = engine.runTimed(*app, c, kNoLimit);
+            auto rep = engine.runTimed(*app, c, kNoLimit, graph.get());
+            ASSERT_TRUE(real && rep) << what;
+            expectSameRun(*real, *rep, what);
+            ++adaptive;
+        }
+        EXPECT_GT(adaptive, 0) << name;
+    }
+}
+
+TEST(Replay, SweepsOfKeyedAppsReplayAndEndOnARealRun)
+{
+    TunerOptions opts;
+    opts.search.smCandidates = 3;
+    opts.search.blockCandidates = 3;
+    opts.search.maxConfigs = 60;
+    for (const std::string& name : appNames()) {
+        SCOPED_TRACE(name);
+        bool keyed = name == "cfd" || name == "ldpc" || name == "raster";
+        TunerResult r = autotuneParallel(
+            DeviceConfig::k20c(),
+            [&] { return makeApp(name, AppScale::Small); }, opts);
+        EXPECT_EQ(r.replayed, keyed ? r.evaluated : 0);
+        EXPECT_TRUE(r.bestRun.completed);
+        EXPECT_EQ(r.bestRun.outcome, RunOutcome::Completed);
+        // bestRun is a real run of the winner: a fresh one repeats it.
+        Engine engine(DeviceConfig::k20c());
+        auto app = makeApp(name, AppScale::Small);
+        RunResult again = engine.run(*app, r.best);
+        EXPECT_EQ(again.cycles, r.bestRun.cycles);
+        EXPECT_EQ(again.simEvents, r.bestRun.simEvents);
+        EXPECT_EQ(again.polls, r.bestRun.polls);
+    }
+}
+
+TEST(Replay, ParallelWorkersShareOneGraph)
+{
+    auto sweep = [](int threads) {
+        TunerOptions opts;
+        opts.search.smCandidates = 5;
+        opts.search.blockCandidates = 6;
+        opts.search.maxConfigs = 400;
+        opts.threads = threads;
+        return autotuneParallel(
+            DeviceConfig::k20c(),
+            [] { return makeApp("ldpc", AppScale::Small); }, opts);
+    };
+    TunerResult one = sweep(1);
+    TunerResult four = sweep(4);
+    EXPECT_GT(one.replayed, 0);
+    EXPECT_EQ(four.replayed, one.replayed);
+    EXPECT_EQ(four.best.describe(makeApp("ldpc", AppScale::Small)
+                                     ->pipeline()),
+              one.best.describe(makeApp("ldpc", AppScale::Small)
+                                    ->pipeline()));
+    EXPECT_EQ(four.bestRun.configName, one.bestRun.configName);
+    EXPECT_EQ(four.bestRun.cycles, one.bestRun.cycles);
+    EXPECT_EQ(four.bestRun.simEvents, one.bestRun.simEvents);
+    EXPECT_EQ(four.bestRun.polls, one.bestRun.polls);
+    EXPECT_TRUE(four.bestRun.completed);
+}
+
+TEST(Replay, DeclinedWhereARunReadsAppState)
+{
+    auto app = makeApp("ldpc", AppScale::Small);
+    Engine plain(DeviceConfig::k20c());
+    EXPECT_TRUE(plain.canReplay(*app));
+
+    Engine observed(DeviceConfig::k20c());
+    observed.setObservability(ObsConfig{});
+    EXPECT_FALSE(observed.canReplay(*app));
+
+    Engine recovering(DeviceConfig::k20c());
+    recovering.setRecovery(RecoveryConfig{});
+    EXPECT_FALSE(recovering.canReplay(*app));
+
+    Engine faulted(DeviceConfig::k20c());
+    faulted.setFaultPlan(FaultPlan{});
+    EXPECT_FALSE(faulted.canReplay(*app));
+
+    // A bounded stage reads queue state on the instrumented path.
+    app->pipeline().stage(1).queueCapacity = 64;
+    EXPECT_FALSE(plain.canReplay(*app));
+
+    // The declined sweep runs every candidate on the payload.
+    TunerOptions opts;
+    opts.search.smCandidates = 2;
+    opts.search.blockCandidates = 2;
+    opts.search.maxConfigs = 12;
+    auto fresh = makeApp("ldpc", AppScale::Small);
+    TunerResult r = autotune(observed, *fresh, opts);
+    EXPECT_EQ(r.replayed, 0);
+    EXPECT_TRUE(r.bestRun.completed);
+
+    // Replay where it would be unsound is an error, not a fallback.
+    ProfileResult profile;
+    auto graph = capture(plain, *fresh, profile);
+    try {
+        observed.runTimed(*fresh, makeMegakernelConfig(
+                                      fresh->pipeline()),
+                          kNoLimit, graph.get());
+        ADD_FAILURE() << "replayed under observability";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
+    }
+}
+
+TEST(Replay, LookupMissIsAnError)
+{
+    // A graph of 12 frames cannot stand in for 13.
+    Engine engine(DeviceConfig::k20c());
+    ldpc::LdpcParams p = ldpc::LdpcParams::small();
+    ldpc::LdpcApp twelve(p);
+    p.frames += 1;
+    ldpc::LdpcApp thirteen(p);
+    ProfileResult profile;
+    auto graph = capture(engine, twelve, profile);
+    try {
+        engine.runTimed(thirteen,
+                        makeMegakernelConfig(thirteen.pipeline()),
+                        kNoLimit, graph.get());
+        ADD_FAILURE() << "replayed an item the graph never saw";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
+    }
+}
+
+// ------------------------------------------------------------------
+// Inline chains sum their costs in enqueue order.
+
+namespace {
+
+struct ChainItem
+{
+    std::int32_t id;
+};
+
+/**
+ * Stage @p I of a three-stage linear chain. Costs are fractional and
+ * stages widen (1, 8, 64 threads), so an inline chain's cost sum
+ * depends on its order down to the last bit.
+ */
+template <int I>
+struct ChainStage : Stage<ChainItem>
+{
+    ChainStage()
+    {
+        name = "chain" + std::to_string(I);
+        threadNum = 1 << (3 * I);
+    }
+
+    TaskCost
+    cost(const ChainItem& item) const override
+    {
+        TaskCost c;
+        c.computeInsts = 10.1 + 0.37 * item.id + I;
+        c.memInsts = 3.3 + 0.11 * I;
+        c.l1HitRate = 0.3 + 0.2 * I;
+        return c;
+    }
+
+    void
+    execute(ExecContext& ctx, ChainItem& item) override
+    {
+        if constexpr (I < 2)
+            ctx.enqueue<ChainStage<I + 1>>(item);
+    }
+};
+
+class ChainApp : public AppDriver
+{
+  public:
+    ChainApp()
+    {
+        pipe_.addStage<ChainStage<0>>();
+        pipe_.addStage<ChainStage<1>>();
+        pipe_.addStage<ChainStage<2>>();
+        pipe_.link<ChainStage<0>, ChainStage<1>>();
+        pipe_.link<ChainStage<1>, ChainStage<2>>();
+    }
+
+    std::string name() const override { return "chain-toy"; }
+    Pipeline& pipeline() override { return pipe_; }
+    void reset() override {}
+    bool keyedItems() const override { return true; }
+
+    void
+    seedFlow(Seeder& seeder, int) override
+    {
+        for (std::int32_t i = 0; i < 64; ++i)
+            seeder.insert<ChainStage<0>>(ChainItem{i});
+    }
+
+  private:
+    Pipeline pipe_;
+};
+
+} // namespace
+
+TEST(Replay, InlineChainsSumCostsInEnqueueOrder)
+{
+    ChainApp app;
+    Engine engine(DeviceConfig::k20c());
+    ProfileResult profile;
+    auto graph = capture(engine, app, profile);
+    Pipeline& pipe = app.pipeline();
+    for (const PipelineConfig& c :
+         {makeRtcConfig(pipe), makeMegakernelConfig(pipe),
+          makeKbkConfig()}) {
+        auto real = engine.runTimed(app, c, kNoLimit);
+        auto rep = engine.runTimed(app, c, kNoLimit, graph.get());
+        ASSERT_TRUE(real && rep);
+        expectSameRun(*real, *rep, c.describe(pipe));
+    }
+}
+
+// ------------------------------------------------------------------
+// Apps that declare keyed items they do not have.
+
+namespace {
+
+/** An item whose bytes name it: (id, depth). */
+struct SplitItem
+{
+    std::int32_t id;
+    std::int32_t depth;
+};
+
+struct SplitSink;
+
+/**
+ * Splits each item in two until depth 3, reyes-style: both halves
+ * keep the parent's id, so the two children share one key.
+ */
+struct SplitStage : Stage<SplitItem>
+{
+    SplitStage() { name = "split"; }
+
+    TaskCost
+    cost(const SplitItem&) const override
+    {
+        TaskCost c;
+        c.computeInsts = 100;
+        return c;
+    }
+
+    void execute(ExecContext& ctx, SplitItem& item) override;
+};
+
+struct SplitSink : Stage<SplitItem>
+{
+    SplitSink() { name = "sink"; }
+
+    TaskCost
+    cost(const SplitItem&) const override
+    {
+        TaskCost c;
+        c.computeInsts = 50;
+        return c;
+    }
+
+    void execute(ExecContext&, SplitItem&) override {}
+};
+
+void
+SplitStage::execute(ExecContext& ctx, SplitItem& item)
+{
+    SplitItem half{item.id, item.depth + 1};
+    if (half.depth < 3) {
+        ctx.enqueue<SplitStage>(half);
+        ctx.enqueue<SplitStage>(half);
+    } else {
+        ctx.enqueue<SplitSink>(half);
+    }
+}
+
+/** Driver base: counts runs, so a test sees whether any candidate
+ *  ran (each run resets the app once). */
+class CountingApp : public AppDriver
+{
+  public:
+    Pipeline& pipeline() override { return pipe_; }
+    void reset() override { ++runs; }
+    bool keyedItems() const override { return true; }
+
+    int runs = 0;
+
+  protected:
+    Pipeline pipe_;
+};
+
+class SplitApp : public CountingApp
+{
+  public:
+    SplitApp()
+    {
+        pipe_.addStage<SplitStage>();
+        pipe_.addStage<SplitSink>();
+        pipe_.link<SplitStage, SplitStage>();
+        pipe_.link<SplitStage, SplitSink>();
+    }
+
+    std::string name() const override { return "split-toy"; }
+
+    void
+    seedFlow(Seeder& seeder, int) override
+    {
+        for (std::int32_t i = 0; i < 8; ++i)
+            seeder.insert<SplitStage>(SplitItem{i, 0});
+    }
+};
+
+/** An item with a float member: its bytes are not its value. */
+struct FloatItem
+{
+    float weight;
+    std::int32_t id;
+};
+
+struct FloatStage : Stage<FloatItem>
+{
+    FloatStage() { name = "float"; }
+
+    TaskCost
+    cost(const FloatItem&) const override
+    {
+        TaskCost c;
+        c.computeInsts = 100;
+        return c;
+    }
+
+    void execute(ExecContext&, FloatItem&) override {}
+};
+
+class FloatApp : public CountingApp
+{
+  public:
+    FloatApp() { pipe_.addStage<FloatStage>(); }
+
+    std::string name() const override { return "float-toy"; }
+
+    void
+    seedFlow(Seeder& seeder, int) override
+    {
+        for (std::int32_t i = 0; i < 8; ++i)
+            seeder.insert<FloatStage>(FloatItem{0.5f, i});
+    }
+};
+
+struct DriftItem
+{
+    std::int32_t id;
+};
+
+/** Its cost grows with every run (large enough to move the cycles):
+ *  the bytes of an item do not fix its cost, and only a real run can
+ *  tell. */
+struct DriftStage : Stage<DriftItem>
+{
+    explicit DriftStage(const int& runs) : runs_(runs) { name = "drift"; }
+
+    TaskCost
+    cost(const DriftItem&) const override
+    {
+        TaskCost c;
+        c.computeInsts = 5000.0 * (1 + runs_);
+        return c;
+    }
+
+    void execute(ExecContext&, DriftItem&) override {}
+
+  private:
+    const int& runs_;
+};
+
+class DriftApp : public CountingApp
+{
+  public:
+    DriftApp() { pipe_.addStage<DriftStage>(runs); }
+
+    std::string name() const override { return "drift-toy"; }
+
+    void
+    seedFlow(Seeder& seeder, int) override
+    {
+        for (std::int32_t i = 0; i < 64; ++i)
+            seeder.insert<DriftStage>(DriftItem{i});
+    }
+};
+
+/** Sweeps @p app and expects a Config error with no candidate run:
+ *  at most the profiling run reset it. */
+void
+expectRefused(CountingApp& app, int profilingRuns)
+{
+    Engine engine(DeviceConfig::k20c());
+    TunerOptions opts;
+    opts.search.smCandidates = 2;
+    opts.search.blockCandidates = 2;
+    try {
+        autotune(engine, app, opts);
+        ADD_FAILURE() << app.name() << " was tuned";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
+    }
+    EXPECT_EQ(app.runs, profilingRuns) << app.name();
+}
+
+} // namespace
+
+TEST(Replay, SplitChildrenSharingTheParentKeyAreRefused)
+{
+    SplitApp app;
+    ASSERT_TRUE(app.pipeline().stage(0).keyable());
+    expectRefused(app, 1);
+}
+
+TEST(Replay, FloatItemsAreRefused)
+{
+    FloatApp app;
+    ASSERT_FALSE(app.pipeline().stage(0).keyable());
+    expectRefused(app, 0);
+}
+
+TEST(Replay, TheWinnerCheckCatchesAnUnsoundDeclaration)
+{
+    // Capture, candidates and graph all look fine; the winner's real
+    // re-run does not match its replay.
+    DriftApp app;
+    Engine engine(DeviceConfig::k20c());
+    TunerOptions opts;
+    opts.search.smCandidates = 2;
+    opts.search.blockCandidates = 2;
+    try {
+        autotune(engine, app, opts);
+        ADD_FAILURE() << "unsound replay went unnoticed";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
+    }
+    EXPECT_GT(app.runs, 2);
+}
