@@ -179,8 +179,8 @@ struct FaultModeRow
 
 /**
  * Overhead of the fault-injection layer when it is compiled in but
- * the plan injects nothing: the runtime must take the plain batch
- * path and produce a bit-identical event trace. Wall time is the
+ * the plan injects nothing: no fault branch of the batch path may
+ * run, and the event trace must be bit-identical. Wall time is the
  * min over interleaved reps (robust against CPU drift); the event
  * counts must match exactly.
  */

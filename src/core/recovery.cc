@@ -1,6 +1,7 @@
 #include "core/recovery.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hh"
 #include "core/run_result.hh"
@@ -22,10 +23,13 @@ RecoveryConfig::backoffFor(std::uint32_t tries) const
 void
 RecoveryConfig::validate() const
 {
-    VP_CHECK(backoffBaseCycles >= 0.0, ErrorCode::Config,
-             "recovery: backoffBaseCycles must be >= 0");
-    VP_CHECK(backoffFactor >= 1.0, ErrorCode::Config,
-             "recovery: backoffFactor must be >= 1");
+    // Backoffs become simulator delays, which must be finite.
+    VP_CHECK(backoffBaseCycles >= 0.0 && std::isfinite(backoffBaseCycles),
+             ErrorCode::Config,
+             "recovery: backoffBaseCycles must be finite and >= 0");
+    VP_CHECK(backoffFactor >= 1.0 && std::isfinite(backoffFactor),
+             ErrorCode::Config,
+             "recovery: backoffFactor must be finite and >= 1");
     VP_CHECK(backoffCapCycles >= backoffBaseCycles, ErrorCode::Config,
              "recovery: backoffCapCycles must be >= backoffBaseCycles");
     VP_CHECK(watchdogIntervalCycles >= 0.0, ErrorCode::Config,

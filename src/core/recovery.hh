@@ -58,7 +58,11 @@ struct RecoveryConfig
     /** Backoff before redelivering an item on its n-th try (n>=1). */
     Tick backoffFor(std::uint32_t tries) const;
 
-    /** Raise FatalError(Config) on out-of-range fields. */
+    /**
+     * Raise FatalError(Config) on out-of-range fields. The backoff
+     * base and factor must be finite; the watchdog interval and the
+     * drain timeout may be +inf (never).
+     */
     void validate() const;
 };
 

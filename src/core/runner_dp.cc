@@ -118,7 +118,7 @@ DpRunner::spawnKernel(int s, int items, bool fromDevice)
                 });
             });
         });
-    if (instrumented()) {
+    if (evictable_) {
         // Blocks evicted before claiming their share leave `remaining`
         // nonzero at kernel completion; release those stale claims and
         // respawn for whatever is still queued.

@@ -284,7 +284,7 @@ GroupsRunner::blockMain(BlockContext& ctx, int specIdx)
         return;
     }
     ++count;
-    if (instrumented())
+    if (evictable_)
         blockSpec_[&ctx] = specIdx;
     blockLoop(ctx, specIdx, dev_.config().pollIntervalCycles);
 }

@@ -47,23 +47,13 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
             prov_->bindStageNames(obs_->stageNames);
     }
 
-    bool anyBoundedQueue = false;
-    for (int s = 0; s < pipe_.stageCount(); ++s)
-        anyBoundedQueue |= pipe_.stage(s).queueCapacity > 0;
     if (injector_) {
         const FaultPlan& plan = injector_->plan();
-        // Device kills evict blocks exactly like SM kills, so their
-        // in-flight batches need the same pre-execution capture.
-        captureForReplay_ =
-            !plan.smEvents.empty() || !plan.deviceEvents.empty();
-        instrumentBatches_ = plan.anyTaskFaults() || plan.anyPushFaults()
-            || captureForReplay_;
+        // Device kills evict blocks exactly like SM kills.
+        evictable_ = !plan.smEvents.empty() || !plan.deviceEvents.empty();
     }
-    instrumentBatches_ |= anyBoundedQueue;
     graphCapture_ = fc.capture;
     graphReplay_ = fc.replay;
-    VP_ASSERT(!instrumentBatches_ || (!graphCapture_ && !graphReplay_),
-              "task graphs run on the plain batch path only");
     dev_.setBlockAbortHook(
         [this](BlockContext& ctx) { blockAborted(ctx); });
     dev_.setSmFailedHook([this](int sm) { smFailed(sm); });
@@ -108,7 +98,7 @@ RunnerBase::makeQueues(QueueSet& qs)
             if (st.queueCapacity > 0)
                 qs.back()->setCapacity(st.queueCapacity);
         }
-        if (instrumentBatches_)
+        if (injector_ && injector_->plan().anyTaskFaults())
             qs.back()->enableRetryMeta();
         if (prov_)
             qs.back()->setProvenance(prov_, &sim_, s,
@@ -334,11 +324,6 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
 {
     if (Logger::enabled(LogLevel::Trace))
         Logger::setSm(ctx.smId());
-    if (instrumentBatches_) {
-        processBatchFI(ctx, qs, s, inlineMask, maxItems,
-                       std::move(next), pushInto);
-        return;
-    }
     StageBase& st = pipe_.stage(s);
     QueueBase& q = *qs[s];
     const DeviceConfig& dcfg = dev_.config();
@@ -355,24 +340,81 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
     int avail = static_cast<int>(std::min<std::size_t>(q.size(), cap));
     Tick bstart = sim_.now();
     Tick pop_cost = q.accessCost(dcfg, sim_.now(), std::max(avail, 1));
-    BatchResult br = st.runBatch(ectx, q, cap);
-    VP_ASSERT(br.items > 0, "processBatch on an empty queue for stage `"
-              << st.name << "`");
 
-    // Copy: the queue's popped-id scratch is overwritten by the
-    // next pop. Service runs from the pop until the commit below.
+    // Only a batch that can fault at fetch or be evicted hands the
+    // stage a FaultBatch.
+    const FaultPlan* plan = injector_ ? &injector_->plan() : nullptr;
+    bool taskFaults = plan && plan->anyTaskFaults();
+    FaultBatch fb;
+    if (taskFaults)
+        fb.failItems = injector_->fetchFaults(s, ctx.smId(), avail,
+                                              sim_.now());
+    fb.maxRetries = recoveryCfg_.maxRetries;
+    fb.captureExecuted = evictable_ && st.retryable;
+    FaultBatch* fbp = taskFaults || evictable_ ? &fb : nullptr;
+    BatchResult br = st.runBatch(ectx, q, cap, fbp);
+
+    int faulted = fb.retried + fb.deadLettered;
+    // Provenance ids of the executed items. Copy: the queue's
+    // popped-id scratch is overwritten by the next pop.
     std::vector<std::uint64_t> provIds;
     if (prov_) {
-        provIds = q.poppedIds();
-        for (std::uint64_t id : provIds)
+        // Every popped item enters service at the pop. Retried items
+        // stay in service until redelivery re-queues them (their
+        // enqueue closes the hop, backoff included); dead-lettered
+        // ones terminate at fault-detection time.
+        const std::vector<std::uint64_t>& popped = q.poppedIds();
+        for (std::uint64_t id : popped)
             if (id)
                 prov_->notePop(id, ctx.smId(),
                                trackBase_ + ctx.smId(), bstart);
+        for (std::uint64_t id : fb.deadIds)
+            prov_->noteDeadLetter(id, sim_.now());
+        provIds.assign(popped.begin()
+                           + std::min<std::size_t>(faulted,
+                                                   popped.size()),
+                       popped.end());
+    }
+
+    // Fault detection (parity check, timeout) costs cycles too.
+    Tick detect = 0.0;
+    if (faulted > 0) {
+        auto track = static_cast<std::int16_t>(trackBase_ + ctx.smId());
+        faultStats_.taskFaults += faulted;
+        if (tracer_)
+            tracer_->instant(TraceKind::TaskFault, track, sim_.now(), s,
+                             faulted);
+        if (fb.deadLettered > 0) {
+            stageStats_[s].deadLettered += fb.deadLettered;
+            faultStats_.deadLettered += fb.deadLettered;
+            pendingPtr_->sub(fb.deadLettered);
+            if (tracer_)
+                tracer_->instant(TraceKind::DeadLetter, track,
+                                 sim_.now(), s, fb.deadLettered);
+        }
+        if (fb.retried > 0) {
+            stageStats_[s].retried += fb.retried;
+            faultStats_.tasksRetried += fb.retried;
+            if (tracer_)
+                tracer_->instant(TraceKind::Retry, track, sim_.now(), s,
+                                 fb.retried);
+            recovery_.scheduleRedeliver(s, &q, std::move(fb.redeliver),
+                                        fb.retried, fb.maxTries);
+        }
+        detect = plan->faultDetectCycles * faulted;
+    }
+
+    stageStats_[s].batches += 1;
+    if (br.items == 0) {
+        // The whole fetch faulted: charge pop + detection, move on.
+        VP_ASSERT(fbp, "processBatch on an empty queue for stage `"
+                  << st.name << "`");
+        ctx.delay(pop_cost + detect, std::move(next));
+        return;
     }
 
     inFlight_[s] += br.items;
     stageStats_[s].items += br.items;
-    stageStats_[s].batches += 1;
     for (const auto& [inl, count] : ectx.inlineRuns()) {
         stageStats_[inl].items += count;
         stageStats_[inl].batches += 1;
@@ -392,173 +434,6 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
     WorkSpec w = makeWorkSpec(dcfg, cost, std::max(1, st.threadNum),
                               br.items, br.maxTaskInsts);
     stageStats_[s].warpInsts += w.warpInsts;
-
-    std::vector<StagedOutput> outputs = std::move(ectx.outputs());
-    int items = br.items;
-    BlockContext* cp = &ctx;
-    QueueSet* qsp = pushInto ? pushInto : &qs;
-
-    cp->delay(pop_cost, [this, cp, qsp, s, w, bstart,
-                         outputs = std::move(outputs), items,
-                         provIds = std::move(provIds),
-                         next = std::move(next)]() mutable {
-        Tick exec_start = sim_.now();
-        cp->exec(w, [this, cp, qsp, s, outputs = std::move(outputs),
-                     items, exec_start, bstart,
-                     provIds = std::move(provIds),
-                     next = std::move(next)]() mutable {
-            stageStats_[s].execCycles += sim_.now() - exec_start;
-            const DeviceConfig& dcfg2 = dev_.config();
-            // Group outputs by target queue for push costing. Stage
-            // indices are < 32, so a stack array replaces the former
-            // per-batch std::map.
-            int counts[32] = {};
-            StageMask touched = 0;
-            for (const StagedOutput& o : outputs) {
-                counts[o.stage] += 1;
-                touched |= StageMask(1) << o.stage;
-            }
-            Tick push_cost = 0.0;
-            for (int t = 0; touched; ++t, touched >>= 1) {
-                if (touched & 1) {
-                    push_cost += (*qsp)[t]->accessCost(
-                        dcfg2, sim_.now(), counts[t]);
-                }
-            }
-
-            auto commit = [this, cp, qsp, s, bstart,
-                           outputs = std::move(outputs), items,
-                           provIds = std::move(provIds),
-                           next = std::move(next)]() mutable {
-                pendingPtr_->add(
-                    static_cast<std::int64_t>(outputs.size()));
-                for (StagedOutput& o : outputs) {
-                    // Mint the output's own id only now that the
-                    // batch is committing: aborted batches leave no
-                    // orphan lineage records.
-                    if (prov_ && o.provParent) {
-                        std::uint64_t cid =
-                            prov_->mintChild(o.provParent);
-                        if (cid)
-                            (*qsp)[o.stage]->stampNextPushId(cid);
-                    }
-                    o.push(*(*qsp)[o.stage]);
-                }
-                inFlight_[s] -= items;
-                pendingPtr_->sub(items);
-                if (prov_)
-                    for (std::uint64_t id : provIds)
-                        if (id)
-                            prov_->noteComplete(id, sim_.now());
-                if (obs_)
-                    noteBatchDone(s, cp->smId(), bstart, items);
-                next();
-            };
-            if (push_cost > 0.0 && !outputs.empty())
-                cp->delay(push_cost, std::move(commit));
-            else
-                commit();
-        });
-    });
-}
-
-void
-RunnerBase::processBatchFI(BlockContext& ctx, QueueSet& qs, int s,
-                           StageMask inlineMask, int maxItems,
-                           EventFn next, QueueSet* pushInto)
-{
-    StageBase& st = pipe_.stage(s);
-    QueueBase& q = *qs[s];
-    const DeviceConfig& dcfg = dev_.config();
-
-    int cap = batchCapacity(s);
-    if (maxItems >= 0)
-        cap = std::min(cap, maxItems);
-    VP_ASSERT(cap > 0, "zero batch capacity");
-
-    ExecContext ectx(pipe_, inlineMask, ctx.smId(),
-                     std::max(1, st.threadNum));
-    int avail = static_cast<int>(std::min<std::size_t>(q.size(), cap));
-    Tick bstart = sim_.now();
-    Tick pop_cost = q.accessCost(dcfg, sim_.now(), std::max(avail, 1));
-
-    const FaultPlan* plan = injector_ ? &injector_->plan() : nullptr;
-    int failItems = 0;
-    if (plan && plan->anyTaskFaults())
-        failItems = injector_->fetchFaults(s, ctx.smId(), avail,
-                                           sim_.now());
-
-    FaultBatch fb;
-    bool wantCapture = captureForReplay_ && st.retryable;
-    BatchResult br = st.runBatchFI(ectx, q, cap, failItems,
-                                   recoveryCfg_.maxRetries,
-                                   wantCapture, fb);
-    if (prov_) {
-        // Every popped item enters service at the pop. Retried items
-        // stay in service until redelivery re-queues them (their
-        // enqueue closes the hop, backoff included); dead-lettered
-        // ones terminate at fault-detection time.
-        for (std::uint64_t id : q.poppedIds())
-            if (id)
-                prov_->notePop(id, ctx.smId(),
-                               trackBase_ + ctx.smId(), bstart);
-        for (std::uint64_t id : fb.deadIds)
-            prov_->noteDeadLetter(id, sim_.now());
-    }
-
-    int faulted = fb.retried + fb.deadLettered;
-    faultStats_.taskFaults += faulted;
-    if (tracer_ && faulted > 0)
-        tracer_->instant(TraceKind::TaskFault,
-                         static_cast<std::int16_t>(trackBase_ + ctx.smId()),
-                         sim_.now(), s, faulted);
-    if (fb.deadLettered > 0) {
-        stageStats_[s].deadLettered += fb.deadLettered;
-        faultStats_.deadLettered += fb.deadLettered;
-        pendingPtr_->sub(fb.deadLettered);
-        if (tracer_)
-            tracer_->instant(TraceKind::DeadLetter,
-                             static_cast<std::int16_t>(trackBase_ + ctx.smId()),
-                             sim_.now(), s, fb.deadLettered);
-    }
-    if (fb.retried > 0) {
-        stageStats_[s].retried += fb.retried;
-        faultStats_.tasksRetried += fb.retried;
-        if (tracer_)
-            tracer_->instant(TraceKind::Retry,
-                             static_cast<std::int16_t>(trackBase_ + ctx.smId()),
-                             sim_.now(), s, fb.retried);
-        recovery_.scheduleRedeliver(s, &q, std::move(fb.redeliver),
-                                    fb.retried, fb.maxTries);
-    }
-    // Fault detection (parity check, timeout) costs cycles too.
-    Tick detect = faulted > 0 ? plan->faultDetectCycles * faulted : 0.0;
-
-    stageStats_[s].batches += 1;
-    if (br.items == 0) {
-        // The whole fetch faulted: charge pop + detection, move on.
-        ctx.delay(pop_cost + detect, std::move(next));
-        return;
-    }
-
-    inFlight_[s] += br.items;
-    stageStats_[s].items += br.items;
-    for (const auto& [inl, count] : ectx.inlineRuns()) {
-        stageStats_[inl].items += count;
-        stageStats_[inl].batches += 1;
-    }
-
-    TaskCost cost = br.total;
-    bool chained = (inlineMask & ~(StageMask(1) << s)) != 0;
-    if (ctx.smId() >= 0
-        && (chained || producerResidentOn(s, ctx.smId()))) {
-        cost.l1HitRate = std::min(0.95, cost.l1HitRate
-                                  + dcfg.localityBonus);
-    }
-
-    WorkSpec w = makeWorkSpec(dcfg, cost, std::max(1, st.threadNum),
-                              br.items, br.maxTaskInsts);
-    stageStats_[s].warpInsts += w.warpInsts;
     if (plan && plan->taskSlowProb > 0.0) {
         double slow = injector_->slowFactor();
         if (slow > 1.0) {
@@ -567,148 +442,139 @@ RunnerBase::processBatchFI(BlockContext& ctx, QueueSet& qs, int s,
         }
     }
 
-    if (captureForReplay_) {
+    if (evictable_) {
         inFlightBatches_[&ctx] = InFlightBatch{
-            s, &q, std::move(fb.capture), br.items, fb.execIds};
+            s, &q, std::move(fb.capture), br.items, provIds};
     }
 
-    std::vector<StagedOutput> outputs = std::move(ectx.outputs());
-    int items = br.items;
-    std::vector<std::uint64_t> provIds = std::move(fb.execIds);
-    BlockContext* cp = &ctx;
-    QueueSet* qsp = pushInto ? pushInto : &qs;
-
-    cp->delay(pop_cost + detect, [this, cp, qsp, s, w, bstart,
-                                  outputs = std::move(outputs), items,
-                                  provIds = std::move(provIds),
-                                  next = std::move(next)]() mutable {
+    BatchCommit c{&ctx, pushInto ? pushInto : &qs, s, br.items, bstart,
+                  std::move(ectx.outputs()), std::move(provIds),
+                  std::move(next)};
+    ctx.delay(pop_cost + detect, [this, w, c = std::move(c)]() mutable {
         Tick exec_start = sim_.now();
-        cp->exec(w, [this, cp, qsp, s, outputs = std::move(outputs),
-                     items, exec_start, bstart,
-                     provIds = std::move(provIds),
-                     next = std::move(next)]() mutable {
-            stageStats_[s].execCycles += sim_.now() - exec_start;
-            const DeviceConfig& dcfg2 = dev_.config();
-            int counts[32] = {};
-            StageMask touched = 0;
-            for (const StagedOutput& o : outputs) {
-                counts[o.stage] += 1;
-                touched |= StageMask(1) << o.stage;
-            }
-            Tick push_cost = 0.0;
-            for (int t = 0; touched; ++t, touched >>= 1) {
-                if (touched & 1) {
-                    push_cost += (*qsp)[t]->accessCost(
-                        dcfg2, sim_.now(), counts[t]);
-                }
-            }
-
-            // In-transit push faults, decided in output order. The
-            // block pays the push cost either way; a corrupted item
-            // additionally pays for being detected and discarded.
-            const FaultPlan* plan2 =
-                injector_ ? &injector_->plan() : nullptr;
-            if (plan2 && plan2->anyPushFaults()) {
-                int dropped = 0, corrupted = 0;
-                auto keep = outputs.begin();
-                for (auto& o : outputs) {
-                    switch (injector_->pushFault()) {
-                      case PushFault::None:
-                        *keep++ = std::move(o);
-                        break;
-                      case PushFault::Drop:
-                        ++dropped;
-                        // The output dies before it was ever queued:
-                        // record a stillborn child so lineage
-                        // conservation still accounts for it.
-                        if (prov_ && o.provParent) {
-                            std::uint64_t cid =
-                                prov_->mintChild(o.provParent);
-                            if (cid)
-                                prov_->noteDropped(cid, sim_.now());
-                        }
-                        break;
-                      case PushFault::Corrupt:
-                        ++corrupted;
-                        stageStats_[o.stage].deadLettered += 1;
-                        if (prov_ && o.provParent) {
-                            std::uint64_t cid =
-                                prov_->mintChild(o.provParent);
-                            if (cid)
-                                prov_->noteDeadLetter(cid, sim_.now());
-                        }
-                        break;
-                    }
-                }
-                outputs.erase(keep, outputs.end());
-                push_cost += plan2->faultDetectCycles * corrupted;
-                faultStats_.droppedPushes += dropped;
-                faultStats_.corruptedPushes += corrupted;
-                faultStats_.deadLettered += corrupted;
-            }
-
-            // Commit, backpressuring while any bounded target queue
-            // is full. The state is shared between retries; the
-            // closure holds it weakly to avoid a reference cycle.
-            struct CommitState
-            {
-                std::vector<StagedOutput> outputs;
-                std::vector<std::uint64_t> provIds;
-                EventFn next;
-                std::function<void()> tryCommit;
-            };
-            auto st = std::make_shared<CommitState>();
-            st->outputs = std::move(outputs);
-            st->provIds = std::move(provIds);
-            st->next = std::move(next);
-            st->tryCommit = [this, cp, qsp, s, items, bstart,
-                             stw = std::weak_ptr<CommitState>(st)]() {
-                auto self = stw.lock();
-                VP_ASSERT(self, "commit state expired");
-                for (const StagedOutput& o : self->outputs) {
-                    if ((*qsp)[o.stage]->full()) {
-                        ++faultStats_.backpressureWaits;
-                        if (tracer_)
-                            tracer_->instant(
-                                TraceKind::Backpressure,
-                                static_cast<std::int16_t>(
-                                    trackBase_ + cp->smId()),
-                                sim_.now(), o.stage);
-                        cp->delay(dev_.config().pollIntervalCycles,
-                                  [self] { self->tryCommit(); });
-                        return;
-                    }
-                }
-                pendingPtr_->add(static_cast<std::int64_t>(
-                    self->outputs.size()));
-                for (StagedOutput& o : self->outputs) {
-                    // Mint the output's own id only at commit time:
-                    // aborted batches leave no orphan records.
-                    if (prov_ && o.provParent) {
-                        std::uint64_t cid =
-                            prov_->mintChild(o.provParent);
-                        if (cid)
-                            (*qsp)[o.stage]->stampNextPushId(cid);
-                    }
-                    o.push(*(*qsp)[o.stage]);
-                }
-                inFlight_[s] -= items;
-                pendingPtr_->sub(items);
-                inFlightBatches_.erase(cp);
-                if (prov_)
-                    for (std::uint64_t id : self->provIds)
-                        if (id)
-                            prov_->noteComplete(id, sim_.now());
-                if (obs_)
-                    noteBatchDone(s, cp->smId(), bstart, items);
-                self->next();
-            };
-            if (push_cost > 0.0) {
-                cp->delay(push_cost, [st] { st->tryCommit(); });
-            } else {
-                st->tryCommit();
-            }
+        BlockContext* block = c.block;
+        block->exec(w, [this, exec_start, c = std::move(c)]() mutable {
+            stageStats_[c.stage].execCycles += sim_.now() - exec_start;
+            finishBatch(std::move(c));
         });
+    });
+}
+
+void
+RunnerBase::finishBatch(BatchCommit c)
+{
+    // Each push's cost, grouped by target queue, feeds that queue's
+    // contention window and stats; it does not delay the block
+    // (docs/MODEL.md, "Queue access"). Stage indices are < 32, so a
+    // stack array groups them.
+    const DeviceConfig& dcfg = dev_.config();
+    int counts[32] = {};
+    StageMask touched = 0;
+    for (const StagedOutput& o : c.outputs) {
+        counts[o.stage] += 1;
+        touched |= StageMask(1) << o.stage;
+    }
+    for (int t = 0; touched; ++t, touched >>= 1)
+        if (touched & 1)
+            (*c.qs)[t]->accessCost(dcfg, sim_.now(), counts[t]);
+
+    // In-transit push faults, decided in output order. A corrupted
+    // item holds the block for its detection.
+    Tick detect = 0.0;
+    const FaultPlan* plan = injector_ ? &injector_->plan() : nullptr;
+    if (plan && plan->anyPushFaults()) {
+        int dropped = 0, corrupted = 0;
+        auto keep = c.outputs.begin();
+        for (auto& o : c.outputs) {
+            PushFault f = injector_->pushFault();
+            if (f == PushFault::None) {
+                *keep++ = std::move(o);
+                continue;
+            }
+            // The output never reaches its queue: record its id as
+            // a dropped or dead-lettered child, so lineage
+            // conservation still accounts for it.
+            std::uint64_t cid = prov_ && o.provParent
+                ? prov_->mintChild(o.provParent)
+                : 0;
+            if (f == PushFault::Drop) {
+                ++dropped;
+                if (cid)
+                    prov_->noteDropped(cid, sim_.now());
+            } else {
+                ++corrupted;
+                stageStats_[o.stage].deadLettered += 1;
+                if (cid)
+                    prov_->noteDeadLetter(cid, sim_.now());
+            }
+        }
+        c.outputs.erase(keep, c.outputs.end());
+        detect = plan->faultDetectCycles * corrupted;
+        faultStats_.droppedPushes += dropped;
+        faultStats_.corruptedPushes += corrupted;
+        faultStats_.deadLettered += corrupted;
+    }
+
+    if (detect > 0.0)
+        awaitCommit(std::make_unique<BatchCommit>(std::move(c)), detect);
+    else if (!tryCommit(c))
+        awaitCommit(std::make_unique<BatchCommit>(std::move(c)),
+                    dev_.config().pollIntervalCycles);
+}
+
+bool
+RunnerBase::tryCommit(BatchCommit& c)
+{
+    // Backpressure: hold the outputs while any bounded target queue
+    // is full, probing each target once, in output order.
+    StageMask probed = 0;
+    for (const StagedOutput& o : c.outputs) {
+        StageMask bit = StageMask(1) << o.stage;
+        if (probed & bit)
+            continue;
+        probed |= bit;
+        if ((*c.qs)[o.stage]->full()) {
+            ++faultStats_.backpressureWaits;
+            if (tracer_)
+                tracer_->instant(TraceKind::Backpressure,
+                                 static_cast<std::int16_t>(
+                                     trackBase_ + c.block->smId()),
+                                 sim_.now(), o.stage);
+            return false;
+        }
+    }
+    pendingPtr_->add(static_cast<std::int64_t>(c.outputs.size()));
+    for (StagedOutput& o : c.outputs) {
+        // Mint the output's own id only now that the batch is
+        // committing: aborted batches leave no orphan lineage records.
+        if (prov_ && o.provParent) {
+            std::uint64_t cid = prov_->mintChild(o.provParent);
+            if (cid)
+                (*c.qs)[o.stage]->stampNextPushId(cid);
+        }
+        o.push(*(*c.qs)[o.stage]);
+    }
+    inFlight_[c.stage] -= c.items;
+    pendingPtr_->sub(c.items);
+    if (evictable_)
+        inFlightBatches_.erase(c.block);
+    if (prov_)
+        for (std::uint64_t id : c.provIds)
+            if (id)
+                prov_->noteComplete(id, sim_.now());
+    if (obs_)
+        noteBatchDone(c.stage, c.block->smId(), c.bstart, c.items);
+    c.next();
+    return true;
+}
+
+void
+RunnerBase::awaitCommit(std::unique_ptr<BatchCommit> c, Tick wait)
+{
+    BlockContext* block = c->block;
+    block->delay(wait, [this, c = std::move(c)]() mutable {
+        if (!tryCommit(*c))
+            awaitCommit(std::move(c), dev_.config().pollIntervalCycles);
     });
 }
 
@@ -844,7 +710,14 @@ RunnerBase::collect()
     r.faults.smsDegraded = r.device.smsDegraded;
     r.faults.blocksEvicted = r.device.blocksEvicted;
     r.faults.launchDelays = r.device.launchDelays;
-    if (instrumentBatches_) {
+    // Runs that can fault, be evicted or backpressure report their
+    // redeliveries.
+    bool bounded = false;
+    for (int s = 0; s < pipe_.stageCount(); ++s)
+        bounded |= pipe_.stage(s).queueCapacity > 0;
+    const FaultPlan* plan = injector_ ? &injector_->plan() : nullptr;
+    if (bounded || evictable_
+        || (plan && (plan->anyTaskFaults() || plan->anyPushFaults()))) {
         r.extra.set("redeliveries",
                     static_cast<double>(recovery_.redeliveries()));
     }

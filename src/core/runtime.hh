@@ -84,9 +84,9 @@ struct ShardContext
 };
 
 /**
- * Optional fault-injection/recovery wiring handed to a runner. Both
- * pointers may be null (the default): the runner then takes the
- * uninstrumented hot path and behaves exactly as before.
+ * Optional fault-injection/recovery wiring handed to a runner. Every
+ * pointer may be null (the default). With no injector, no batch takes
+ * a fault branch; with no recovery policy, the defaults apply.
  */
 struct FaultContext
 {
@@ -95,7 +95,7 @@ struct FaultContext
     /** Retry/backoff policy; owned by the caller. */
     const RecoveryConfig* recovery = nullptr;
     /** Observability bundle (tracer/metrics/histograms); owned by
-     *  the caller. Null runs fully uninstrumented. */
+     *  the caller. Null records nothing. */
     ObsData* obs = nullptr;
     /** Multi-device shard wiring; null runs single-device. */
     const ShardContext* shard = nullptr;
@@ -260,7 +260,7 @@ class RunnerBase
      * queue set) plus dead-lettered items. Any batch fetch, output
      * commit, redelivery or dead-letter moves it; a wedged pipeline
      * — every block parked in commit-wait polling full queues — does
-     * not. Computed from statistics both batch paths already keep,
+     * not. Computed from statistics the batch path already keeps,
      * so the heartbeat costs the hot path nothing.
      */
     std::uint64_t drainProgress() const;
@@ -392,26 +392,23 @@ class RunnerBase
 
     /**
      * Run one batch of stage @p s on block @p ctx: pop (queue cost),
-     * execute (processor sharing), push (queue cost), commit outputs,
+     * execute (processor sharing), cost the pushes, commit outputs,
      * then invoke @p next. @p maxItems bounds the batch (-1 = the
      * block's natural capacity). Outputs commit into @p pushInto
      * when given (distributed queues push to the block's home
      * shard), otherwise back into @p qs.
+     *
+     * Every runner and every run takes this one path; each fault
+     * branch runs only when its condition holds. Fetch faults,
+     * slowdowns and push faults come from the injector's plan: failed
+     * items go to the recovery manager, and their detection (and that
+     * of corrupted pushes) holds the block. Batches that an SM or
+     * device kill can evict keep pre-execution copies for replay. The
+     * commit waits, polling, while a bounded target queue is full.
      */
     void processBatch(BlockContext& ctx, QueueSet& qs, int s,
                       StageMask inlineMask, int maxItems,
                       EventFn next, QueueSet* pushInto = nullptr);
-
-    /**
-     * Fault-instrumented processBatch: consults the injector for
-     * fetch faults and slowdowns, routes transient failures through
-     * the recovery manager, applies push drop/corruption at commit,
-     * and backpressures on full bounded queues. Selected once per
-     * run; the plain path never pays for any of it.
-     */
-    void processBatchFI(BlockContext& ctx, QueueSet& qs, int s,
-                        StageMask inlineMask, int maxItems,
-                        EventFn next, QueueSet* pushInto = nullptr);
 
     /**
      * Device hook: @p ctx was evicted by an SM failure mid-batch.
@@ -428,9 +425,6 @@ class RunnerBase
 
     /** Subclass re-provisioning after an SM failure. */
     virtual void onSmFailed(int) {}
-
-    /** True when the fault-instrumented batch path is active. */
-    bool instrumented() const { return instrumentBatches_; }
 
     /** Tasks a block of stage @p s processes per fetch. */
     int batchCapacity(int s) const;
@@ -490,12 +484,14 @@ class RunnerBase
     RecoveryConfig recoveryCfg_;
     RecoveryManager recovery_;
     FaultRecoveryStats faultStats_;
-    /** True when batches route through processBatchFI. */
-    bool instrumentBatches_ = false;
-    /** True when executed items are captured for SM-kill replay. */
-    bool captureForReplay_ = false;
+    /**
+     * True when the plan scripts SM or device kills, which evict
+     * blocks mid-batch: batches then keep pre-execution copies for
+     * replay, and runners track their blocks for eviction.
+     */
+    bool evictable_ = false;
 
-    /** Task-graph capture / replay of the plain batch path (see
+    /** Task-graph capture / replay of the batch path (see
      *  FaultContext); null runs the payload only. */
     TaskGraph* graphCapture_ = nullptr;
     const TaskGraph* graphReplay_ = nullptr;
@@ -543,6 +539,36 @@ class RunnerBase
     }
 
     /** @} */
+
+  private:
+    /** A batch that has executed and waits to commit its outputs. */
+    struct BatchCommit
+    {
+        BlockContext* block;
+        /** Queue set the outputs commit into. */
+        QueueSet* qs;
+        int stage;
+        /** Executed items, in flight until the commit. */
+        int items;
+        /** Fetch time of the batch. */
+        Tick bstart;
+        std::vector<StagedOutput> outputs;
+        /** Provenance ids of the executed items. */
+        std::vector<std::uint64_t> provIds;
+        /** The block's continuation after the commit. */
+        EventFn next;
+    };
+
+    /** After exec: cost the pushes, apply push faults, commit. */
+    void finishBatch(BatchCommit c);
+
+    /** Commit @p c unless a bounded target queue is full (then count
+     *  a backpressure wait and return false). */
+    bool tryCommit(BatchCommit& c);
+
+    /** Hold the block for @p wait cycles, then retry the commit,
+     *  polling while a target stays full. */
+    void awaitCommit(std::unique_ptr<BatchCommit> c, Tick wait);
 };
 
 /** Persistent-block runner for Groups configurations. */
@@ -614,7 +640,8 @@ class GroupsRunner : public RunnerBase
     std::vector<std::unique_ptr<QueueSet>> shards_;
     /** (specIdx, smId) -> resident block count (block mapping). */
     std::map<std::pair<int, int>, int> blockCount_;
-    /** Live block -> spec index, for eviction bookkeeping. */
+    /** Live block -> spec index, for eviction bookkeeping (kept
+     *  only when blocks are evictable). */
     std::map<BlockContext*, int> blockSpec_;
     int liveKernels_ = 0;
     /** Live kernels per spec index (serving wake-up bookkeeping:

@@ -50,17 +50,26 @@ struct BatchResult
 };
 
 /**
- * Outcome of one fault-instrumented batch fetch (runBatchFI).
+ * Fault wiring of one batch fetch, handed to runBatch by batches that
+ * can fault or be evicted (null otherwise).
  *
- * Transiently failed items are partitioned by their retry budget into
- * `redeliver` (re-pushed by the recovery manager after backoff) and
- * the dead-letter count; executed items can optionally be captured so
- * an SM failure between execution and output commit can replay them.
+ * In: the first `failItems` popped items fail transiently and skip
+ * execution; `captureExecuted` asks for pre-execution copies of the
+ * rest. Out: failed items within their retry budget are packaged into
+ * `redeliver` (re-pushed by the recovery manager after backoff), the
+ * others dead-letter; `capture` replays the executed items when an SM
+ * failure evicts the block between execution and output commit.
  */
 struct FaultBatch
 {
-    /** Items that executed this batch. */
-    int executed = 0;
+    /** Popped items that fail transiently (the first ones). */
+    int failItems = 0;
+    /** Retry budget: a failed item already tried this often
+     *  dead-letters instead. */
+    std::uint32_t maxRetries = 0;
+    /** Capture pre-execution copies of the executed items. */
+    bool captureExecuted = false;
+
     /** Items that failed transiently and await redelivery. */
     int retried = 0;
     /** Items whose retry budget was exhausted. */
@@ -73,13 +82,10 @@ struct FaultBatch
      */
     std::function<void(QueueBase&)> redeliver;
     /**
-     * Re-pushes pre-execution copies of the executed items (same
-     * contract as redeliver); only set when capture was requested.
+     * Re-pushes the pre-execution copies of the executed items (same
+     * contract as redeliver); empty unless captureExecuted.
      */
     std::function<void(QueueBase&)> capture;
-    /** Provenance ids of the executed items (empty when the batch's
-     *  queue carries no provenance metadata). */
-    std::vector<std::uint64_t> execIds;
     /** Provenance ids of the items that dead-lettered here. */
     std::vector<std::uint64_t> deadIds;
 };
@@ -160,25 +166,13 @@ class StageBase
      * Pop up to @p maxItems items from @p q and execute each,
      * recording outputs and costs in @p ctx. When @p ctx replays a
      * task graph, each item's recorded cost and children stand in
-     * for cost() and execute().
+     * for cost() and execute(). With @p fb, the first fb->failItems
+     * items fail instead of executing and the outcome lands in
+     * @p fb (see FaultBatch); BatchResult::items counts the executed
+     * items only.
      */
     virtual BatchResult runBatch(ExecContext& ctx, QueueBase& q,
-                                 int maxItems) = 0;
-
-    /**
-     * Fault-instrumented runBatch: the first @p failItems popped
-     * items fail transiently (skipping execution); failed items
-     * within @p maxRetries are packaged for redelivery, the rest
-     * dead-letter. With @p wantCapture, pre-execution copies of the
-     * executed items are captured for SM-failure replay. Only used
-     * when a fault plan injects task faults — the plain runBatch hot
-     * path stays untouched.
-     */
-    virtual BatchResult runBatchFI(ExecContext& ctx, QueueBase& q,
-                                   int maxItems, int failItems,
-                                   std::uint32_t maxRetries,
-                                   bool wantCapture,
-                                   FaultBatch& fb) = 0;
+                                 int maxItems, FaultBatch* fb) = 0;
 
     /** Reset any mutable stage-held state between runs. */
     virtual void reset() {}
@@ -413,13 +407,8 @@ class Stage : public StageBase
     }
 
     // Defined in stage_impl.hh (needs the Pipeline definition).
-    BatchResult runBatch(ExecContext& ctx, QueueBase& q,
-                         int maxItems) override;
-
-    BatchResult runBatchFI(ExecContext& ctx, QueueBase& q,
-                           int maxItems, int failItems,
-                           std::uint32_t maxRetries, bool wantCapture,
-                           FaultBatch& fb) override;
+    BatchResult runBatch(ExecContext& ctx, QueueBase& q, int maxItems,
+                         FaultBatch* fb) override;
 };
 
 } // namespace vp

@@ -44,24 +44,80 @@ ExecContext::enqueue(typename S::DataItemType item)
 
 template <typename T>
 BatchResult
-Stage<T>::runBatch(ExecContext& ctx, QueueBase& q, int maxItems)
+Stage<T>::runBatch(ExecContext& ctx, QueueBase& q, int maxItems,
+                   FaultBatch* fb)
 {
     auto& tq = typedQueue<T>(q);
     std::vector<T> items;
     tq.popBatch(items, static_cast<std::size_t>(maxItems));
-    // Copy: the next pop overwrites the queue's scratch vector.
-    std::vector<std::uint64_t> ids;
-    if (tq.provenanceEnabled()) {
-        ids = tq.poppedIds();
-        ids.resize(items.size(), 0);
+    // The pop's metadata scratch holds until the queue's next pop,
+    // which no execute() can cause. Retry counts ride only on queues
+    // of runs that inject fetch faults.
+    const std::vector<std::uint64_t>& ids = tq.poppedIds();
+    const std::vector<std::uint32_t>& tries = tq.poppedTries();
+    bool tracked = tq.provenanceEnabled();
+    auto idOf = [&](std::size_t i) -> std::uint64_t {
+        return tracked && i < ids.size() ? ids[i] : 0;
+    };
+    auto triesOf = [&](std::size_t i) -> std::uint32_t {
+        return tq.retryMetaEnabled() && i < tries.size() ? tries[i] : 0;
+    };
+
+    // A popped item set aside for a later re-push, with the retry
+    // count and provenance id it re-enters its queue with.
+    struct Kept
+    {
+        T item;
+        std::uint32_t tries;
+        std::uint64_t id;
+    };
+    auto rePush = [](std::vector<Kept> batch) {
+        std::function<void(QueueBase&)> fn;
+        if (!batch.empty())
+            fn = [batch = std::move(batch)](QueueBase& dst) {
+                auto& dq = typedQueue<T>(dst);
+                for (const Kept& e : batch) {
+                    dq.stampNextPushTries(e.tries);
+                    if (e.id)
+                        dq.stampNextPushId(e.id);
+                    dq.push(e.item);
+                }
+            };
+        return fn;
+    };
+
+    // The first failItems items of the batch take the transient
+    // faults — a fixed, deterministic assignment.
+    std::size_t failed = 0;
+    if (fb) {
+        failed = std::min<std::size_t>(
+            static_cast<std::size_t>(std::max(fb->failItems, 0)),
+            items.size());
+        std::vector<Kept> retry;
+        for (std::size_t i = 0; i < failed; ++i) {
+            std::uint32_t t = triesOf(i);
+            if (t >= fb->maxRetries) {
+                ++fb->deadLettered;
+                if (idOf(i))
+                    fb->deadIds.push_back(idOf(i));
+                continue;
+            }
+            retry.push_back({std::move(items[i]), t + 1, idOf(i)});
+            fb->maxTries = std::max(fb->maxTries, t + 1);
+        }
+        fb->retried = static_cast<int>(retry.size());
+        fb->redeliver = rePush(std::move(retry));
     }
 
     BatchResult r;
-    r.items = static_cast<int>(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
+    bool keep = fb && fb->captureExecuted;
+    std::vector<Kept> captured;
+    for (std::size_t i = failed; i < items.size(); ++i) {
         T& item = items[i];
-        if (!ids.empty())
-            ctx.setProvParent(ids[i]);
+        if (keep)
+            captured.push_back({item, triesOf(i) + 1, idOf(i)});
+        if (tracked)
+            ctx.setProvParent(idOf(i));
         if (ctx.replaying()) {
             ctx.replayTask(itemKey(item));
         } else if (ctx.capturing()) {
@@ -80,90 +136,9 @@ Stage<T>::runBatch(ExecContext& ctx, QueueBase& q, int maxItems)
         r.total += c;
     }
     ctx.setProvParent(0);
-    return r;
-}
-
-template <typename T>
-BatchResult
-Stage<T>::runBatchFI(ExecContext& ctx, QueueBase& q, int maxItems,
-                     int failItems, std::uint32_t maxRetries,
-                     bool wantCapture, FaultBatch& fb)
-{
-    auto& tq = typedQueue<T>(q);
-    std::vector<T> items;
-    tq.popBatch(items, static_cast<std::size_t>(maxItems));
-    // Copy: the next pop overwrites the queue's scratch vectors.
-    std::vector<std::uint32_t> tries = tq.poppedTries();
-    tries.resize(items.size(), 0);
-    std::vector<std::uint64_t> ids = tq.poppedIds();
-    ids.resize(items.size(), 0);
-
-    // The first failItems items of the batch take the transient
-    // faults — a fixed, deterministic assignment.
-    struct RetryItem
-    {
-        T item;
-        std::uint32_t tries;
-        std::uint64_t id;
-    };
-    std::vector<RetryItem> retry;
-    std::size_t nf = std::min<std::size_t>(
-        failItems < 0 ? 0 : static_cast<std::size_t>(failItems),
-        items.size());
-    for (std::size_t i = 0; i < nf; ++i) {
-        if (tries[i] >= maxRetries) {
-            ++fb.deadLettered;
-            if (ids[i])
-                fb.deadIds.push_back(ids[i]);
-            continue;
-        }
-        retry.push_back({std::move(items[i]), tries[i] + 1, ids[i]});
-        fb.maxTries = std::max(fb.maxTries, tries[i] + 1);
-    }
-    if (!retry.empty()) {
-        fb.retried = static_cast<int>(retry.size());
-        fb.redeliver = [batch = std::move(retry)](QueueBase& dst) {
-            auto& dq = typedQueue<T>(dst);
-            for (const RetryItem& e : batch) {
-                dq.stampNextPushTries(e.tries);
-                if (e.id)
-                    dq.stampNextPushId(e.id);
-                dq.push(e.item);
-            }
-        };
-    }
-
-    BatchResult r;
-    std::vector<RetryItem> cap;
-    for (std::size_t i = nf; i < items.size(); ++i) {
-        if (wantCapture)
-            cap.push_back({items[i], tries[i] + 1, ids[i]});
-        T& item = items[i];
-        if (tq.provenanceEnabled()) {
-            ctx.setProvParent(ids[i]);
-            fb.execIds.push_back(ids[i]);
-        }
-        ctx.beginTask(cost(item));
-        execute(ctx, item);
-        TaskCost c = ctx.endTask();
-        r.maxTaskInsts = std::max(r.maxTaskInsts,
-                                  c.computeInsts + c.memInsts);
-        r.total += c;
-        ++r.items;
-    }
-    ctx.setProvParent(0);
-    fb.executed = r.items;
-    if (!cap.empty()) {
-        fb.capture = [batch = std::move(cap)](QueueBase& dst) {
-            auto& dq = typedQueue<T>(dst);
-            for (const RetryItem& e : batch) {
-                dq.stampNextPushTries(e.tries);
-                if (e.id)
-                    dq.stampNextPushId(e.id);
-                dq.push(e.item);
-            }
-        };
-    }
+    r.items = static_cast<int>(items.size() - failed);
+    if (keep)
+        fb->capture = rePush(std::move(captured));
     return r;
 }
 

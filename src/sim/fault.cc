@@ -16,6 +16,15 @@ checkProb(double p, const char* name)
                                   << " outside [0, 1]");
 }
 
+/** Delays and event times become simulator events, whose times must
+ *  be finite. */
+void
+checkCycles(Tick t, const char* name)
+{
+    VP_CHECK(t >= 0.0 && std::isfinite(t), ErrorCode::Config,
+             name << " " << t << " must be finite and >= 0");
+}
+
 } // namespace
 
 void
@@ -26,17 +35,14 @@ FaultPlan::validate() const
     checkProb(pushDropProb, "pushDropProb");
     checkProb(pushCorruptProb, "pushCorruptProb");
     checkProb(launchDelayProb, "launchDelayProb");
-    VP_CHECK(taskSlowFactor >= 1.0, ErrorCode::Config,
-             "taskSlowFactor " << taskSlowFactor << " must be >= 1");
-    VP_CHECK(launchDelayCycles >= 0.0, ErrorCode::Config,
-             "launchDelayCycles " << launchDelayCycles
-                                  << " must be >= 0");
-    VP_CHECK(faultDetectCycles >= 0.0, ErrorCode::Config,
-             "faultDetectCycles " << faultDetectCycles
-                                  << " must be >= 0");
+    VP_CHECK(taskSlowFactor >= 1.0 && std::isfinite(taskSlowFactor),
+             ErrorCode::Config,
+             "taskSlowFactor " << taskSlowFactor
+                               << " must be finite and >= 1");
+    checkCycles(launchDelayCycles, "launchDelayCycles");
+    checkCycles(faultDetectCycles, "faultDetectCycles");
     for (const SmFaultEvent& e : smEvents) {
-        VP_CHECK(e.time >= 0.0, ErrorCode::Config,
-                 "SM fault event time " << e.time << " must be >= 0");
+        checkCycles(e.time, "SM fault event time");
         VP_CHECK(e.sm >= 0, ErrorCode::Config,
                  "SM fault event targets negative SM " << e.sm);
         if (e.kind == SmFaultEvent::Kind::Degrade) {
@@ -55,17 +61,13 @@ FaultPlan::validate() const
                                         << " must be >= 0");
     }
     for (const DeviceFaultEvent& e : deviceEvents) {
-        VP_CHECK(e.time >= 0.0, ErrorCode::Config,
-                 "device fault event time " << e.time
-                                            << " must be >= 0");
+        checkCycles(e.time, "device fault event time");
         VP_CHECK(e.device >= 0, ErrorCode::Config,
                  "device fault event targets negative device "
                      << e.device);
     }
     for (const LinkFaultEvent& e : linkEvents) {
-        VP_CHECK(e.time >= 0.0, ErrorCode::Config,
-                 "link fault event time " << e.time
-                                          << " must be >= 0");
+        checkCycles(e.time, "link fault event time");
         VP_CHECK(e.src >= 0 && e.dst >= 0, ErrorCode::Config,
                  "link fault event targets negative device ("
                      << e.src << " -> " << e.dst << ")");

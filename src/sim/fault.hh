@@ -146,7 +146,7 @@ struct FaultPlan
     std::vector<LinkFaultEvent> linkEvents;
 
     /** True when any task-level fault (probabilistic or scripted)
-     *  can fire — the runners pick the instrumented batch path. */
+     *  can fire — batches then consult the injector at fetch. */
     bool
     anyTaskFaults() const
     {
@@ -176,7 +176,11 @@ struct FaultPlan
             || anyDeviceFaults() || anyLinkFaults();
     }
 
-    /** Raise FatalError(Config) on out-of-range fields. */
+    /**
+     * Raise FatalError(Config) on out-of-range fields, including
+     * non-finite delays, factors and event times. A scripted
+     * trigger's `atOrAfter` may be +inf (never).
+     */
     void validate() const;
 
     /**

@@ -11,7 +11,9 @@
  *
  * The degeneracy lane pins the shared Supervisor: a 1-device group
  * must replay the single-device run exactly, with and without
- * supervision armed.
+ * supervision armed. The instrumented-batch lane pins the one batch
+ * path: backpressure and eviction branches that never fire leave a
+ * run unchanged.
  *
  * Runs under the `conformance` ctest label.
  */
@@ -27,6 +29,7 @@
 #include "core/recovery.hh"
 #include "core/shard.hh"
 #include "obs/obs.hh"
+#include "sim/fault.hh"
 
 using namespace vp;
 
@@ -228,6 +231,75 @@ TEST_P(Conformance, SingleDeviceGroupIsDegenerate)
     // Megakernel in both modes at minimum, plus its dq variant.
     EXPECT_GE(exact, 2) << GetParam();
     EXPECT_EQ(fingerprintOnly, 2) << GetParam();
+}
+
+// One batch path: a fault or backpressure branch that never fires
+// changes nothing. With every stage bounded at a capacity no run
+// reaches, each run must equal the unbounded one; so must each run
+// with an SM kill scripted for after the drain (which cancels it),
+// except that DP's eviction bookkeeping adds exactly one
+// kernel-completion event per launch. Facedetect under DP is left
+// out for time: its plain run alone is this binary's long pole.
+TEST_P(Conformance, InstrumentedBatchesMatchPlain)
+{
+    auto expectSame = [](const RunResult& got, const RunResult& want,
+                         const std::string& what,
+                         std::uint64_t extraEvents) {
+        ASSERT_TRUE(got.completed) << what << ": " << got.failureReason;
+        EXPECT_EQ(got.cycles, want.cycles) << what;
+        EXPECT_EQ(got.simEvents, want.simEvents + extraEvents) << what;
+        EXPECT_EQ(got.polls, want.polls) << what;
+        ASSERT_EQ(got.stages.size(), want.stages.size()) << what;
+        for (std::size_t s = 0; s < want.stages.size(); ++s) {
+            const StageRunStats& g = got.stages[s];
+            const StageRunStats& w = want.stages[s];
+            std::string where = what + " stage " + w.name;
+            EXPECT_EQ(g.items, w.items) << where;
+            EXPECT_EQ(g.batches, w.batches) << where;
+            EXPECT_EQ(g.warpInsts, w.warpInsts) << where;
+            EXPECT_EQ(g.execCycles, w.execCycles) << where;
+        }
+    };
+
+    int covered = 0;
+    for (const char* preset : {"gtx1080", "k20c"}) {
+        DeviceConfig dev = DeviceConfig::byName(preset);
+        auto app = makeApp(GetParam(), AppScale::Small);
+        Pipeline& pipe = app->pipeline();
+        Engine plain(dev);
+        Engine killed(dev);
+        FaultPlan plan;
+        SmFaultEvent kill;
+        kill.time = 1e15;
+        plan.smEvents.push_back(kill);
+        killed.setFaultPlan(plan);
+
+        for (auto& [label, cfg] : allModels(pipe, dev)) {
+            bool dp = cfg.top == PipelineConfig::Top::DynamicParallelism;
+            if (dp && GetParam() == "facedetect")
+                continue;
+            std::string what = GetParam() + "/" + preset + "/" + label;
+            RunResult want = plain.run(*app, cfg);
+            ASSERT_TRUE(want.completed) << what;
+
+            std::vector<std::size_t> caps;
+            for (int s = 0; s < pipe.stageCount(); ++s) {
+                caps.push_back(pipe.stage(s).queueCapacity);
+                pipe.stage(s).queueCapacity = std::size_t(1) << 40;
+            }
+            RunResult bounded = plain.run(*app, cfg);
+            for (int s = 0; s < pipe.stageCount(); ++s)
+                pipe.stage(s).queueCapacity = caps[s];
+            expectSame(bounded, want, what + "/bounded", 0);
+
+            RunResult r = killed.run(*app, cfg);
+            EXPECT_EQ(r.faults.smsFailed, 0) << what;
+            expectSame(r, want, what + "/late-kill",
+                       dp ? r.device.kernelLaunches : 0);
+            ++covered;
+        }
+    }
+    EXPECT_GE(covered, 10) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, Conformance,

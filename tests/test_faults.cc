@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+
 #include "apps/raster/raster_app.hh"
 #include "sim/fault.hh"
 #include "toy_apps.hh"
@@ -274,6 +277,149 @@ TEST(RecoveryConfig, ValidateRejectsBadBackoff)
     }
 }
 
+/** Expect @p fn to throw FatalError(Config); @p what names the case. */
+template <typename Fn>
+void
+expectConfigError(Fn&& fn, const std::string& what)
+{
+    try {
+        fn();
+        ADD_FAILURE() << what << ": accepted";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Config) << what;
+    }
+}
+
+// Delays and event times become simulator events, whose times must
+// be finite: an infinite one must fail validation with a typed error,
+// not abort the run that reaches it.
+TEST(FaultPlan, ValidateRejectsInfiniteDelays)
+{
+    const Tick inf = std::numeric_limits<Tick>::infinity();
+    std::vector<std::pair<std::string, std::function<void(FaultPlan&)>>>
+        cases = {
+            {"faultDetectCycles",
+             [&](FaultPlan& p) {
+                 p.taskFailProb = 0.5;
+                 p.faultDetectCycles = inf;
+             }},
+            {"taskSlowFactor",
+             [&](FaultPlan& p) {
+                 p.taskSlowProb = 0.5;
+                 p.taskSlowFactor = inf;
+             }},
+            {"launchDelayCycles",
+             [&](FaultPlan& p) {
+                 p.launchDelayProb = 1.0;
+                 p.launchDelayCycles = inf;
+             }},
+            {"SM event time",
+             [&](FaultPlan& p) {
+                 SmFaultEvent e;
+                 e.time = inf;
+                 p.smEvents.push_back(e);
+             }},
+        };
+    for (auto& [what, mutate] : cases) {
+        FaultPlan plan;
+        mutate(plan);
+        expectConfigError([&] { plan.validate(); }, what);
+        LinearApp app(2, 64);
+        Engine engine(DeviceConfig::k20c());
+        engine.setFaultPlan(plan);
+        expectConfigError(
+            [&] { engine.run(app, makeMegakernelConfig(app.pipeline())); },
+            what + " (run)");
+    }
+}
+
+TEST(FaultPlan, ValidateRejectsInfiniteGroupEventTimes)
+{
+    const Tick inf = std::numeric_limits<Tick>::infinity();
+    FaultPlan deviceKill;
+    DeviceFaultEvent d;
+    d.time = inf;
+    d.device = 1;
+    deviceKill.deviceEvents.push_back(d);
+    FaultPlan linkCut;
+    LinkFaultEvent l;
+    l.time = inf;
+    l.src = 0;
+    l.dst = 1;
+    linkCut.linkEvents.push_back(l);
+
+    for (const auto& [what, plan] :
+         {std::pair{std::string("device event time"), deviceKill},
+          std::pair{std::string("link event time"), linkCut}}) {
+        expectConfigError([&] { plan.validate(); }, what);
+        LinearApp app(2, 64);
+        Engine group(DeviceGroupConfig::homogeneous(DeviceConfig::k20c(), 2));
+        group.setFaultPlan(plan);
+        expectConfigError(
+            [&] {
+                group.runSharded(app, makeMegakernelConfig(app.pipeline()),
+                                 ShardPlan::replicateAll(app.pipeline()));
+            },
+            what + " (run)");
+    }
+}
+
+TEST(RecoveryConfig, ValidateRejectsInfiniteBackoff)
+{
+    const Tick inf = std::numeric_limits<Tick>::infinity();
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.taskFailProb = 0.5;
+    std::vector<std::pair<std::string, std::function<void(RecoveryConfig&)>>>
+        cases = {
+            {"backoffBaseCycles and backoffCapCycles",
+             [&](RecoveryConfig& rc) {
+                 rc.backoffBaseCycles = inf;
+                 rc.backoffCapCycles = inf;
+             }},
+            {"backoffFactor",
+             [&](RecoveryConfig& rc) {
+                 rc.backoffFactor = inf;
+                 rc.backoffCapCycles = inf;
+             }},
+        };
+    for (auto& [what, mutate] : cases) {
+        RecoveryConfig rc;
+        mutate(rc);
+        expectConfigError([&] { rc.validate(); }, what);
+        LinearApp app(2, 64);
+        Engine engine(DeviceConfig::k20c());
+        engine.setFaultPlan(plan);
+        engine.setRecovery(rc);
+        expectConfigError(
+            [&] { engine.run(app, makeMegakernelConfig(app.pipeline())); },
+            what + " (run)");
+    }
+}
+
+// +inf keeps meaning "never" where a run only compares against it.
+TEST(RecoveryConfig, InfiniteWatchdogTimeoutAndTriggerMeanNever)
+{
+    const Tick inf = std::numeric_limits<Tick>::infinity();
+    RecoveryConfig rc;
+    rc.watchdogIntervalCycles = inf;
+    rc.drainTimeoutCycles = inf;
+    FaultPlan plan;
+    ScriptedTaskFault never;
+    never.atOrAfter = inf;
+    plan.scripted.push_back(never);
+    EXPECT_NO_THROW(rc.validate());
+    EXPECT_NO_THROW(plan.validate());
+
+    LinearApp app(2, 64);
+    Engine engine(DeviceConfig::k20c());
+    engine.setRecovery(rc);
+    engine.setFaultPlan(plan);
+    RunResult r = engine.run(app, makeMegakernelConfig(app.pipeline()));
+    EXPECT_EQ(r.outcome, RunOutcome::Completed) << r.failureReason;
+    EXPECT_EQ(r.faults.taskFaults, 0u);
+}
+
 TEST(RecoveryConfig, BackoffGrowsAndCaps)
 {
     RecoveryConfig rc;
@@ -401,6 +547,32 @@ TEST(FaultRuns, DroppedAndCorruptedPushesDegrade)
     EXPECT_EQ(sink.results.size() + r.faults.droppedPushes
                   + r.faults.corruptedPushes,
               static_cast<std::size_t>(app.totalItems()));
+}
+
+// Push costs never delay the pushing block, but detecting a corrupted
+// push does: the same corruption rate costs more time when detection
+// does.
+TEST(FaultRuns, CorruptedPushDetectionHoldsTheBlock)
+{
+    FaultPlan plan;
+    plan.seed = 9;
+    plan.pushCorruptProb = 0.1;
+    Engine engine(DeviceConfig::k20c());
+
+    plan.faultDetectCycles = 0.0;
+    engine.setFaultPlan(plan);
+    LinearApp unpaid(2, 64);
+    RunResult a =
+        engine.run(unpaid, makeMegakernelConfig(unpaid.pipeline()));
+
+    plan.faultDetectCycles = 5000.0;
+    engine.setFaultPlan(plan);
+    LinearApp paid(2, 64);
+    RunResult b = engine.run(paid, makeMegakernelConfig(paid.pipeline()));
+
+    EXPECT_GT(a.faults.corruptedPushes, 0u);
+    EXPECT_GT(b.faults.corruptedPushes, 0u);
+    EXPECT_GT(b.cycles, a.cycles + 5000.0);
 }
 
 TEST(FaultRuns, SlowdownsCountedAndCostTime)

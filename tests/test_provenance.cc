@@ -236,6 +236,37 @@ TEST(Provenance, RetryExhaustionDeadLettersEverySeed)
     expectProvenanceConserved(r);
 }
 
+TEST(Provenance, FailedItemsStayOpenUntilTheirLastTry)
+{
+    // A fetch-faulted item shares its batch with items that execute
+    // and commit; only those complete at the commit. The failed one
+    // stays open until a later try executes it or its budget runs
+    // out, so every dead letter in the ledger is a traced one. The
+    // long backoff lets each batch commit before its failed items
+    // come back.
+    FaultPlan plan;
+    plan.seed = 4;
+    plan.taskFailProb = 0.3;
+    RecoveryConfig rc;
+    rc.maxRetries = 1;
+    rc.backoffBaseCycles = 20000.0;
+    rc.backoffCapCycles = 20000.0;
+
+    LinearApp app(2, 64);
+    Engine engine(DeviceConfig::k20c());
+    engine.setFaultPlan(plan);
+    engine.setRecovery(rc);
+    engine.setObservability(provConfig());
+    RunResult r = engine.run(app, makeMegakernelConfig(app.pipeline()));
+
+    EXPECT_EQ(r.outcome, RunOutcome::Degraded);
+    EXPECT_GT(r.faults.tasksRetried, 0u);
+    const ProvenanceTracker& pv = *r.obs->provenance;
+    EXPECT_EQ(pv.countByFate(ItemFate::DeadLettered),
+              r.faults.deadLettered);
+    expectProvenanceConserved(r);
+}
+
 TEST(Provenance, DroppedPushesResolveAsDropped)
 {
     FaultPlan plan;
