@@ -153,6 +153,12 @@ GrayImage referenceHistEq(const GrayImage& src);
 /** Reference 2x box-filter downsample (floor dimensions). */
 GrayImage referenceDownsample(const GrayImage& src);
 
+/** (image, pyramid level): the key of a join over one level. */
+struct ImageLevel
+{
+    std::int32_t image, level;
+};
+
 } // namespace vp
 
 #endif // VP_APPS_COMMON_IMAGE_HH

@@ -117,8 +117,7 @@ FdGrayscale::execute(ExecContext& ctx, FdItem& item)
     int y0 = item.a * app_.params_.bandRows;
     int y1 = std::min(src.height(), y0 + app_.params_.bandRows);
     grayscaleRows(src, app_.gray_[item.image], y0, y1);
-    if (--app_.grayRemaining_[item.image] == 0)
-        ctx.enqueue<FdHistEq>(FdItem{item.image, 0, 0, 0});
+    ctx.arrive(app_.grayJoin_, {item.image, 0});
 }
 
 FdHistEq::FdHistEq(FaceDetectApp& app)
@@ -148,16 +147,7 @@ FdHistEq::execute(ExecContext& ctx, FdItem& item)
 {
     app_.levels_[item.image][0] =
         referenceHistEq(app_.gray_[item.image]);
-    int fbands = app_.bandsInLevel(0);
-    app_.featureRemaining_[item.image][0] = fbands;
-    for (int b = 0; b < fbands; ++b)
-        ctx.enqueue<FdFeature>(FdItem{item.image, 0, b, 0});
-    if (app_.levelCount() > 1) {
-        int bands = app_.bandsInLevel(1);
-        app_.levelRemaining_[item.image][1] = bands;
-        for (int b = 0; b < bands; ++b)
-            ctx.enqueue<FdResize>(FdItem{item.image, 1, b, 0});
-    }
+    ctx.arrive(app_.levelJoin_, {item.image, 0});
 }
 
 FdResize::FdResize(FaceDetectApp& app)
@@ -194,22 +184,7 @@ FdResize::execute(ExecContext& ctx, FdItem& item)
     int y0 = item.a * app_.params_.bandRows;
     int y1 = std::min(h, y0 + app_.params_.bandRows);
     downsampleRows(src, dst, y0, y1);
-    if (--app_.levelRemaining_[item.image][item.level] == 0) {
-        int fbands = app_.bandsInLevel(item.level);
-        app_.featureRemaining_[item.image][item.level] = fbands;
-        for (int b = 0; b < fbands; ++b) {
-            ctx.enqueue<FdFeature>(
-                FdItem{item.image, item.level, b, 0});
-        }
-        if (item.level + 1 < app_.levelCount()) {
-            int bands = app_.bandsInLevel(item.level + 1);
-            app_.levelRemaining_[item.image][item.level + 1] = bands;
-            for (int b = 0; b < bands; ++b) {
-                ctx.enqueue<FdResize>(
-                    FdItem{item.image, item.level + 1, b, 0});
-            }
-        }
-    }
+    ctx.arrive(app_.levelJoin_, {item.image, item.level});
 }
 
 FdFeature::FdFeature(FaceDetectApp& app)
@@ -245,19 +220,7 @@ FdFeature::execute(ExecContext& ctx, FdItem& item)
     int y0 = item.a * app_.params_.bandRows;
     int y1 = std::min(src.height(), y0 + app_.params_.bandRows);
     lbpRows(src, dst, y0, y1);
-
-    // Join: once the level's codes are complete, emit one scan item
-    // per search window (paper: the load-balance choice).
-    if (--app_.featureRemaining_[item.image][item.level] > 0)
-        return;
-    const FdParams& p = app_.params_;
-    for (int wy = 0; wy + p.window <= src.height(); wy += p.stride) {
-        for (int wx = 0; wx + p.window <= src.width();
-             wx += p.stride) {
-            ctx.enqueue<FdScan>(
-                FdItem{item.image, item.level, wx, wy});
-        }
-    }
+    ctx.arrive(app_.featureJoin_, {item.image, item.level});
 }
 
 FdScan::FdScan(FaceDetectApp& app)
@@ -328,6 +291,36 @@ FaceDetectApp::FaceDetectApp(FdParams params)
     pipe_.link<FdFeature, FdScan>();
     pipe_.setStructure(PipelineStructure::Recursion);
     pipe_.megakernelExtraRegs = 18; // 69 + 18 = 87 (paper sec 8.3)
+    auto bands = [this](const ImageLevel& k) { return bandsInLevel(k.level); };
+    grayJoin_ = pipe_.addJoin<ImageLevel>(
+        "fd_gray", bands, [](ExecContext& ctx, const ImageLevel& k) {
+            ctx.enqueue<FdHistEq>(FdItem{k.image, 0, 0, 0});
+        });
+    // Level 0 is complete once equalized, a level below it once all
+    // its bands are: then its features and the next level start.
+    levelJoin_ = pipe_.addJoin<ImageLevel>(
+        "fd_level",
+        [this](const ImageLevel& k) {
+            return k.level == 0 ? 1 : bandsInLevel(k.level);
+        },
+        [this](ExecContext& ctx, const ImageLevel& k) {
+            for (int b = 0; b < bandsInLevel(k.level); ++b)
+                ctx.enqueue<FdFeature>(FdItem{k.image, k.level, b, 0});
+            if (k.level + 1 < levelCount())
+                for (int b = 0; b < bandsInLevel(k.level + 1); ++b)
+                    ctx.enqueue<FdResize>(
+                        FdItem{k.image, k.level + 1, b, 0});
+        });
+    // Once a level's codes are complete, one scan item per search
+    // window (paper: the load-balance choice).
+    featureJoin_ = pipe_.addJoin<ImageLevel>(
+        "fd_feature", bands,
+        [this, p](ExecContext& ctx, const ImageLevel& k) {
+            auto [w, h] = levelDims(k.level);
+            for (int wy = 0; wy + p.window <= h; wy += p.stride)
+                for (int wx = 0; wx + p.window <= w; wx += p.stride)
+                    ctx.enqueue<FdScan>(FdItem{k.image, k.level, wx, wy});
+        });
 
     // Fixed integer ring offsets (no trig for determinism) around the
     // window's center, stored relative to its top-left corner.
@@ -420,13 +413,8 @@ FaceDetectApp::reset()
 {
     gray_.assign(params_.images,
                  GrayImage(params_.width, params_.height));
-    grayRemaining_.assign(params_.images, bandsInLevel(0));
     levels_.assign(params_.images,
                    std::vector<GrayImage>(levelCount()));
-    levelRemaining_.assign(params_.images,
-                           std::vector<int>(levelCount() + 1, 0));
-    featureRemaining_.assign(params_.images,
-                             std::vector<int>(levelCount(), 0));
     lbp_.assign(params_.images,
                 std::vector<GrayImage>(levelCount()));
     detections_.clear();

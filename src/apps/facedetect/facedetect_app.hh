@@ -145,6 +145,10 @@ class FaceDetectApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
+    /** An item fixes its task's cost; each level's next steps are
+     *  joins' continuations, keyed by (image, level). */
+    bool keyedItems() const override { return true; }
+
     const FdParams& params() const { return params_; }
 
     /** Detections of the last run (unsorted). */
@@ -190,11 +194,11 @@ class FaceDetectApp : public AppDriver
 
     std::vector<RgbImage> inputs_;
     std::vector<GrayImage> gray_;
-    std::vector<int> grayRemaining_;
     std::vector<std::vector<GrayImage>> levels_;
-    std::vector<std::vector<int>> levelRemaining_;
-    /** Per-image, per-level remaining feature bands (join). */
-    std::vector<std::vector<int>> featureRemaining_;
+    /** Joins over a level: gray bands before HistEq, producers before
+     *  the level's features and the next level, features before the
+     *  level's scan windows. */
+    Join<ImageLevel> grayJoin_, levelJoin_, featureJoin_;
     /** LBP code images per (image, level). */
     std::vector<std::vector<GrayImage>> lbp_;
 

@@ -52,9 +52,7 @@ GrayscaleStage::execute(ExecContext& ctx, PyrItem& item)
     int y0 = item.band * app_.params_.bandRows;
     int y1 = std::min(src.height(), y0 + app_.params_.bandRows);
     grayscaleRows(src, app_.gray_[item.image], y0, y1);
-    // Join: the last band of an image hands it to equalization.
-    if (--app_.grayRemaining_[item.image] == 0)
-        ctx.enqueue<HistEqStage>(PyrItem{item.image, 0, 0});
+    ctx.arrive(app_.grayJoin_, {item.image, 0});
 }
 
 HistEqStage::HistEqStage(PyramidApp& app)
@@ -85,13 +83,7 @@ HistEqStage::execute(ExecContext& ctx, PyrItem& item)
 {
     GrayImage eq = referenceHistEq(app_.gray_[item.image]);
     app_.levels_[item.image][0] = std::move(eq);
-    // Kick off the first down-sampled level, band by band.
-    if (app_.levelCount() > 1) {
-        int bands = app_.bandsInLevel(1);
-        app_.levelRemaining_[item.image][1] = bands;
-        for (int b = 0; b < bands; ++b)
-            ctx.enqueue<ResizeStage>(PyrItem{item.image, 1, b});
-    }
+    ctx.arrive(app_.levelJoin_, {item.image, 0});
 }
 
 ResizeStage::ResizeStage(PyramidApp& app)
@@ -128,16 +120,7 @@ ResizeStage::execute(ExecContext& ctx, PyrItem& item)
     int y0 = item.band * app_.params_.bandRows;
     int y1 = std::min(h, y0 + app_.params_.bandRows);
     downsampleRows(src, dst, y0, y1);
-    // Join: the last band of a level spawns the next level.
-    if (--app_.levelRemaining_[item.image][item.level] == 0
-        && item.level + 1 < app_.levelCount()) {
-        int bands = app_.bandsInLevel(item.level + 1);
-        app_.levelRemaining_[item.image][item.level + 1] = bands;
-        for (int b = 0; b < bands; ++b) {
-            ctx.enqueue<ResizeStage>(
-                PyrItem{item.image, item.level + 1, b});
-        }
-    }
+    ctx.arrive(app_.levelJoin_, {item.image, item.level});
 }
 
 // ------------------------------ driver -------------------------- //
@@ -158,6 +141,24 @@ PyramidApp::PyramidApp(PyrParams params)
     pipe_.link<HistEqStage, ResizeStage>();
     pipe_.link<ResizeStage, ResizeStage>(); // recursion
     pipe_.setStructure(PipelineStructure::Recursion);
+    grayJoin_ = pipe_.addJoin<ImageLevel>(
+        "gray", [this](const ImageLevel&) { return bandsInLevel(0); },
+        [](ExecContext& ctx, const ImageLevel& k) {
+            ctx.enqueue<HistEqStage>(PyrItem{k.image, 0, 0});
+        });
+    // Level 0 is complete once equalized, a level below it once all
+    // its bands are; then the next level starts, band by band.
+    levelJoin_ = pipe_.addJoin<ImageLevel>(
+        "level",
+        [this](const ImageLevel& k) {
+            return k.level == 0 ? 1 : bandsInLevel(k.level);
+        },
+        [this](ExecContext& ctx, const ImageLevel& k) {
+            if (k.level + 1 < levelCount())
+                for (int b = 0; b < bandsInLevel(k.level + 1); ++b)
+                    ctx.enqueue<ResizeStage>(
+                        PyrItem{k.image, k.level + 1, b});
+        });
 
     for (int i = 0; i < params_.images; ++i) {
         inputs_.push_back(makeTestImage(params_.width, params_.height,
@@ -216,11 +217,8 @@ PyramidApp::reset()
 {
     gray_.assign(params_.images,
                  GrayImage(params_.width, params_.height));
-    grayRemaining_.assign(params_.images, bandsInLevel(0));
     levels_.assign(params_.images,
                    std::vector<GrayImage>(levelCount()));
-    levelRemaining_.assign(params_.images,
-                           std::vector<int>(levelCount() + 1, 0));
 }
 
 void

@@ -98,6 +98,10 @@ class PyramidApp : public AppDriver
     double inputBytes() const override { return 0.0; }
     bool verify() override;
 
+    /** (image, level, band) fixes a band's cost; the next level is a
+     *  join's continuation, keyed by (image, level). */
+    bool keyedItems() const override { return true; }
+
     const PyrParams& params() const { return params_; }
 
     /** Pyramid levels per image (level 0 = equalized full size). */
@@ -126,12 +130,11 @@ class PyramidApp : public AppDriver
 
     std::vector<RgbImage> inputs_;
     std::vector<GrayImage> gray_;
-    /** Per-image remaining grayscale bands (join before HistEq). */
-    std::vector<int> grayRemaining_;
     /** levels_[image][level]; level 0 is the equalized image. */
     std::vector<std::vector<GrayImage>> levels_;
-    /** Per-image, per-level remaining resize bands (join). */
-    std::vector<std::vector<int>> levelRemaining_;
+    /** An image's gray bands join before HistEq; a level's
+     *  producers join before the next level. */
+    Join<ImageLevel> grayJoin_, levelJoin_;
 
     /** Reference results computed once for verification. */
     std::vector<std::vector<std::uint64_t>> refChecksums_;

@@ -258,6 +258,7 @@ Engine::runShardedTimed(AppDriver& driver,
     // (producers commit outputs with add() before sub()bing their
     // inputs, so the counter never dips to zero while work exists).
     PendingCounter pending;
+    JoinCounters joins;
 
     // Contexts must outlive the runners that point at them; the
     // callback members are filled in after the runners exist.
@@ -270,6 +271,7 @@ Engine::runShardedTimed(AppDriver& driver,
         sc.smTrackBase = group.smTrackBase(i);
         sc.plan = &plan;
         sc.sharedPending = &pending;
+        sc.sharedJoins = &joins;
 
         FaultContext fc;
         fc.shard = &sc;

@@ -44,6 +44,14 @@ Pipeline::stage(int i) const
     return *stages_[i];
 }
 
+const JoinBase&
+Pipeline::join(int i) const
+{
+    VP_REQUIRE(i >= 0 && i < static_cast<int>(joins_.size()),
+               "join index " << i << " out of range");
+    return *joins_[static_cast<std::size_t>(i)];
+}
+
 int
 Pipeline::indexOfType(std::type_index ti) const
 {

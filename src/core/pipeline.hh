@@ -99,6 +99,37 @@ class Pipeline
         return static_cast<S&>(stage(indexOf<S>()));
     }
 
+    /**
+     * Register a keyed join named @p name (core/join.hh): the join of
+     * a key waits for @p expected(key) arrivals, and @p then runs
+     * inside the last arrival's task. Joins carry no state; a run
+     * counts the arrivals. @return the handle ExecContext::arrive
+     * takes.
+     */
+    template <typename K>
+    Join<K>
+    addJoin(std::string name, typename KeyedJoin<K>::Expected expected,
+            typename KeyedJoin<K>::Then then)
+    {
+        joins_.push_back(std::make_unique<KeyedJoin<K>>(
+            std::move(name), std::move(expected), std::move(then)));
+        return Join<K>{static_cast<int>(joins_.size()) - 1};
+    }
+
+    /** Join by index. */
+    const JoinBase& join(int i) const;
+
+    /** The join behind handle @p j. */
+    template <typename K>
+    const KeyedJoin<K>&
+    joinAs(Join<K> j) const
+    {
+        const JoinBase& b = join(j.index);
+        VP_ASSERT(b.keyType() == std::type_index(typeid(K)),
+                  "join `" << b.name << "` has another key type");
+        return static_cast<const KeyedJoin<K>&>(b);
+    }
+
     /** Declared edges as (from, to) pairs. */
     const std::vector<std::pair<int, int>>& edges() const
     {
@@ -150,6 +181,7 @@ class Pipeline
     void refreshMasks() const;
 
     std::vector<std::unique_ptr<StageBase>> stages_;
+    std::vector<std::unique_ptr<JoinBase>> joins_;
     std::unordered_map<std::type_index, int> byType_;
     std::vector<std::pair<int, int>> edges_;
     std::optional<PipelineStructure> explicit_;

@@ -32,6 +32,17 @@ RecoveryConfig::validate() const
              "recovery: backoffFactor must be finite and >= 1");
     VP_CHECK(backoffCapCycles >= backoffBaseCycles, ErrorCode::Config,
              "recovery: backoffCapCycles must be >= backoffBaseCycles");
+    // The largest backoff, backoffFor(maxRetries), without looping
+    // maxRetries times: the cap bounds it, and so does a factor of 1.
+    Tick growth = std::pow(backoffFactor,
+                           std::max(maxRetries, std::uint32_t(1)) - 1.0);
+    Tick largest = backoffBaseCycles > 0.0
+        ? std::min(backoffCapCycles, backoffBaseCycles * growth)
+        : 0.0;
+    VP_CHECK(std::isfinite(largest), ErrorCode::Config,
+             "recovery: the backoff of retry " << maxRetries
+             << " overflows (backoffFactor " << backoffFactor
+             << " and no finite backoffCapCycles)");
     VP_CHECK(watchdogIntervalCycles >= 0.0, ErrorCode::Config,
              "recovery: watchdogIntervalCycles must be >= 0");
     VP_CHECK(watchdogStallChecks >= 1, ErrorCode::Config,

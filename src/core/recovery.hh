@@ -60,8 +60,10 @@ struct RecoveryConfig
 
     /**
      * Raise FatalError(Config) on out-of-range fields. The backoff
-     * base and factor must be finite; the watchdog interval and the
-     * drain timeout may be +inf (never).
+     * base and factor must be finite, and so must the largest
+     * backoff, backoffFor(maxRetries), which an infinite cap leaves
+     * to the factor; the watchdog interval and the drain timeout may
+     * be +inf (never).
      */
     void validate() const;
 };

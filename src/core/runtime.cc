@@ -28,6 +28,8 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
         trackBase_ = shard_->smTrackBase;
         if (shard_->sharedPending)
             pendingPtr_ = shard_->sharedPending;
+        if (shard_->sharedJoins)
+            joinsPtr_ = shard_->sharedJoins;
     }
 
     obs_ = fc.obs;
@@ -100,6 +102,8 @@ RunnerBase::makeQueues(QueueSet& qs)
         }
         if (injector_ && injector_->plan().anyTaskFaults())
             qs.back()->enableRetryMeta();
+        if (graphReplay_)
+            qs.back()->enableTags();
         if (prov_)
             qs.back()->setProvenance(prov_, &sim_, s,
                                      shard_ ? shard_->deviceIndex : 0);
@@ -141,7 +145,9 @@ RunnerBase::serveSeeder()
 {
     // Same wiring as seedFlow's one-shot seeder, but returned to the
     // engine so the serving session can inject items at every epoch
-    // boundary of a run.
+    // boundary of a run. Requests may re-seed a flow, so its joins'
+    // keys repeat.
+    joinsPtr_->dropLateArrivals();
     Seeder seeder;
     seeder.pipe_ = &pipe_;
     seeder.queues_ = &queues_;
@@ -334,7 +340,7 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
     VP_ASSERT(cap > 0, "zero batch capacity");
 
     ExecContext ectx(pipe_, inlineMask, ctx.smId(),
-                     std::max(1, st.threadNum));
+                     std::max(1, st.threadNum), joinsPtr_);
     if (graphCapture_ || graphReplay_)
         ectx.setTaskGraph(s, graphCapture_, graphReplay_);
     int avail = static_cast<int>(std::min<std::size_t>(q.size(), cap));
@@ -552,7 +558,7 @@ RunnerBase::tryCommit(BatchCommit& c)
             if (cid)
                 (*c.qs)[o.stage]->stampNextPushId(cid);
         }
-        o.push(*(*c.qs)[o.stage]);
+        o.commit(*(*c.qs)[o.stage]);
     }
     inFlight_[c.stage] -= c.items;
     pendingPtr_->sub(c.items);

@@ -57,6 +57,8 @@ struct ShardContext
     const ShardPlan* plan = nullptr;
     /** Group-wide outstanding-work counter; owned by the caller. */
     PendingCounter* sharedPending = nullptr;
+    /** Group-wide join counters; owned by the caller. */
+    JoinCounters* sharedJoins = nullptr;
     /**
      * True when another device (or an in-flight transfer) may still
      * generate work for any stage in the mask. Consulted by block
@@ -450,6 +452,10 @@ class RunnerBase
     PendingCounter pending_;
     /** Effective counter: &pending_, or the group's when sharded. */
     PendingCounter* pendingPtr_ = &pending_;
+    /** The run's join arrivals (core/join.hh). */
+    JoinCounters joins_;
+    /** Effective counters: &joins_, or the group's when sharded. */
+    JoinCounters* joinsPtr_ = &joins_;
     /** Multi-device wiring; null on single-device runs. */
     const ShardContext* shard_ = nullptr;
     /** Global trace-track offset of this device's SMs/stages. */

@@ -10,6 +10,20 @@
  * a stage additionally declares its hardware footprint (resources)
  * and a cost() function giving per-item instruction counts that drive
  * the timing model; execute() performs the real computation.
+ *
+ * Siblings that must all finish before a continuation runs arrive at
+ * a keyed join (core/join.hh) instead of counting down app state:
+ *
+ *     // Driver constructor: image i's bands join before histEq.
+ *     grayJoin_ = pipe_.addJoin<std::int32_t>(
+ *         "gray", [this](std::int32_t) { return bands_; },
+ *         [](ExecContext& ctx, std::int32_t image) {
+ *             ctx.enqueue<HistEqStage>(Item{image, 0});
+ *         });
+ *     // GrayStage::execute, after converting its band:
+ *     ctx.arrive(app_.grayJoin_, item.image);
+ *
+ * The last arrival's task runs the continuation at its arrive().
  */
 
 #ifndef VP_CORE_STAGE_HH
@@ -191,6 +205,21 @@ struct StagedOutput
      *  from it at commit time, so aborted batches leave no orphan
      *  lineage records. */
     std::uint64_t provParent = 0;
+    /** A replayed child: pushed by its record, which rides with the
+     *  item as its queue tag (`push` is empty then). */
+    const TaskGraph::Effect* recorded = nullptr;
+
+    /** Push the output into @p q. */
+    void
+    commit(QueueBase& q)
+    {
+        if (!recorded) {
+            push(q);
+            return;
+        }
+        q.stampNextPushTag(recorded->task);
+        recorded->push(q);
+    }
 };
 
 /**
@@ -215,12 +244,16 @@ class ExecContext
      *        is being executed; inlined stages with wider tasks have
      *        their per-thread costs scaled up, since the same entry
      *        threads must do their work (RTC semantics).
+     * @param joins the run's join counters (null outside a run)
      */
     ExecContext(Pipeline& pipe, StageMask inlineMask, int smId,
-                int entryThreads = 1)
+                int entryThreads = 1, JoinCounters* joins = nullptr)
         : pipe_(pipe), inlineMask_(inlineMask), smId_(smId),
-          entryThreads_(std::max(1, entryThreads))
+          entryThreads_(std::max(1, entryThreads)), joins_(joins)
     {}
+
+    ExecContext(const ExecContext&) = delete;
+    ExecContext& operator=(const ExecContext&) = delete;
 
     /** SM the executing block resides on. */
     int smId() const { return smId_; }
@@ -242,6 +275,16 @@ class ExecContext
      */
     template <typename S>
     void enqueue(typename S::DataItemType item);
+
+    /**
+     * Arrive at @p join with @p key (core/join.hh). On the key's last
+     * expected arrival the join's continuation runs here, inside this
+     * task, so its children enqueue (or inline) at this point. Fatal
+     * (ErrorCode::Config) on an arrival past the expected count.
+     * Defined in stage_impl.hh.
+     */
+    template <typename K>
+    void arrive(Join<K> join, const K& key);
 
     /** Outputs buffered so far (consumed by the runtime). */
     std::vector<StagedOutput>& outputs() { return outputs_; }
@@ -295,7 +338,7 @@ class ExecContext
 
     /**
      * This batch runs stage @p stage. With @p capture, record each
-     * task's cost and children into it (the batch must inline
+     * task's cost and effects into it (the batch must inline
      * nothing); with @p replay, take them from that sealed graph
      * instead of running the payload. Both null: the payload only.
      */
@@ -305,13 +348,17 @@ class ExecContext
     bool capturing() const { return capture_ != nullptr; }
     bool replaying() const { return replay_ != nullptr; }
 
-    /** Record the task just executed, item @p key, with the children
-     *  it enqueued. */
+    /** Record the task just executed, item @p key, with its
+     *  effects. */
     void captureTask(std::string key);
 
-    /** Begin the recorded task of item @p key: its cost, its inline
-     *  chain and its staged outputs. */
-    void replayTask(const std::string& key);
+    /** The recorded task of item @p key (a popped item that carries
+     *  no record: a seed, or a delivery from another device). */
+    const TaskGraph::Task& recordOf(const std::string& key) const;
+
+    /** Begin recorded task @p t: its cost, its inline chain, its
+     *  arrivals and its staged outputs. */
+    void replayTask(const TaskGraph::Task& t);
 
     /** @} */
 
@@ -332,12 +379,23 @@ class ExecContext
         return c;
     }
 
-    void replayChildren(const TaskGraph::Task& t);
+    /** Count one arrival at @p key of @p join, which expects
+     *  @p expected; true on the last (out of line, in
+     *  task_graph.cc). */
+    bool arrived(const JoinKey& key, int expected,
+                 const JoinBase& join);
+
+    /** Fatal (ErrorCode::Config) unless @p n arrivals fit in
+     *  @p expected or the run drops late ones; true on the last. */
+    bool countArrival(int n, int expected, const JoinBase& join) const;
+
+    void replayEffects(const std::vector<TaskGraph::Effect>& effects);
 
     Pipeline& pipe_;
     StageMask inlineMask_;
     int smId_;
     int entryThreads_ = 1;
+    JoinCounters* joins_ = nullptr;
     std::uint64_t provParent_ = 0;
     int inlineDepth_ = 0;
     TaskCost taskCost_;
@@ -347,9 +405,10 @@ class ExecContext
     int stage_ = -1;
     TaskGraph* capture_ = nullptr;
     const TaskGraph* replay_ = nullptr;
-    /** Keys of the children the current task enqueued, under
-     *  capture. */
-    std::vector<std::string> capturedKeys_;
+    /** Under capture: the current task's effects, and where effects
+     *  go now (the task's, or a continuation's join slot). */
+    std::vector<TaskGraph::Effect> taskEffects_;
+    std::vector<TaskGraph::Effect>* effects_ = &taskEffects_;
 
     static constexpr int kMaxInlineDepth = 64;
 };

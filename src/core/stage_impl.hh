@@ -32,14 +32,37 @@ ExecContext::enqueue(typename S::DataItemType item)
         --inlineDepth_;
         return;
     }
-    if (capture_)
-        capturedKeys_.push_back(itemKey(item));
+    if (capture_) {
+        // Replay pushes the child from its record, on many runs and
+        // threads at once: that push copies the item.
+        TaskGraph::Effect e;
+        e.stage = idx;
+        e.key = itemKey(item);
+        e.push = [item](QueueBase& q) { typedQueue<T>(q).push(item); };
+        effects_->push_back(std::move(e));
+    }
     outputs_.push_back(StagedOutput{
         idx,
         [item = std::move(item)](QueueBase& q) mutable {
             typedQueue<T>(q).push(std::move(item));
         },
         provParent_});
+}
+
+template <typename K>
+void
+ExecContext::arrive(Join<K> join, const K& key)
+{
+    const KeyedJoin<K>& j = pipe_.joinAs(join);
+    if (!arrived(joinKey(join.index, key), j.expected(key), j))
+        return;
+    // Under capture, the continuation's effects are its join slot's,
+    // recorded once; the arrival recorded last names the slot.
+    std::vector<TaskGraph::Effect>* outer = effects_;
+    if (capture_)
+        effects_ = &capture_->slot(outer->back().slot).then.effects;
+    j.then(*this, key);
+    effects_ = outer;
 }
 
 template <typename T>
@@ -55,6 +78,9 @@ Stage<T>::runBatch(ExecContext& ctx, QueueBase& q, int maxItems,
     // of runs that inject fetch faults.
     const std::vector<std::uint64_t>& ids = tq.poppedIds();
     const std::vector<std::uint32_t>& tries = tq.poppedTries();
+    // Under replay, each item pushed by a replayed task carries its
+    // record as its tag.
+    const std::vector<const void*>& tags = tq.poppedTags();
     bool tracked = tq.provenanceEnabled();
     auto idOf = [&](std::size_t i) -> std::uint64_t {
         return tracked && i < ids.size() ? ids[i] : 0;
@@ -119,7 +145,10 @@ Stage<T>::runBatch(ExecContext& ctx, QueueBase& q, int maxItems,
         if (tracked)
             ctx.setProvParent(idOf(i));
         if (ctx.replaying()) {
-            ctx.replayTask(itemKey(item));
+            const void* tag = i < tags.size() ? tags[i] : nullptr;
+            ctx.replayTask(
+                tag ? *static_cast<const TaskGraph::Task*>(tag)
+                    : ctx.recordOf(itemKey(item)));
         } else if (ctx.capturing()) {
             // The key is the item as popped: execute() may change it.
             std::string key = itemKey(item);

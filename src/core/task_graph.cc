@@ -18,7 +18,7 @@ TaskGraph::TaskGraph(int stages)
 
 void
 TaskGraph::add(int stage, std::string key, const TaskCost& cost,
-               std::vector<Child> children)
+               std::vector<Effect> effects)
 {
     VP_ASSERT(!sealed_, "task graph is sealed");
     auto [it, fresh] = byStage_.at(static_cast<std::size_t>(stage))
@@ -28,7 +28,29 @@ TaskGraph::add(int stage, std::string key, const TaskCost& cost,
              << " executed the same item twice, so its items do not "
                 "identify its tasks (AppDriver::keyedItems)");
     it->second.cost = cost;
-    it->second.children = std::move(children);
+    it->second.effects = std::move(effects);
+}
+
+int
+TaskGraph::slotFor(const JoinKey& key, int expected)
+{
+    VP_ASSERT(!sealed_, "task graph is sealed");
+    auto [it, fresh] = slotOf_.try_emplace(
+        key, static_cast<int>(slots_.size()));
+    if (fresh) {
+        slots_.emplace_back();
+        slots_.back().join = key.join;
+        slots_.back().expected = expected;
+    }
+    return it->second;
+}
+
+void
+TaskGraph::link(Task& t)
+{
+    for (Effect& e : t.effects)
+        if (e.stage >= 0)
+            e.task = &find(e.stage, e.key);
 }
 
 void
@@ -36,8 +58,9 @@ TaskGraph::seal()
 {
     for (auto& tasks : byStage_)
         for (auto& [key, task] : tasks)
-            for (Child& c : task.children)
-                c.task = &find(c.stage, c.key);
+            link(task);
+    for (Slot& s : slots_)
+        link(s.then);
     sealed_ = true;
 }
 
@@ -79,47 +102,80 @@ ExecContext::setTaskGraph(int stage, TaskGraph* capture,
 void
 ExecContext::captureTask(std::string key)
 {
-    // Nothing is inlined under capture: the task's cost is its own,
-    // and each child it enqueued is one of the last outputs.
-    std::size_t first = outputs_.size() - capturedKeys_.size();
-    std::vector<TaskGraph::Child> children;
-    for (std::size_t k = 0; k < capturedKeys_.size(); ++k) {
-        const StagedOutput& o = outputs_[first + k];
-        children.push_back(TaskGraph::Child{
-            o.stage, std::move(capturedKeys_[k]), o.push, nullptr});
-    }
-    capturedKeys_.clear();
     capture_->add(stage_, std::move(key), taskCost_,
-                  std::move(children));
+                  std::move(taskEffects_));
+    taskEffects_.clear();
 }
 
-void
-ExecContext::replayTask(const std::string& key)
+const TaskGraph::Task&
+ExecContext::recordOf(const std::string& key) const
 {
-    const TaskGraph::Task& t = replay_->find(stage_, key);
-    beginTask(t.cost);
-    replayChildren(t);
+    return replay_->find(stage_, key);
 }
 
 void
-ExecContext::replayChildren(const TaskGraph::Task& t)
+ExecContext::replayTask(const TaskGraph::Task& t)
+{
+    beginTask(t.cost);
+    replayEffects(t.effects);
+}
+
+bool
+ExecContext::countArrival(int n, int expected,
+                          const JoinBase& join) const
+{
+    VP_CHECK(n <= expected || joins_->dropsLateArrivals(),
+             ErrorCode::Config,
+             "join `" << join.name << "`: arrival " << n << " of "
+             << expected << " expected");
+    return n == expected;
+}
+
+bool
+ExecContext::arrived(const JoinKey& key, int expected,
+                     const JoinBase& join)
+{
+    VP_ASSERT(joins_, "arrive() outside a run");
+    VP_CHECK(expected >= 1, ErrorCode::Config,
+             "join `" << join.name << "` expects " << expected
+             << " arrivals");
+    bool last = countArrival(joins_->arrive(key), expected, join);
+    if (capture_) {
+        TaskGraph::Effect e;
+        e.slot = capture_->slotFor(key, expected);
+        effects_->push_back(std::move(e));
+    }
+    return last;
+}
+
+void
+ExecContext::replayEffects(const std::vector<TaskGraph::Effect>& effects)
 {
     // The pre-order of enqueue(): an inlined child's cost is added
-    // before its own children are visited, so the floating-point
+    // before its own effects are visited, and a completed join's
+    // continuation runs at its last arrival, so the floating-point
     // sums match the payload run bit for bit.
-    for (const TaskGraph::Child& c : t.children) {
-        if (!(inlineMask_ & (StageMask(1) << c.stage))) {
-            outputs_.push_back(StagedOutput{c.stage, c.push,
-                                            provParent_});
+    for (const TaskGraph::Effect& e : effects) {
+        if (e.stage < 0) {
+            const TaskGraph::Slot& s = replay_->slot(e.slot);
+            if (countArrival(joins_->arriveSlot(
+                                 static_cast<std::size_t>(e.slot)),
+                             s.expected, pipe_.join(s.join)))
+                replayEffects(s.then.effects);
+            continue;
+        }
+        if (!(inlineMask_ & (StageMask(1) << e.stage))) {
+            outputs_.push_back(
+                StagedOutput{e.stage, {}, provParent_, &e});
             continue;
         }
         VP_ASSERT(inlineDepth_ < kMaxInlineDepth,
                   "inline chain too deep (cycle in RTC group?)");
         ++inlineDepth_;
         addInlineCost(
-            inlinedCost(c.task->cost, pipe_.stage(c.stage).threadNum));
-        noteInlineRun(c.stage);
-        replayChildren(*c.task);
+            inlinedCost(e.task->cost, pipe_.stage(e.stage).threadNum));
+        noteInlineRun(e.stage);
+        replayEffects(e.task->effects);
         --inlineDepth_;
     }
 }

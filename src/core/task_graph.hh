@@ -5,24 +5,28 @@
  * payload-free candidates; docs/MODEL.md, "Tuner replay").
  *
  * The timing model reads two things from a task's payload: its own
- * TaskCost and the children it enqueues. When an item's bytes
- * identify it — the same (stage, item) always costs the same and
- * enqueues the same children, whatever the schedule
- * (AppDriver::keyedItems) — one capture fixes both for every item,
- * and a run that replays the capture reproduces the real run's
- * cycles and events exactly.
+ * TaskCost and its effects, the children it enqueues and the joins
+ * it arrives at (core/join.hh). When an item's bytes identify it —
+ * the same (stage, item) always costs the same and has the same
+ * effects, whatever the schedule (AppDriver::keyedItems) — one
+ * capture fixes them for every item, and a run that replays the
+ * capture reproduces the real run's cycles and events exactly. A
+ * join's continuation is recorded once per (join, key); replay
+ * counts the arrivals per run and emits it on the last one.
  */
 
 #ifndef VP_CORE_TASK_GRAPH_HH
 #define VP_CORE_TASK_GRAPH_HH
 
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "core/join.hh"
 #include "gpu/resources.hh"
 
 namespace vp {
@@ -58,10 +62,14 @@ class TaskGraph
   public:
     struct Task;
 
-    /** One child a recorded task enqueued. */
-    struct Child
+    /** One effect of a recorded task or continuation, in program
+     *  order: a child it enqueued, or an arrival at a join. */
+    struct Effect
     {
-        int stage = 0;
+        /** The child's stage; -1 for an arrival. */
+        int stage = -1;
+        /** An arrival's join slot. */
+        int slot = -1;
         /** The child item's key in `stage`. */
         std::string key;
         /** Pushes the child item into a queue of `stage`. */
@@ -75,8 +83,20 @@ class TaskGraph
     {
         /** The task's own cost, without inlined children. */
         TaskCost cost;
-        /** Direct children, in enqueue order. */
-        std::vector<Child> children;
+        /** Its effects, in program order. */
+        std::vector<Effect> effects;
+    };
+
+    /** One (join, key) the capture saw arrivals at. */
+    struct Slot
+    {
+        /** The join's index in its pipeline. */
+        int join = 0;
+        /** Arrivals that complete it. */
+        int expected = 0;
+        /** The continuation's effects, recorded by the last arrival
+         *  (as a Task whose cost stays zero). */
+        Task then;
     };
 
     /** An empty graph over @p stages stages. */
@@ -88,7 +108,19 @@ class TaskGraph
      * app's items do not identify its tasks.
      */
     void add(int stage, std::string key, const TaskCost& cost,
-             std::vector<Child> children);
+             std::vector<Effect> effects);
+
+    /** The slot of join instance @p key, created on its first
+     *  arrival with @p expected arrivals (capture). */
+    int slotFor(const JoinKey& key, int expected);
+
+    /** Slot @p s; references stay valid while slots are added. */
+    Slot& slot(int s) { return slots_[static_cast<std::size_t>(s)]; }
+    const Slot&
+    slot(int s) const
+    {
+        return slots_[static_cast<std::size_t>(s)];
+    }
 
     /**
      * Link every child to its own record. Fatal (ErrorCode::Config)
@@ -114,7 +146,11 @@ class TaskGraph
     std::size_t size() const;
 
   private:
+    void link(Task& t);
+
     std::vector<std::unordered_map<std::string, Task>> byStage_;
+    std::unordered_map<JoinKey, int, JoinKeyHash> slotOf_;
+    std::deque<Slot> slots_;
     bool sealed_ = false;
 };
 

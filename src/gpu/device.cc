@@ -97,6 +97,7 @@ Device::doLaunch(Stream* stream, std::shared_ptr<Kernel> kernel)
 {
     kernel->id_ = nextKernelId_++;
     kernelStream_.push_back(stream);
+    live_.emplace_back();
     VP_ASSERT(static_cast<int>(kernelStream_.size()) == nextKernelId_,
               "kernel id bookkeeping out of sync");
     ++stats_.kernelLaunches;
@@ -111,7 +112,19 @@ Device::streamAdvance(Stream* stream)
         return;
     stream->running_ = stream->pending_.front();
     stream->pending_.pop_front();
-    active_.push_back(stream->running_);
+    live_[static_cast<std::size_t>(stream->running_->id())] =
+        stream->running_;
+    Kernel* k = stream->running_.get();
+    std::array<int, 3> fp{k->threadsPerBlock(),
+                          k->resources().regsPerThread
+                              * k->threadsPerBlock(),
+                          k->resources().smemPerBlock};
+    auto group = std::find_if(
+        placing_.begin(), placing_.end(),
+        [&](const Placing& p) { return p.footprint == fp; });
+    if (group == placing_.end())
+        group = placing_.insert(placing_.end(), Placing{fp, {}});
+    group->kernels.emplace_back(nextStart_++, k);
     VP_DEBUG("device: kernel `" << stream->running_->name()
              << "` starts on stream " << stream->id());
     if (tracer_)
@@ -143,39 +156,65 @@ Device::tryDispatch()
         progress = false;
         for (int i = 0; i < numSms(); ++i) {
             int sm_idx = (rrSm_ + i) % numSms();
-            for (auto& k : active_) {
-                if (k->blocksDispatched_ >= k->gridBlocks_)
-                    continue;
-                if (!k->allowedOn(sm_idx))
-                    continue;
-                Sm& target = *sms_[sm_idx];
-                if (!target.canFit(k->resources(), k->threadsPerBlock()))
-                    continue;
-                // Place one block of kernel k on this SM.
-                target.occupy(k->resources(), k->threadsPerBlock(),
-                              k->id());
-                traceResidency(sm_idx);
-                int idx = k->blocksDispatched_++;
-                ++stats_.blocksDispatched;
-                stats_.peakResidentBlocks =
-                    std::max(stats_.peakResidentBlocks,
-                             residentBlocks());
-                auto ctx = std::make_unique<BlockContext>(
-                    *this, *k, sm_idx, idx);
-                BlockContext* raw = ctx.get();
-                blocks_.push_back(std::move(ctx));
-                Kernel* kp = k.get();
-                // The start event is remembered on the context so an
-                // SM failure can cancel a block that never began.
-                raw->pendingEvent_ =
-                    sim_.after(cfg_.blockStartCycles, [kp, raw] {
-                        kp->logic_(*raw);
+            Sm& target = *sms_[sm_idx];
+            // The first started kernel that may run here and fits: all
+            // kernels of a footprint fit or none does, so each
+            // footprint's first kernel allowed here is its candidate.
+            const std::pair<std::uint64_t, Kernel*>* best = nullptr;
+            for (const Placing& p : placing_) {
+                auto it = std::find_if(
+                    p.kernels.begin(), p.kernels.end(),
+                    [&](const auto& e) {
+                        return e.second->allowedOn(sm_idx);
                     });
-                progress = true;
-                break;
+                if (it == p.kernels.end()
+                    || (best && best->first < it->first))
+                    continue;
+                if (target.canFit(it->second->resources(),
+                                  it->second->threadsPerBlock()))
+                    best = &*it;
             }
+            if (!best)
+                continue;
+            Kernel* k = best->second;
+            // Place one block of kernel k on this SM.
+            target.occupy(k->resources(), k->threadsPerBlock(),
+                          k->id());
+            traceResidency(sm_idx);
+            int idx = k->blocksDispatched_++;
+            ++stats_.blocksDispatched;
+            stats_.peakResidentBlocks =
+                std::max(stats_.peakResidentBlocks, residentBlocks());
+            auto ctx =
+                std::make_unique<BlockContext>(*this, *k, sm_idx, idx);
+            BlockContext* raw = ctx.get();
+            blocks_.push_back(std::move(ctx));
+            // The start event is remembered on the context so an SM
+            // failure can cancel a block that never began.
+            raw->pendingEvent_ = sim_.after(
+                cfg_.blockStartCycles, [k, raw] { k->logic_(*raw); });
+            if (k->blocksDispatched_ == k->gridBlocks_)
+                placed(k);
+            progress = true;
         }
         rrSm_ = (rrSm_ + 1) % numSms();
+    }
+}
+
+void
+Device::placed(Kernel* k)
+{
+    // An emptied footprint keeps its group (and its storage): the
+    // next kernel of that footprint reuses it.
+    for (Placing& p : placing_) {
+        auto it = std::find_if(p.kernels.begin(), p.kernels.end(),
+                               [&](const auto& e) {
+                                   return e.second == k;
+                               });
+        if (it != p.kernels.end()) {
+            p.kernels.erase(it);
+            return;
+        }
     }
 }
 
@@ -187,17 +226,10 @@ Device::blockExited(BlockContext& ctx)
                               k.id());
     traceResidency(ctx.smId());
     ++k.blocksExited_;
-    if (k.completed()) {
-        // Find the shared_ptr owner in active_.
-        auto it = std::find_if(active_.begin(), active_.end(),
-                               [&](const std::shared_ptr<Kernel>& p) {
-                                   return p.get() == &k;
-                               });
-        VP_ASSERT(it != active_.end(), "completed kernel not active");
-        kernelCompleted(*it);
-    } else {
+    if (k.completed())
+        kernelCompleted(live_[static_cast<std::size_t>(k.id())]);
+    else
         scheduleDispatch();
-    }
 }
 
 void
@@ -211,8 +243,7 @@ Device::kernelCompleted(const std::shared_ptr<Kernel>& kernel)
                          streamTrackBase_
                          + kernelStream_[k->id()]->id()),
                      sim_.now(), tracer_->intern(k->name()));
-    active_.erase(std::remove(active_.begin(), active_.end(), k),
-                  active_.end());
+    live_[static_cast<std::size_t>(k->id())].reset();
 
     // Free this kernel's block contexts once the stack unwinds.
     sim_.after(0.0, [this, k] {
@@ -277,16 +308,8 @@ Device::failSm(int smId)
         traceResidency(smId);
         ++k.blocksExited_;
         ++stats_.blocksEvicted;
-        if (k.completed()) {
-            auto it = std::find_if(
-                active_.begin(), active_.end(),
-                [&](const std::shared_ptr<Kernel>& p) {
-                    return p.get() == &k;
-                });
-            VP_ASSERT(it != active_.end(),
-                      "evicted kernel not active");
-            kernelCompleted(*it);
-        }
+        if (k.completed())
+            kernelCompleted(live_[static_cast<std::size_t>(k.id())]);
     }
 
     retireStrandedKernels();
@@ -335,16 +358,8 @@ Device::failDevice()
         traceResidency(smId);
         ++k.blocksExited_;
         ++stats_.blocksEvicted;
-        if (k.completed()) {
-            auto it = std::find_if(
-                active_.begin(), active_.end(),
-                [&](const std::shared_ptr<Kernel>& p) {
-                    return p.get() == &k;
-                });
-            VP_ASSERT(it != active_.end(),
-                      "evicted kernel not active");
-            kernelCompleted(*it);
-        }
+        if (k.completed())
+            kernelCompleted(live_[static_cast<std::size_t>(k.id())]);
     }
 
     retireStrandedKernels();
@@ -354,12 +369,13 @@ Device::failDevice()
 void
 Device::retireStrandedKernels()
 {
-    // Snapshot: kernelCompleted() mutates active_.
-    std::vector<std::shared_ptr<Kernel>> snapshot = active_;
-    for (const std::shared_ptr<Kernel>& k : snapshot) {
-        if (k->completed()
-            || k->blocksDispatched_ >= k->gridBlocks_)
-            continue;
+    // Snapshot, in start order: kernelCompleted() can start kernels.
+    std::vector<std::pair<std::uint64_t, Kernel*>> snapshot;
+    for (const Placing& p : placing_)
+        snapshot.insert(snapshot.end(), p.kernels.begin(),
+                        p.kernels.end());
+    std::sort(snapshot.begin(), snapshot.end());
+    for (auto [start, k] : snapshot) {
         bool placeable = false;
         for (int s = 0; s < numSms() && !placeable; ++s)
             placeable = k->allowedOn(s) && !sms_[s]->offline();
@@ -374,7 +390,8 @@ Device::retireStrandedKernels()
             k->gridBlocks_ - k->blocksDispatched_;
         k->blocksDispatched_ = k->gridBlocks_;
         VP_ASSERT(k->completed(), "stranded kernel not completed");
-        kernelCompleted(k);
+        placed(k);
+        kernelCompleted(live_[static_cast<std::size_t>(k->id())]);
     }
 }
 

@@ -7,6 +7,7 @@
 #ifndef VP_GPU_DEVICE_HH
 #define VP_GPU_DEVICE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -174,7 +175,11 @@ class Device
     /** Device-side enqueue after any injected launch delay. */
     void doLaunch(Stream* stream, std::shared_ptr<Kernel> kernel);
 
-    /** Place as many pending blocks on SMs as will fit. */
+    /**
+     * Place as many pending blocks on SMs as will fit: SMs round-robin
+     * from rrSm_, on each the first kernel in start order that is
+     * allowed there and fits.
+     */
     void tryDispatch();
 
     /** Schedule a dispatch pass (coalesced). */
@@ -195,8 +200,27 @@ class Device
     std::vector<std::unique_ptr<Sm>> sms_;
     std::vector<std::unique_ptr<Stream>> streams_;
 
-    /** Kernels started (stream head) with blocks left to dispatch. */
-    std::vector<std::shared_ptr<Kernel>> active_;
+    /** Started (stream head) kernels by kernel id; reset once a
+     *  kernel completes. */
+    std::vector<std::shared_ptr<Kernel>> live_;
+    /**
+     * Started kernels with blocks left to place, grouped by footprint
+     * (block size, registers and shared memory per block: whatever
+     * Sm::canFit reads), each group in start order. A group outlives
+     * its last kernel.
+     */
+    struct Placing
+    {
+        std::array<int, 3> footprint;
+        /** (start sequence, kernel). */
+        std::vector<std::pair<std::uint64_t, Kernel*>> kernels;
+    };
+    std::vector<Placing> placing_;
+    /** Start sequence of the next kernel to start. */
+    std::uint64_t nextStart_ = 0;
+
+    /** Drop @p k from placing_ (no blocks left to place). */
+    void placed(Kernel* k);
     /** Stream owning each active kernel, by kernel id. */
     std::vector<Stream*> kernelStream_;
     /** Live block contexts, freed on kernel completion. */

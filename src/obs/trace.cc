@@ -146,12 +146,17 @@ placeEvent(const TraceEvent& e)
     case TraceKind::DpSpawn:
     case TraceKind::AdaptiveEpoch:
     case TraceKind::AdaptiveMove:
+    case TraceKind::DeviceKill:
+    case TraceKind::StageRehome:
         return {PidFaults, e.track};
     case TraceKind::SmFail:
     case TraceKind::SmDegrade:
     case TraceKind::Retreat:
         return {PidSms, e.track};
     case TraceKind::Transfer:
+    case TraceKind::LinkFail:
+    case TraceKind::LinkDegrade:
+    case TraceKind::TransferRedeliver:
         return {PidInterconnect, e.track};
     }
     return {PidHost, 0};

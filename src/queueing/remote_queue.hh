@@ -83,8 +83,10 @@ class RemoteStubQueue : public WorkQueue<T>
         }
         // The delivery closure re-stamps the id so the landing
         // queue's enqueue bookkeeping sees the same item, wherever
-        // failover ends up delivering it.
+        // failover ends up delivering it. A tag stays behind: the
+        // delivered item is looked up by its key.
         std::uint64_t id = this->takeStampedId();
+        this->stampNextPushTag(nullptr);
         forward_(this->itemBytes(), id,
                  [id, v = std::move(v)](QueueBase& dst) mutable {
                      if (id)

@@ -85,6 +85,10 @@ QueueBase::recordPush(std::size_t depthAfter)
                                provSim_->now());
         nextId_ = 0;
     }
+    if (tagsEnabled_) {
+        tags_.push_back(nextTag_);
+        nextTag_ = nullptr;
+    }
 }
 
 void
@@ -111,6 +115,13 @@ QueueBase::recordPop(std::size_t depthAfter)
         if (!ids_.empty()) {
             poppedIds_.push_back(ids_.front());
             ids_.pop_front();
+        }
+    }
+    if (tagsEnabled_) {
+        poppedTags_.clear();
+        if (!tags_.empty()) {
+            poppedTags_.push_back(tags_.front());
+            tags_.pop_front();
         }
     }
 }
@@ -144,6 +155,14 @@ QueueBase::recordPops(std::uint64_t n, std::size_t depthAfter)
             ids_.pop_front();
         }
     }
+    if (tagsEnabled_) {
+        poppedTags_.clear();
+        std::uint64_t take = std::min<std::uint64_t>(n, tags_.size());
+        for (std::uint64_t i = 0; i < take; ++i) {
+            poppedTags_.push_back(tags_.front());
+            tags_.pop_front();
+        }
+    }
 }
 
 void
@@ -153,6 +172,13 @@ QueueBase::enableRetryMeta()
         return;
     metaEnabled_ = true;
     tries_.assign(size(), 0);
+}
+
+void
+QueueBase::enableTags()
+{
+    tagsEnabled_ = true;
+    tags_.assign(size(), nullptr);
 }
 
 void

@@ -289,6 +289,31 @@ class QueueBase
 
     /** @} */
 
+    /** @name Item tags (tuner replay support) @{
+     *
+     * When enabled, the queue carries an opaque pointer per item in a
+     * parallel deque, maintained inside the existing push/pop stat
+     * hooks: a replayed item's task record (core/task_graph.hh), so
+     * its pop needs no lookup. Disabled (the default), the only cost
+     * on the hot path is one branch per bookkeeping call.
+     */
+
+    /** Start carrying item tags (existing items get null). */
+    void enableTags();
+
+    /** Stamp the NEXT pushed item with @p tag (one-shot). */
+    void stampNextPushTag(const void* tag) { nextTag_ = tag; }
+
+    /** Tags of the items removed by the last pop/popBatch (valid
+     *  until the next pop; empty while tags are disabled). */
+    const std::vector<const void*>&
+    poppedTags() const
+    {
+        return poppedTags_;
+    }
+
+    /** @} */
+
   protected:
     void recordPush(std::size_t depthAfter);
     void recordPop(std::size_t depthAfter);
@@ -302,6 +327,7 @@ class QueueBase
     {
         tries_.clear();
         ids_.clear();
+        tags_.clear();
     }
 
   private:
@@ -347,6 +373,12 @@ class QueueBase
     std::deque<std::uint64_t> ids_;
     /** Provenance ids of the last pop/popBatch (scratch, reused). */
     std::vector<std::uint64_t> poppedIds_;
+    bool tagsEnabled_ = false;
+    const void* nextTag_ = nullptr;
+    /** Per-item tags, parallel to the payload FIFO. */
+    std::deque<const void*> tags_;
+    /** Tags of the last pop/popBatch (reused buffer). */
+    std::vector<const void*> poppedTags_;
 };
 
 /** FIFO of data items of type T. */

@@ -238,8 +238,7 @@ TEST_P(Conformance, SingleDeviceGroupIsDegenerate)
 // reaches, each run must equal the unbounded one; so must each run
 // with an SM kill scripted for after the drain (which cancels it),
 // except that DP's eviction bookkeeping adds exactly one
-// kernel-completion event per launch. Facedetect under DP is left
-// out for time: its plain run alone is this binary's long pole.
+// kernel-completion event per launch.
 TEST_P(Conformance, InstrumentedBatchesMatchPlain)
 {
     auto expectSame = [](const RunResult& got, const RunResult& want,
@@ -276,8 +275,6 @@ TEST_P(Conformance, InstrumentedBatchesMatchPlain)
 
         for (auto& [label, cfg] : allModels(pipe, dev)) {
             bool dp = cfg.top == PipelineConfig::Top::DynamicParallelism;
-            if (dp && GetParam() == "facedetect")
-                continue;
             std::string what = GetParam() + "/" + preset + "/" + label;
             RunResult want = plain.run(*app, cfg);
             ASSERT_TRUE(want.completed) << what;

@@ -397,6 +397,40 @@ TEST(RecoveryConfig, ValidateRejectsInfiniteBackoff)
     }
 }
 
+// Finite fields can still double past the largest double when
+// nothing caps the backoff: 2000 retries overflow the default 500
+// cycles at factor 2 after about 1,017 doublings.
+TEST(RecoveryConfig, ValidateRejectsABackoffThatOverflows)
+{
+    const Tick inf = std::numeric_limits<Tick>::infinity();
+    RecoveryConfig rc;
+    rc.backoffCapCycles = inf;
+    rc.maxRetries = 2000;
+    expectConfigError([&] { rc.validate(); }, "2000 retries");
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.taskFailProb = 0.5;
+    LinearApp app(2, 64);
+    Engine engine(DeviceConfig::k20c());
+    engine.setFaultPlan(plan);
+    engine.setRecovery(rc);
+    expectConfigError(
+        [&] { engine.run(app, makeMegakernelConfig(app.pipeline())); },
+        "2000 retries (run)");
+
+    // A factor of 1 never grows; few retries stay finite.
+    rc.backoffFactor = 1.0;
+    EXPECT_NO_THROW(rc.validate());
+    EXPECT_EQ(rc.backoffFor(2000), 500.0);
+    rc.backoffFactor = 2.0;
+    rc.maxRetries = 3;
+    EXPECT_NO_THROW(rc.validate());
+    EXPECT_EQ(rc.backoffFor(3), 2000.0);
+    rc.backoffBaseCycles = 0.0;
+    rc.maxRetries = 2000;
+    EXPECT_NO_THROW(rc.validate());
+}
+
 // +inf keeps meaning "never" where a run only compares against it.
 TEST(RecoveryConfig, InfiniteWatchdogTimeoutAndTriggerMeanNever)
 {

@@ -157,6 +157,41 @@ TEST(Tracer, ExportedJsonIsWellFormed)
     EXPECT_EQ(j.back(), '\n');
 }
 
+// A sharded run's fault events render with the faults (device kills,
+// re-homed stages) or the interconnect (link events, redelivered
+// transfers), not on the host track.
+TEST(Tracer, GroupFaultEventsPlaceOnTheirProcess)
+{
+    Simulator sim;
+    Tracer t(&sim, 16);
+    const std::pair<TraceKind, const char*> want[] = {
+        {TraceKind::DeviceKill, "faults"},
+        {TraceKind::StageRehome, "faults"},
+        {TraceKind::LinkFail, "interconnect"},
+        {TraceKind::LinkDegrade, "interconnect"},
+        {TraceKind::TransferRedeliver, "interconnect"},
+    };
+    for (const auto& [kind, process] : want)
+        t.instant(kind, 0, 10.0, 1, 2);
+    std::ostringstream out;
+    exportTraceJson(out, t);
+    std::string j = out.str();
+    // The pid on the export line of the event or process named by
+    // @p key (each line has one pid).
+    auto pidAt = [&](const std::string& key) {
+        std::size_t at = j.find(key);
+        EXPECT_NE(at, std::string::npos) << key;
+        std::size_t line = j.rfind('\n', at);
+        std::size_t pid = j.find("\"pid\": ", line);
+        return at == std::string::npos ? -1 : std::stoi(j.substr(pid + 7));
+    };
+    for (const auto& [kind, process] : want)
+        EXPECT_EQ(pidAt(std::string("\"cat\": \"") + traceKindName(kind)
+                        + "\""),
+                  pidAt(std::string("{\"name\": \"") + process + "\"}"))
+            << traceKindName(kind);
+}
+
 // ------------------------- sampler ------------------------------ //
 
 TEST(Sampler, SeriesLengthMatchesRunLength)

@@ -331,9 +331,10 @@ expectSweepDimensions(const std::string& name, bool replayed)
 TEST(OfflineTuner, ShardAndAdaptiveSweepOfAReplayedApp)
 {
     expectSweepDimensions("raster", true);
+    expectSweepDimensions("pyramid", true);
 }
 
 TEST(OfflineTuner, ShardAndAdaptiveSweepOfARealPayloadApp)
 {
-    expectSweepDimensions("pyramid", false);
+    expectSweepDimensions("reyes", false);
 }

@@ -3,11 +3,13 @@
  * Tests of the multi-threaded candidate sweep: the parallel tuner
  * must pick a configuration bit-identical to the serial sweep's, for
  * any thread count, because per-candidate runs are deterministic and
- * the arg-min reduction is serialized in candidate order.
+ * the arg-min reduction is serialized in candidate order. That holds
+ * for the adaptive jobs too.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "apps/registry.hh"
@@ -83,6 +85,70 @@ TEST(ParallelTuner, BestRunVerifies)
     EXPECT_TRUE(par.bestRun.completed);
     EXPECT_GT(par.bestRun.cycles, 0.0);
     EXPECT_GT(par.bestRun.simEvents, 0u);
+}
+
+// ------------------------------------------------------------------
+// Adaptive jobs: with TunerOptions::adaptive armed, each applicable
+// configuration is tried again with the controller on.
+
+namespace {
+
+void
+expectAdaptiveSweepMatchesSerial(const std::string& name)
+{
+    SCOPED_TRACE(name);
+    TunerOptions opts;
+    opts.search.smCandidates = 4;
+    opts.search.blockCandidates = 4;
+    opts.search.maxConfigs = 40;
+    AdaptiveConfig ac;
+    ac.enabled = true;
+    ac.epochCycles = 20000.0;
+    opts.adaptive = ac;
+
+    Engine engine(DeviceConfig::k20c());
+    auto app = makeApp(name, AppScale::Small);
+    Pipeline& pipe = app->pipeline();
+    std::vector<PipelineConfig> configs = enumerateConfigs(
+        pipe, engine.deviceConfig(), profileApp(engine, *app),
+        opts.search);
+    auto adaptive = std::count_if(configs.begin(), configs.end(),
+                                  adaptiveApplicable);
+    ASSERT_GT(adaptive, 0);
+    TunerResult serial = autotune(engine, *app, opts);
+    EXPECT_EQ(serial.evaluated,
+              static_cast<int>(configs.size() + adaptive));
+
+    auto factory = [&] { return makeApp(name, AppScale::Small); };
+    opts.threads = 1;
+    TunerResult one = autotuneParallel(engine.deviceConfig(), factory,
+                                       opts);
+    EXPECT_EQ(one.evaluated, serial.evaluated);
+    EXPECT_EQ(one.timedOut, serial.timedOut);
+    EXPECT_EQ(one.finished, serial.finished);
+    EXPECT_EQ(one.best.describe(pipe), serial.best.describe(pipe));
+    EXPECT_EQ(one.bestAdaptive, serial.bestAdaptive);
+    EXPECT_EQ(one.replayed, serial.replayed);
+
+    opts.threads = 4;
+    TunerResult four = autotuneParallel(engine.deviceConfig(), factory,
+                                        opts);
+    EXPECT_EQ(four.evaluated, serial.evaluated);
+    EXPECT_EQ(four.best.describe(pipe), serial.best.describe(pipe));
+    EXPECT_EQ(four.bestAdaptive, serial.bestAdaptive);
+    EXPECT_EQ(four.bestRun.cycles, serial.bestRun.cycles);
+}
+
+} // namespace
+
+TEST(ParallelTuner, AdaptiveSweepOfAReplayedAppMatchesSerial)
+{
+    expectAdaptiveSweepMatchesSerial("pyramid");
+}
+
+TEST(ParallelTuner, AdaptiveSweepOfARealPayloadAppMatchesSerial)
+{
+    expectAdaptiveSweepMatchesSerial("reyes");
 }
 
 TEST(ParallelTuner, RejectsBadArguments)

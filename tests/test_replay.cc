@@ -4,13 +4,21 @@
  * the captured task graph of an app that declares keyed items must
  * equal the real run of every candidate the tuner could try, and an
  * app whose items do not identify its tasks must be refused before
- * any candidate runs.
+ * any candidate runs. Keyed joins (core/join.hh) run their
+ * continuation once, in the last arrival's task, on every schedule.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <set>
+#include <thread>
 
 #include "apps/ldpc/ldpc_app.hh"
 #include "apps/registry.hh"
@@ -71,6 +79,66 @@ capture(Engine& engine, AppDriver& app, ProfileResult& profile)
 
 } // namespace
 
+namespace {
+
+/** One run of the lane: a candidate, on the 2-device group under a
+ *  shard plan or on the single device. */
+struct LaneRun
+{
+    PipelineConfig config;
+    std::optional<ShardPlan> plan;
+    std::string what;
+    std::optional<RunResult> real, rep;
+};
+
+/**
+ * The real and the replayed run of every entry of @p lane, over up
+ * to four threads: each has its own app, and all replay @p graph.
+ */
+void
+runLane(const std::string& name, const Engine& engine,
+        const Engine& group, const TaskGraph& graph,
+        std::vector<LaneRun>& lane)
+{
+    std::atomic<std::size_t> next{0};
+    std::mutex errMutex;
+    std::exception_ptr error;
+    auto worker = [&] {
+        try {
+            auto app = makeApp(name, AppScale::Small);
+            for (std::size_t i; (i = next++) < lane.size();) {
+                LaneRun& r = lane[i];
+                if (r.plan) {
+                    r.real = group.runShardedTimed(*app, r.config,
+                                                   *r.plan, kNoLimit);
+                    r.rep = group.runShardedTimed(
+                        *app, r.config, *r.plan, kNoLimit, &graph);
+                } else {
+                    r.real = engine.runTimed(*app, r.config, kNoLimit);
+                    r.rep = engine.runTimed(*app, r.config, kNoLimit,
+                                            &graph);
+                }
+            }
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(errMutex);
+            error = std::current_exception();
+            next = lane.size();
+        }
+    };
+    unsigned threads = std::clamp(std::thread::hardware_concurrency(),
+                                  1u, 4u);
+    std::vector<std::thread> pool;
+    for (unsigned t = 1; t < threads; ++t)
+        pool.emplace_back(worker);
+    worker();
+    for (std::thread& t : pool)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
+}
+
+} // namespace
+
 TEST(Replay, EveryCandidateMatchesItsRealRun)
 {
     int runs = 0;
@@ -79,41 +147,38 @@ TEST(Replay, EveryCandidateMatchesItsRealRun)
         DeviceConfig cfg = DeviceConfig::byName(dev);
         Engine engine(cfg);
         Engine group(DeviceGroupConfig::homogeneous(cfg, 2));
-        for (const char* name : {"cfd", "ldpc", "raster"}) {
+        for (const char* name :
+             {"cfd", "ldpc", "raster", "pyramid", "facedetect"}) {
             auto app = makeApp(name, AppScale::Small);
             ASSERT_TRUE(engine.canReplay(*app)) << name;
             ProfileResult profile;
             auto graph = capture(engine, *app, profile);
             Pipeline& pipe = app->pipeline();
+            std::vector<LaneRun> lane;
             for (const PipelineConfig& c : enumerateConfigs(
                      pipe, cfg, profile, fig11Search())) {
                 std::string what = std::string(name) + "@" + dev + " "
                     + c.describe(pipe);
-                auto real = engine.runTimed(*app, c, kNoLimit);
-                auto rep = engine.runTimed(*app, c, kNoLimit,
-                                           graph.get());
-                ASSERT_TRUE(real && rep) << what;
-                expectSameRun(*real, *rep, what);
-                ++runs;
+                lane.push_back({c, std::nullopt, what, {}, {}});
                 for (const StageGroup& g : c.groups)
                     rtcGroups += g.model == ExecModel::RTC;
                 if (c.top != PipelineConfig::Top::Groups)
                     continue;
                 for (const ShardPlan& plan :
-                     defaultShardPlans(c, pipe, 2)) {
-                    std::string w = what + " shard=" + plan.describe();
-                    auto sreal =
-                        group.runShardedTimed(*app, c, plan, kNoLimit);
-                    auto srep = group.runShardedTimed(
-                        *app, c, plan, kNoLimit, graph.get());
-                    ASSERT_TRUE(sreal && srep) << w;
-                    expectSameRun(*sreal, *srep, w);
-                    ++runs;
-                }
+                     defaultShardPlans(c, pipe, 2))
+                    lane.push_back({c, plan,
+                                    what + " shard=" + plan.describe(),
+                                    {}, {}});
+            }
+            runLane(name, engine, group, *graph, lane);
+            for (const LaneRun& r : lane) {
+                ASSERT_TRUE(r.real && r.rep) << r.what;
+                expectSameRun(*r.real, *r.rep, r.what);
+                ++runs;
             }
         }
     }
-    EXPECT_GT(runs, 1000);
+    EXPECT_GT(runs, 3500);
     EXPECT_GT(rtcGroups, 0);
 }
 
@@ -126,7 +191,8 @@ TEST(Replay, AdaptiveCandidatesMatchTheirRealRuns)
     ac.enabled = true;
     ac.epochCycles = 20000.0;
     engine.setAdaptive(ac);
-    for (const char* name : {"cfd", "ldpc", "raster"}) {
+    for (const char* name :
+         {"cfd", "ldpc", "raster", "pyramid", "facedetect"}) {
         auto app = makeApp(name, AppScale::Small);
         ProfileResult profile;
         auto graph = capture(engine, *app, profile);
@@ -155,7 +221,7 @@ TEST(Replay, SweepsOfKeyedAppsReplayAndEndOnARealRun)
     opts.search.maxConfigs = 60;
     for (const std::string& name : appNames()) {
         SCOPED_TRACE(name);
-        bool keyed = name == "cfd" || name == "ldpc" || name == "raster";
+        bool keyed = name != "reyes" && name != "vidstream";
         TunerResult r = autotuneParallel(
             DeviceConfig::k20c(),
             [&] { return makeApp(name, AppScale::Small); }, opts);
@@ -350,6 +416,207 @@ TEST(Replay, InlineChainsSumCostsInEnqueueOrder)
         auto rep = engine.runTimed(app, c, kNoLimit, graph.get());
         ASSERT_TRUE(real && rep);
         expectSameRun(*real, *rep, c.describe(pipe));
+    }
+}
+
+// ------------------------------------------------------------------
+// Keyed joins: siblings arrive in any order, the last arrival's task
+// runs the continuation, and a replayed run counts arrivals itself.
+
+namespace {
+
+/** Part `part` of group `group` (-1: the group itself). */
+struct PartItem
+{
+    std::int32_t group;
+    std::int32_t part;
+};
+
+class JoinToyApp;
+
+/** One fixed-cost stage of the join toy; Run does its work. */
+template <int I>
+struct JoinStage : Stage<PartItem>
+{
+    JoinStage(JoinToyApp& app, const char* n, int threads)
+        : app_(app)
+    {
+        name = n;
+        threadNum = threads;
+    }
+
+    TaskCost
+    cost(const PartItem& item) const override
+    {
+        TaskCost c;
+        c.computeInsts = 40.3 + 13.1 * item.part + 7.7 * I;
+        c.memInsts = 5.0 + I;
+        return c;
+    }
+
+    void execute(ExecContext& ctx, PartItem& item) override;
+
+    JoinToyApp& app_;
+};
+
+/** Fans a group out to its parts: even ones straight to Part, odd
+ *  ones through Detour, so the schedule decides which arrives last. */
+using Split = JoinStage<0>;
+using Detour = JoinStage<1>;
+/** Arrives at its group's join. */
+using Part = JoinStage<2>;
+/** The continuation's child: one per group, four threads wide. */
+using Done = JoinStage<3>;
+
+class JoinToyApp : public AppDriver
+{
+  public:
+    static constexpr int kGroups = 12;
+
+    /** Each group's join expects @p slack fewer arrivals than it has
+     *  parts. */
+    explicit JoinToyApp(int slack = 0)
+    {
+        pipe_.addStage<Split>(*this, "split", 1);
+        pipe_.addStage<Detour>(*this, "detour", 1);
+        pipe_.addStage<Part>(*this, "part", 1);
+        pipe_.addStage<Done>(*this, "done", 4);
+        pipe_.link<Split, Part>();
+        pipe_.link<Split, Detour>();
+        pipe_.link<Detour, Part>();
+        pipe_.link<Part, Done>();
+        join = pipe_.addJoin<std::int32_t>(
+            "parts",
+            [slack](std::int32_t g) { return partsOf(g) - slack; },
+            [](ExecContext& ctx, std::int32_t g) {
+                ctx.enqueue<Done>(PartItem{g, -1});
+            });
+    }
+
+    static int partsOf(std::int32_t g) { return 3 + g % 4; }
+
+    std::string name() const override { return "join-toy"; }
+    Pipeline& pipeline() override { return pipe_; }
+    bool keyedItems() const override { return true; }
+
+    void
+    reset() override
+    {
+        lastPart.assign(kGroups, -1);
+        done.assign(kGroups, 0);
+    }
+
+    void
+    seedFlow(Seeder& seeder, int) override
+    {
+        for (std::int32_t g = 0; g < kGroups; ++g)
+            seeder.insert<Split>(PartItem{g, -1});
+    }
+
+    Join<std::int32_t> join;
+    /** Per group: the part that arrived last. */
+    std::vector<int> lastPart;
+    /** Per group: Done tasks run. */
+    std::vector<int> done;
+
+  private:
+    Pipeline pipe_;
+};
+
+template <int I>
+void
+JoinStage<I>::execute(ExecContext& ctx, PartItem& item)
+{
+    auto g = static_cast<std::size_t>(item.group);
+    if constexpr (I == 0) {
+        for (std::int32_t p = 0; p < JoinToyApp::partsOf(item.group);
+             ++p) {
+            if (p % 2 == 0)
+                ctx.enqueue<Part>(PartItem{item.group, p});
+            else
+                ctx.enqueue<Detour>(PartItem{item.group, p});
+        }
+    } else if constexpr (I == 1) {
+        ctx.enqueue<Part>(item);
+    } else if constexpr (I == 2) {
+        app_.lastPart[g] = item.part;
+        ctx.arrive(app_.join, item.group);
+    } else {
+        ++app_.done[g];
+    }
+}
+
+} // namespace
+
+TEST(Joins, SiblingsFinishingInAnyOrderJoinOnceAndReplay)
+{
+    JoinToyApp app;
+    Engine engine(DeviceConfig::k20c());
+    ProfileResult profile;
+    auto graph = capture(engine, app, profile);
+    // A part's record holds its arrival alone; the continuation's
+    // child belongs to the join slot, whichever part came last.
+    for (std::int32_t g = 0; g < JoinToyApp::kGroups; ++g) {
+        for (std::int32_t p = 0; p < JoinToyApp::partsOf(g); ++p) {
+            const auto& part = graph->find(2, itemKey(PartItem{g, p}));
+            ASSERT_EQ(part.effects.size(), 1u);
+            ASSERT_EQ(part.effects[0].stage, -1);
+            const auto& then = graph->slot(part.effects[0].slot).then;
+            ASSERT_EQ(then.effects.size(), 1u);
+            EXPECT_EQ(then.effects[0].stage, 3);
+        }
+    }
+    Pipeline& pipe = app.pipeline();
+    std::set<std::vector<int>> lastParts;
+    for (const PipelineConfig& c :
+         {makeMegakernelConfig(pipe), makeRtcConfig(pipe),
+          makeKbkConfig(), makeDynamicParallelismConfig(),
+          makeCoarseConfig(pipe, engine.deviceConfig())}) {
+        std::string what = c.describe(pipe);
+        auto real = engine.runTimed(app, c, kNoLimit);
+        ASSERT_TRUE(real) << what;
+        EXPECT_EQ(app.done, std::vector<int>(JoinToyApp::kGroups, 1))
+            << what;
+        lastParts.insert(app.lastPart);
+        auto rep = engine.runTimed(app, c, kNoLimit, graph.get());
+        ASSERT_TRUE(rep) << what;
+        expectSameRun(*real, *rep, what);
+        // Replay counted the arrivals without running a task.
+        EXPECT_EQ(app.done, std::vector<int>(JoinToyApp::kGroups, 0))
+            << what;
+    }
+    // The schedules differ in which sibling arrives last.
+    EXPECT_GT(lastParts.size(), 1u);
+}
+
+TEST(Joins, AContinuationInlinesUnderRtc)
+{
+    JoinToyApp app;
+    Engine engine(DeviceConfig::k20c());
+    Pipeline& pipe = app.pipeline();
+    RunResult queued = engine.run(app, makeMegakernelConfig(pipe));
+    EXPECT_EQ(queued.stages[3].items, JoinToyApp::kGroups);
+    EXPECT_EQ(queued.stages[3].queue.pushes, JoinToyApp::kGroups);
+    // Under RTC each Done runs inside the Split task of its group, at
+    // the last part's arrival, and never passes through a queue.
+    RunResult inlined = engine.run(app, makeRtcConfig(pipe));
+    EXPECT_EQ(app.done, std::vector<int>(JoinToyApp::kGroups, 1));
+    EXPECT_EQ(inlined.stages[3].items, JoinToyApp::kGroups);
+    EXPECT_EQ(inlined.stages[3].queue.pushes, 0u);
+}
+
+TEST(Joins, AnArrivalPastTheExpectedCountIsAConfigError)
+{
+    JoinToyApp app(1);
+    Engine engine(DeviceConfig::k20c());
+    try {
+        engine.run(app, makeMegakernelConfig(app.pipeline()));
+        ADD_FAILURE() << "a join took more arrivals than it expects";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
+        EXPECT_NE(std::string(e.what()).find("`parts`"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

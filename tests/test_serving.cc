@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "apps/registry.hh"
 #include "apps/vidstream/vidstream_app.hh"
 #include "core/engine.hh"
 #include "core/shard.hh"
@@ -554,6 +555,24 @@ TEST(Serving, DisabledConfigMatchesSeedRun)
     // And the engine came back clean: no session, no armed obs.
     EXPECT_EQ(engine.serveSession(), nullptr);
     EXPECT_FALSE(engine.observability().has_value());
+}
+
+// Requests re-seed flows, so a later request's bands arrive again at
+// joins an earlier one completed: each join fires once per run, and
+// the late arrivals are dropped instead of failing the run.
+TEST(Serving, ReseededFlowsJoinOncePerRun)
+{
+    auto app = makeApp("pyramid", AppScale::Small);
+    Engine engine(DeviceConfig::byName("gtx1080"));
+    ServingEngine serve(engine, openLoopConfig());
+    FlowServingWorkload wl(*app);
+    RunResult r = serve.run(wl, makeMegakernelConfig(app->pipeline()));
+    ASSERT_TRUE(r.completed) << r.failureReason;
+    ASSERT_TRUE(r.serving);
+    EXPECT_GT(r.serving->admitted,
+              static_cast<std::uint64_t>(app->flowCount()));
+    EXPECT_EQ(r.stages[1].items,
+              static_cast<std::uint64_t>(app->flowCount()));
 }
 
 TEST(Serving, OpenLoopServeRerunsBitIdentical)
