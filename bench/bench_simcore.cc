@@ -424,7 +424,23 @@ struct TunerRow
     int threads = 0;
     double seconds = 0.0;
     double bestCycles = 0.0;
+    int timedOut = 0;
+    std::vector<std::pair<std::string, double>> finished;
 };
+
+TunerRow
+tunerRow(const std::string& app, int threads, double seconds,
+         TunerResult r)
+{
+    TunerRow row;
+    row.app = app;
+    row.threads = threads;
+    row.seconds = seconds;
+    row.bestCycles = r.bestRun.cycles;
+    row.timedOut = r.timedOut;
+    row.finished = std::move(r.finished);
+    return row;
+}
 
 TunerRow
 benchTunerSerial(const std::string& app)
@@ -433,12 +449,7 @@ benchTunerSerial(const std::string& app)
     auto driver = makeApp(app, AppScale::Small);
     auto t0 = Clock::now();
     TunerResult r = autotune(engine, *driver);
-    TunerRow row;
-    row.app = app;
-    row.threads = 1;
-    row.seconds = secondsSince(t0);
-    row.bestCycles = r.bestRun.cycles;
-    return row;
+    return tunerRow(app, 1, secondsSince(t0), std::move(r));
 }
 
 // ---------------------------------------------------------------- //
@@ -977,12 +988,7 @@ benchTunerParallel(const std::string& app, int threads)
     TunerResult r = autotuneParallel(
         DeviceConfig::k20c(),
         [&app] { return makeApp(app, AppScale::Small); }, opts);
-    TunerRow row;
-    row.app = app;
-    row.threads = threads;
-    row.seconds = secondsSince(t0);
-    row.bestCycles = r.bestRun.cycles;
-    return row;
+    return tunerRow(app, threads, secondsSince(t0), std::move(r));
 }
 
 } // namespace
@@ -1259,6 +1265,17 @@ main(int argc, char** argv)
                      "ERROR: parallel tuner best (%f) != serial "
                      "best (%f)\n",
                      par.bestCycles, serial.bestCycles);
+        return 1;
+    }
+    // Every thread count returns the serial sweep's bookkeeping.
+    if (serial.timedOut != par.timedOut
+        || serial.finished != par.finished) {
+        std::fprintf(stderr,
+                     "ERROR: parallel tuner timed out %d and finished "
+                     "%zu candidates, serial %d and %zu (or a finished "
+                     "candidate differs)\n",
+                     par.timedOut, par.finished.size(), serial.timedOut,
+                     serial.finished.size());
         return 1;
     }
 

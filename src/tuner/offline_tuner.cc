@@ -1,10 +1,12 @@
 #include "tuner/offline_tuner.hh"
 
-#include <atomic>
+#include <algorithm>
+#include <exception>
 #include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <tuple>
 
 #include "common/logging.hh"
 
@@ -13,15 +15,23 @@ namespace vp {
 namespace {
 
 /**
- * A factor below 1 (or NaN) abandons a candidate that beats
- * best-so-far but not best * factor, so the sweep could miss the
- * optimum.
+ * Options no sweep runs with, rejected before the profiling run. A
+ * factor below 1 (or NaN) abandons a candidate that beats best-so-far
+ * but not best * factor, so the sweep could miss the optimum; a
+ * search bound below 1 leaves no candidate, or no multi-group one.
  */
 void
-checkTimeoutFactor(double factor)
+checkOptions(const TunerOptions& opts)
 {
-    VP_CHECK(factor >= 1.0, ErrorCode::Config,
-             "timeoutFactor must be >= 1, got " << factor);
+    VP_CHECK(opts.timeoutFactor >= 1.0, ErrorCode::Config,
+             "timeoutFactor must be >= 1, got " << opts.timeoutFactor);
+    const SearchOptions& s = opts.search;
+    VP_CHECK(s.maxConfigs >= 1 && s.smCandidates >= 1
+                 && s.blockCandidates >= 1,
+             ErrorCode::Config,
+             "search bounds must be >= 1, got maxConfigs "
+             << s.maxConfigs << ", smCandidates " << s.smCandidates
+             << ", blockCandidates " << s.blockCandidates);
 }
 
 /**
@@ -117,90 +127,194 @@ class AdaptiveRestore
     std::optional<AdaptiveConfig> saved_;
 };
 
+/** One candidate: a configuration, run sharded under a plan or on
+ *  one device, with or without the adaptive controller. */
+struct Job
+{
+    PipelineConfig config;
+    std::optional<ShardPlan> plan;
+    bool adaptive = false;
+};
+
+/** The sweep's jobs in order: config x shard plan x adaptive. */
+std::vector<Job>
+enumerateJobs(const Engine& engine, const Pipeline& pipe,
+              const ProfileResult& profile, const TunerOptions& opts)
+{
+    bool sweepAdaptive = opts.adaptive && opts.adaptive->enabled;
+    int nDevices = engine.deviceCount();
+    std::vector<Job> jobs;
+    for (PipelineConfig& cfg : enumerateConfigs(
+             pipe, engine.deviceConfig(), profile, opts.search)) {
+        cfg.onlineAdaptation = opts.onlineAdaptation;
+        bool adaptable = sweepAdaptive && adaptiveApplicable(cfg);
+        // Multi-device engine: the shard plan is one more tuning
+        // dimension of each Groups candidate.
+        std::vector<std::optional<ShardPlan>> plans(1);
+        if (nDevices > 1 && cfg.top == PipelineConfig::Top::Groups) {
+            std::vector<ShardPlan> group =
+                defaultShardPlans(cfg, pipe, nDevices);
+            plans.assign(group.begin(), group.end());
+        }
+        for (const std::optional<ShardPlan>& plan : plans) {
+            jobs.push_back({cfg, plan, false});
+            if (adaptable)
+                jobs.push_back({cfg, plan, true});
+        }
+    }
+    VP_REQUIRE(!jobs.empty(), "no candidate configurations");
+    return jobs;
+}
+
+/** Arm @p engine's adaptive controller for a job, or clear it. */
+void
+arm(Engine& engine, const TunerOptions& opts, bool adaptive)
+{
+    if (adaptive)
+        engine.setAdaptive(*opts.adaptive);
+    else
+        engine.clearAdaptive();
+}
+
+/** A private engine and driver for a sweep worker. */
+struct Worker
+{
+    Engine engine;
+    std::unique_ptr<AppDriver> driver;
+};
+
+/**
+ * The one sweep behind autotune() and autotuneParallel(): profile,
+ * enumerate the jobs, timeout-execute them over @p threads workers
+ * and reduce in job order. The first worker runs on @p engine and
+ * @p driver on the calling thread, each other one comes from
+ * @p makeWorker and runs on a thread of its own.
+ */
+TunerResult
+sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
+      int threads, const std::function<Worker()>& makeWorker)
+{
+    AdaptiveRestore restore(engine);
+    Pipeline& pipe = driver.pipeline();
+    SweepReplay replay;
+    ProfileResult profile = replay.profile(engine, driver);
+    std::vector<Job> jobs = enumerateJobs(engine, pipe, profile, opts);
+
+    // The run loop. `mutex` guards what the workers share, declared
+    // below it. A worker claims the next job and reads best-so-far
+    // under it, so every finished run it sees has a lower index. Per
+    // job it keeps the cycles of a run that finished, and only the
+    // run least by (cycles, job index).
+    std::mutex mutex;
+    std::size_t next = 0;
+    double bestSoFar = std::numeric_limits<double>::infinity();
+    std::vector<std::optional<double>> cycles(jobs.size());
+    std::optional<RunResult> bestRun;
+    std::size_t bestJob = 0;
+    std::exception_ptr error;
+    std::size_t errorJob = jobs.size();
+    auto work = [&](Engine& eng, AppDriver& drv) {
+        for (;;) {
+            std::size_t i;
+            double limit;
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (next == jobs.size() || error)
+                    return;
+                i = next++;
+                limit = bestSoFar * opts.timeoutFactor;
+            }
+            const Job& job = jobs[i];
+            std::optional<RunResult> run;
+            try {
+                arm(eng, opts, job.adaptive);
+                run = job.plan
+                    ? eng.runShardedTimed(drv, job.config, *job.plan,
+                                          limit, replay.graph())
+                    : eng.runTimed(drv, job.config, limit,
+                                   replay.graph());
+            } catch (...) {
+                // The lowest-index error is the one the sweep throws.
+                std::lock_guard<std::mutex> lock(mutex);
+                if (i < errorJob) {
+                    errorJob = i;
+                    error = std::current_exception();
+                }
+                return;
+            }
+            if (!run)
+                continue;
+            std::lock_guard<std::mutex> lock(mutex);
+            cycles[i] = run->cycles;
+            bestSoFar = std::min(bestSoFar, run->cycles);
+            if (!bestRun
+                || std::tie(run->cycles, i)
+                    < std::tie(bestRun->cycles, bestJob)) {
+                bestRun = std::move(run);
+                bestJob = i;
+            }
+        }
+    };
+    std::size_t extra =
+        std::min<std::size_t>(std::max(threads, 1), jobs.size()) - 1;
+    std::vector<Worker> workers;
+    for (std::size_t t = 0; t < extra; ++t)
+        workers.push_back(makeWorker());
+    {
+        // Joined on every exit from this block.
+        std::vector<std::jthread> pool;
+        for (Worker& w : workers)
+            pool.emplace_back([&work, &w] { work(w.engine, *w.driver); });
+        work(engine, driver);
+    }
+    if (error)
+        std::rethrow_exception(error);
+
+    // The reduction. A worker's limit is never tighter than the
+    // serial sweep's, and a run finishes under a limit exactly when
+    // its cycles are at most that limit, so the serial rule sorts
+    // out the runs that finished only under a looser limit.
+    TunerResult result;
+    result.evaluated = static_cast<int>(jobs.size());
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!cycles[i] || *cycles[i] > best * opts.timeoutFactor) {
+            ++result.timedOut;
+            continue;
+        }
+        const Job& job = jobs[i];
+        std::string synopsis = job.config.describe(pipe);
+        if (job.plan)
+            synopsis += " shard=" + job.plan->describe();
+        if (job.adaptive)
+            synopsis += " +adaptive";
+        if (*cycles[i] < best) {
+            best = *cycles[i];
+            VP_DEBUG("tuner: new best " << best << " cycles: "
+                     << synopsis);
+        }
+        result.finished.emplace_back(std::move(synopsis), *cycles[i]);
+    }
+    VP_ASSERT(bestRun && bestRun->cycles == best,
+              "the least finished run is not the serial winner");
+    const Job& won = jobs[bestJob];
+    result.best = won.config;
+    result.bestRun = std::move(*bestRun);
+    result.bestSharded = won.plan.has_value();
+    result.bestPlan = won.plan.value_or(ShardPlan{});
+    result.bestAdaptive = won.adaptive;
+    arm(engine, opts, won.adaptive);
+    replay.confirm(engine, driver, result);
+    return result;
+}
+
 } // namespace
 
 TunerResult
 autotune(Engine& engine, AppDriver& driver, const TunerOptions& opts)
 {
-    checkTimeoutFactor(opts.timeoutFactor);
-    AdaptiveRestore restore(engine);
-    Pipeline& pipe = driver.pipeline();
-    SweepReplay replay;
-    ProfileResult profile = replay.profile(engine, driver);
-
-    std::vector<PipelineConfig> candidates = enumerateConfigs(
-        pipe, engine.deviceConfig(), profile, opts.search);
-    VP_REQUIRE(!candidates.empty(), "no candidate configurations");
-
-    TunerResult result;
-    double best = std::numeric_limits<double>::infinity();
-    bool have_best = false;
-    int nDevices = engine.deviceCount();
-
-    bool sweepAdaptive = opts.adaptive && opts.adaptive->enabled;
-    auto arm = [&](bool adaptive) {
-        if (adaptive)
-            engine.setAdaptive(*opts.adaptive);
-        else
-            engine.clearAdaptive();
-    };
-
-    auto consider = [&](const PipelineConfig& cfg,
-                        const ShardPlan* plan, bool adaptive) {
-        double limit = have_best
-            ? best * opts.timeoutFactor
-            : std::numeric_limits<double>::infinity();
-        ++result.evaluated;
-        arm(adaptive);
-        auto run = plan
-            ? engine.runShardedTimed(driver, cfg, *plan, limit,
-                                     replay.graph())
-            : engine.runTimed(driver, cfg, limit, replay.graph());
-        if (!run) {
-            ++result.timedOut;
-            return;
-        }
-        std::string synopsis = cfg.describe(pipe);
-        if (plan)
-            synopsis += " shard=" + plan->describe();
-        if (adaptive)
-            synopsis += " +adaptive";
-        result.finished.emplace_back(synopsis, run->cycles);
-        if (!have_best || run->cycles < best) {
-            best = run->cycles;
-            have_best = true;
-            result.best = cfg;
-            result.bestRun = *run;
-            result.bestSharded = plan != nullptr;
-            result.bestPlan = plan ? *plan : ShardPlan{};
-            result.bestAdaptive = adaptive;
-            VP_DEBUG("tuner: new best " << run->cycles << " cycles: "
-                     << synopsis);
-        }
-    };
-
-    for (PipelineConfig& cfg : candidates) {
-        cfg.onlineAdaptation = opts.onlineAdaptation;
-        bool adaptable = sweepAdaptive && adaptiveApplicable(cfg);
-        if (nDevices > 1 && cfg.top == PipelineConfig::Top::Groups) {
-            // Multi-device engine: the shard plan is one more tuning
-            // dimension of each Groups candidate.
-            for (const ShardPlan& plan :
-                 defaultShardPlans(cfg, pipe, nDevices)) {
-                consider(cfg, &plan, false);
-                if (adaptable)
-                    consider(cfg, &plan, true);
-            }
-        } else {
-            consider(cfg, nullptr, false);
-            if (adaptable)
-                consider(cfg, nullptr, true);
-        }
-    }
-    VP_REQUIRE(have_best, "every candidate configuration timed out");
-    arm(result.bestAdaptive);
-    replay.confirm(engine, driver, result);
-    return result;
+    checkOptions(opts);
+    return sweep(engine, driver, opts, 1, nullptr);
 }
 
 TunerResult
@@ -210,145 +324,17 @@ autotuneParallel(const DeviceConfig& deviceCfg,
 {
     VP_REQUIRE(makeDriver != nullptr,
                "autotuneParallel needs a driver factory");
-    checkTimeoutFactor(opts.timeoutFactor);
-
-    int threads = opts.threads;
-    if (threads <= 0) {
-        threads = static_cast<int>(
-            std::thread::hardware_concurrency());
-        if (threads <= 0)
-            threads = 1;
-    }
-
-    // Profile and enumerate once, on the calling thread.
-    Engine engine(deviceCfg);
-    std::unique_ptr<AppDriver> driver0 = makeDriver();
-    VP_REQUIRE(driver0 != nullptr, "driver factory returned null");
-    Pipeline& pipe = driver0->pipeline();
-    // The sealed graph is read-only, so every worker replays it.
-    SweepReplay replay;
-    ProfileResult profile = replay.profile(engine, *driver0);
-    const TaskGraph* graph = replay.graph();
-
-    std::vector<PipelineConfig> configs = enumerateConfigs(
-        pipe, deviceCfg, profile, opts.search);
-    VP_REQUIRE(!configs.empty(), "no candidate configurations");
-    for (PipelineConfig& cfg : configs)
-        cfg.onlineAdaptation = opts.onlineAdaptation;
-
-    // One job per (config, controller) variant: with the adaptive
-    // sweep armed, applicable configs are tried both ways, exactly
-    // like the serial sweep.
-    bool sweepAdaptive = opts.adaptive && opts.adaptive->enabled;
-    std::vector<std::pair<PipelineConfig, bool>> candidates;
-    for (const PipelineConfig& cfg : configs) {
-        candidates.emplace_back(cfg, false);
-        if (sweepAdaptive && adaptiveApplicable(cfg))
-            candidates.emplace_back(cfg, true);
-    }
-    if (threads > static_cast<int>(candidates.size()))
-        threads = static_cast<int>(candidates.size());
-
-    // Each slot is written by exactly one worker (candidates are
-    // claimed through nextIdx), so the vector needs no lock.
-    std::vector<std::optional<RunResult>> runs(candidates.size());
-    std::atomic<std::size_t> nextIdx{0};
-    // Tightest completed-run cycle count seen so far; only ever
-    // decreases, and is always >= the true minimum, so the true-best
-    // candidate always finishes under limit = bestSoFar * factor.
-    std::atomic<double> bestSoFar{
-        std::numeric_limits<double>::infinity()};
-    std::mutex errMutex;
-    std::exception_ptr firstError;
-    std::atomic<bool> failed{false};
-
-    auto worker = [&](AppDriver& driver) {
-        Engine eng(deviceCfg);
-        for (;;) {
-            std::size_t i =
-                nextIdx.fetch_add(1, std::memory_order_relaxed);
-            if (i >= candidates.size() || failed.load())
-                return;
-            double limit =
-                bestSoFar.load(std::memory_order_relaxed)
-                * opts.timeoutFactor;
-            try {
-                if (candidates[i].second)
-                    eng.setAdaptive(*opts.adaptive);
-                else
-                    eng.clearAdaptive();
-                auto run = eng.runTimed(driver, candidates[i].first,
-                                        limit, graph);
-                if (!run)
-                    continue;
-                double cycles = run->cycles;
-                double cur =
-                    bestSoFar.load(std::memory_order_relaxed);
-                while (cycles < cur
-                       && !bestSoFar.compare_exchange_weak(
-                              cur, cycles,
-                              std::memory_order_relaxed)) {
-                }
-                runs[i] = std::move(run);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(errMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
-                failed.store(true);
-                return;
-            }
-        }
+    checkOptions(opts);
+    int threads = opts.threads > 0
+        ? opts.threads
+        : static_cast<int>(std::thread::hardware_concurrency());
+    auto makeWorker = [&] {
+        Worker w{Engine(deviceCfg), makeDriver()};
+        VP_REQUIRE(w.driver != nullptr, "driver factory returned null");
+        return w;
     };
-
-    if (threads <= 1) {
-        worker(*driver0);
-    } else {
-        std::vector<std::unique_ptr<AppDriver>> extraDrivers;
-        for (int t = 1; t < threads; ++t) {
-            extraDrivers.push_back(makeDriver());
-            VP_REQUIRE(extraDrivers.back() != nullptr,
-                       "driver factory returned null");
-        }
-        std::vector<std::thread> pool;
-        for (int t = 1; t < threads; ++t)
-            pool.emplace_back(worker, std::ref(*extraDrivers[t - 1]));
-        worker(*driver0);
-        for (std::thread& th : pool)
-            th.join();
-    }
-    if (firstError)
-        std::rethrow_exception(firstError);
-
-    // Serial reduction in candidate order: deterministic tie-breaking
-    // (first candidate with the minimal cycle count wins), identical
-    // to the serial sweep's arg-min.
-    TunerResult result;
-    result.evaluated = static_cast<int>(candidates.size());
-    double best = std::numeric_limits<double>::infinity();
-    bool have_best = false;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (!runs[i]) {
-            ++result.timedOut;
-            continue;
-        }
-        std::string synopsis = candidates[i].first.describe(pipe);
-        if (candidates[i].second)
-            synopsis += " +adaptive";
-        result.finished.emplace_back(std::move(synopsis),
-                                     runs[i]->cycles);
-        if (!have_best || runs[i]->cycles < best) {
-            best = runs[i]->cycles;
-            have_best = true;
-            result.best = candidates[i].first;
-            result.bestRun = *runs[i];
-            result.bestAdaptive = candidates[i].second;
-        }
-    }
-    VP_REQUIRE(have_best, "every candidate configuration timed out");
-    if (result.bestAdaptive)
-        engine.setAdaptive(*opts.adaptive);
-    replay.confirm(engine, *driver0, result);
-    return result;
+    Worker first = makeWorker();
+    return sweep(first.engine, *first.driver, opts, threads, makeWorker);
 }
 
 } // namespace vp

@@ -26,8 +26,9 @@ struct TunerOptions
     /**
      * A candidate is abandoned once it exceeds best-so-far times
      * this factor (the paper's timeout-execute with a small margin).
-     * Must be >= 1: both sweeps reject anything else (NaN included)
-     * with ErrorCode::Config.
+     * Must be >= 1: autotune() and autotuneParallel() reject
+     * anything else (NaN included) with ErrorCode::Config, as they do
+     * a SearchOptions bound below 1.
      */
     double timeoutFactor = 1.02;
     /** Enable online adaptation in the returned configuration. */
@@ -43,7 +44,10 @@ struct TunerOptions
     std::optional<AdaptiveConfig> adaptive;
     /**
      * Worker threads for autotuneParallel (<= 0 means one per
-     * hardware thread). autotune() ignores this.
+     * hardware thread); autotune() runs on the calling thread alone.
+     * The TunerResult does not depend on it: workers claim jobs in
+     * order, so no limit is tighter than the serial sweep's, and the
+     * reduction reapplies the serial rule (see autotuneParallel).
      */
     int threads = 1;
 };
@@ -97,19 +101,20 @@ using DriverFactory = std::function<std::unique_ptr<AppDriver>()>;
 
 /**
  * autotune() with the candidate sweep spread over
- * TunerOptions::threads host threads. Each worker owns a private
- * Engine and AppDriver (from @p makeDriver), so candidate runs never
- * share mutable state; the threads share one atomic best-so-far
- * cycle count that feeds every worker's timeout-execute cutoff.
+ * TunerOptions::threads host threads. The calling thread is the first
+ * worker; every other one owns a private Engine and AppDriver (from
+ * @p makeDriver), so candidate runs never share mutable state.
  *
- * The chosen configuration and its RunResult are bit-identical to
- * the serial sweep for any thread count: per-candidate runs are
- * deterministic, the best candidate can never time out under a
- * monotonically tightening cutoff (timeoutFactor >= 1), and the
- * arg-min reduction runs serially in candidate order after the
- * sweep. Only the timedOut/finished bookkeeping may differ — a
- * looser interleaving can let more candidates finish than the
- * serial sweep would.
+ * Returns autotune()'s TunerResult on an Engine of @p deviceCfg,
+ * field for field, at any thread count. A worker claims the next job
+ * and reads best-so-far under one lock, so every finished run it
+ * sees has a lower index and its limit is never tighter than the
+ * serial one. A run finishes under a limit exactly when its cycles
+ * are at most that limit, so the reduction, in job order, reapplies
+ * the serial rule: a job counts as finished when it finished and its
+ * cycles are at most timeoutFactor times the best of the earlier
+ * jobs counted. The winner, the finished run least by (cycles, job
+ * index), finishes at every thread count.
  */
 TunerResult autotuneParallel(const DeviceConfig& deviceCfg,
                              const DriverFactory& makeDriver,

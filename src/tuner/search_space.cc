@@ -231,22 +231,21 @@ enumerateConfigs(const Pipeline& pipe, const DeviceConfig& dev,
         out.push_back(std::move(cfg));
     };
 
-    if (opts.includeCanonical) {
-        // Canonical builders can legitimately fail (e.g., a pure
-        // fine pipeline whose stages cannot co-reside on one SM).
-        auto try_push = [&](auto&& make) {
-            try {
-                push(make());
-            } catch (const FatalError&) {
-            }
-        };
-        try_push([&] { return makeMegakernelConfig(pipe); });
-        if (!pipe.hasCycle())
-            try_push([&] { return makeRtcConfig(pipe); });
-        if (dev.numSms >= pipe.stageCount())
-            try_push([&] { return makeCoarseConfig(pipe, dev); });
-        try_push([&] { return makeFineConfig(pipe, dev); });
-    }
+    // The canonical whole-pipeline configurations come first. Their
+    // builders can legitimately fail (e.g., a pure fine pipeline
+    // whose stages cannot co-reside on one SM).
+    auto try_push = [&](auto&& make) {
+        try {
+            push(make());
+        } catch (const FatalError&) {
+        }
+    };
+    try_push([&] { return makeMegakernelConfig(pipe); });
+    if (!pipe.hasCycle())
+        try_push([&] { return makeRtcConfig(pipe); });
+    if (dev.numSms >= pipe.stageCount())
+        try_push([&] { return makeCoarseConfig(pipe, dev); });
+    try_push([&] { return makeFineConfig(pipe, dev); });
 
     for (const auto& partition : contiguousPartitions(
              pipe.stageCount())) {

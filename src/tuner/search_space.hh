@@ -26,8 +26,6 @@ struct SearchOptions
     int blockCandidates = 12;
     /** Hard cap on total configurations. */
     int maxConfigs = 4000;
-    /** Include single-group whole-pipeline configurations. */
-    bool includeCanonical = true;
 };
 
 /** True when @p stages can form an RTC inline-chain group. */

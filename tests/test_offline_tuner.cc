@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <optional>
 
 #include "apps/registry.hh"
 #include "toy_apps.hh"
@@ -25,6 +27,24 @@ quickOptions()
     opts.search.maxConfigs = 120;
     return opts;
 }
+
+/** A LinearApp whose run number @p failAt throws from reset(). */
+class FailingRunApp : public LinearApp
+{
+  public:
+    explicit FailingRunApp(int failAt) : failAt_(failAt) {}
+
+    void
+    reset() override
+    {
+        if (++runs_ == failAt_)
+            VP_FATAL("run " << runs_ << " fails");
+    }
+
+  private:
+    int failAt_;
+    int runs_ = 0;
+};
 
 } // namespace
 
@@ -94,17 +114,23 @@ TEST(OfflineTuner, RejectsTimeoutFactorBelowOne)
 {
     // A factor below 1 abandons a candidate faster than best-so-far
     // but slower than best * factor: the sweep could miss the optimum.
-    LinearApp app;
+    // A search bound below 1 leaves nothing to sweep. Both are
+    // rejected before the profiling run, which here would throw an
+    // untyped error.
+    std::vector<TunerOptions> bad(5, quickOptions());
+    bad[0].timeoutFactor = 0.5;
+    bad[1].timeoutFactor = std::numeric_limits<double>::quiet_NaN();
+    bad[2].search.maxConfigs = 0;
+    bad[3].search.smCandidates = 0;
+    bad[4].search.blockCandidates = -1;
     Engine engine(DeviceConfig::k20c());
-    for (double factor :
-         {0.5, std::numeric_limits<double>::quiet_NaN()}) {
-        TunerOptions opts = quickOptions();
-        opts.timeoutFactor = factor;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        FailingRunApp app(1);
         try {
-            autotune(engine, app, opts);
-            ADD_FAILURE() << "accepted timeoutFactor " << factor;
+            autotune(engine, app, bad[i]);
+            ADD_FAILURE() << "accepted options " << i;
         } catch (const FatalError& e) {
-            EXPECT_EQ(e.code(), ErrorCode::Config) << factor;
+            EXPECT_EQ(e.code(), ErrorCode::Config) << i << ": " << e.what();
         }
     }
 }
@@ -133,24 +159,6 @@ adaptiveOptions()
     opts.adaptive = ac;
     return opts;
 }
-
-/** A LinearApp whose run number @p failAt throws from reset(). */
-class FailingRunApp : public LinearApp
-{
-  public:
-    explicit FailingRunApp(int failAt) : failAt_(failAt) {}
-
-    void
-    reset() override
-    {
-        if (++runs_ == failAt_)
-            VP_FATAL("run " << runs_ << " fails");
-    }
-
-  private:
-    int failAt_;
-    int runs_ = 0;
-};
 
 void
 expectCallerAdaptive(const Engine& engine)
@@ -337,4 +345,87 @@ TEST(OfflineTuner, ShardAndAdaptiveSweepOfAReplayedApp)
 TEST(OfflineTuner, ShardAndAdaptiveSweepOfARealPayloadApp)
 {
     expectSweepDimensions("reyes", false);
+}
+
+// ------------------------------------------------------------------
+// What the parallel sweep's reduction rests on: a run finishes under
+// a limit exactly when its cycles are at most that limit, and then it
+// is the unlimited run.
+
+namespace {
+
+void
+expectFinishesExactlyWithinItsCycles(const std::string& name,
+                                     bool replayed)
+{
+    SCOPED_TRACE(name);
+    constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+    DeviceConfig dev = DeviceConfig::k20c();
+    Engine engine(dev);
+    Engine group(DeviceGroupConfig::homogeneous(dev, 2));
+    auto app = makeApp(name, AppScale::Small);
+    Pipeline& pipe = app->pipeline();
+    ASSERT_EQ(engine.canReplay(*app), replayed);
+    std::optional<TaskGraph> graph;
+    if (replayed)
+        graph.emplace(pipe.stageCount());
+    ProfileResult profile =
+        profileApp(engine, *app, graph ? &*graph : nullptr);
+    if (graph)
+        graph->seal();
+    const TaskGraph* replay = graph ? &*graph : nullptr;
+
+    TunerOptions opts = adaptiveOptions();
+    opts.search.maxConfigs = 25;
+    int sharded = 0;
+    int adaptive = 0;
+    auto check = [&](const PipelineConfig& cfg, const ShardPlan* plan,
+                     bool armed) {
+        for (Engine* e : {&engine, &group}) {
+            if (armed)
+                e->setAdaptive(*opts.adaptive);
+            else
+                e->clearAdaptive();
+        }
+        auto timed = [&](double limit) {
+            return plan ? group.runShardedTimed(*app, cfg, *plan, limit,
+                                                replay)
+                        : engine.runTimed(*app, cfg, limit, replay);
+        };
+        std::string what = cfg.describe(pipe)
+            + (plan ? " shard=" + plan->describe() : "")
+            + (armed ? " +adaptive" : "");
+        auto free = timed(kNoLimit);
+        ASSERT_TRUE(free) << what;
+        double c = free->cycles;
+        auto within = timed(c);
+        ASSERT_TRUE(within) << what;
+        EXPECT_EQ(within->cycles, c) << what;
+        EXPECT_EQ(within->simEvents, free->simEvents) << what;
+        EXPECT_FALSE(timed(std::nextafter(c, 0.0))) << what;
+        sharded += plan != nullptr;
+        adaptive += armed;
+    };
+    for (const PipelineConfig& cfg :
+         enumerateConfigs(pipe, dev, profile, opts.search)) {
+        for (bool armed : {false, true}) {
+            if (armed && !adaptiveApplicable(cfg))
+                continue;
+            check(cfg, nullptr, armed);
+            if (cfg.top != PipelineConfig::Top::Groups)
+                continue;
+            for (const ShardPlan& plan : defaultShardPlans(cfg, pipe, 2))
+                check(cfg, &plan, armed);
+        }
+    }
+    EXPECT_GT(sharded, 0);
+    EXPECT_GT(adaptive, 0);
+}
+
+} // namespace
+
+TEST(OfflineTuner, ARunFinishesUnderALimitExactlyWhenItsCyclesFit)
+{
+    expectFinishesExactlyWithinItsCycles("ldpc", true);
+    expectFinishesExactlyWithinItsCycles("reyes", false);
 }

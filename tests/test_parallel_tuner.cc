@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests of the multi-threaded candidate sweep: the parallel tuner
- * must pick a configuration bit-identical to the serial sweep's, for
- * any thread count, because per-candidate runs are deterministic and
- * the arg-min reduction is serialized in candidate order. That holds
- * for the adaptive jobs too.
+ * Tests of the multi-threaded candidate sweep: autotuneParallel must
+ * return autotune()'s TunerResult field for field, for any thread
+ * count, because every worker's timeout limit is at least the serial
+ * sweep's and the reduction reapplies the serial rule in job order.
+ * That holds for the adaptive jobs too.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <limits>
 
 #include "apps/registry.hh"
+#include "toy_apps.hh"
 #include "tuner/offline_tuner.hh"
 
 using namespace vp;
@@ -37,38 +38,64 @@ runParallel(int threads)
         [] { return makeApp("pyramid", AppScale::Small); }, opts);
 }
 
+/** A small search; the adaptive controller joins it when
+ *  @p adaptive. */
+TunerOptions
+smallSearch(bool adaptive)
+{
+    TunerOptions opts;
+    opts.search.smCandidates = 4;
+    opts.search.blockCandidates = 4;
+    opts.search.maxConfigs = 40;
+    if (adaptive) {
+        AdaptiveConfig ac;
+        ac.enabled = true;
+        ac.epochCycles = 20000.0;
+        opts.adaptive = ac;
+    }
+    return opts;
+}
+
+/** A parallel sweep's result against the serial one, field for
+ *  field. */
+void
+expectSameResult(const TunerResult& got, const TunerResult& want,
+                 const Pipeline& pipe)
+{
+    EXPECT_EQ(got.evaluated, want.evaluated);
+    EXPECT_EQ(got.timedOut, want.timedOut);
+    EXPECT_EQ(got.replayed, want.replayed);
+    EXPECT_EQ(got.finished, want.finished);
+    EXPECT_EQ(got.best.describe(pipe), want.best.describe(pipe));
+    EXPECT_EQ(got.best.onlineAdaptation, want.best.onlineAdaptation);
+    EXPECT_EQ(got.bestAdaptive, want.bestAdaptive);
+    EXPECT_EQ(got.bestSharded, want.bestSharded);
+    EXPECT_EQ(got.bestRun.configName, want.bestRun.configName);
+    EXPECT_EQ(got.bestRun.cycles, want.bestRun.cycles);
+    EXPECT_EQ(got.bestRun.ms, want.bestRun.ms);
+    EXPECT_EQ(got.bestRun.simEvents, want.bestRun.simEvents);
+    EXPECT_EQ(got.bestRun.polls, want.bestRun.polls);
+    EXPECT_TRUE(got.bestRun.completed);
+}
+
 } // namespace
 
 TEST(ParallelTuner, SingleThreadMatchesSerialExactly)
 {
     TunerResult serial = runSerial();
     TunerResult par = runParallel(1);
-    EXPECT_EQ(par.bestRun.cycles, serial.bestRun.cycles);
-    EXPECT_EQ(par.bestRun.configName, serial.bestRun.configName);
-    EXPECT_EQ(par.evaluated, serial.evaluated);
-    // With one worker, the cutoff sequence is the serial one, so
-    // even the pruning bookkeeping coincides.
-    EXPECT_EQ(par.timedOut, serial.timedOut);
-    ASSERT_EQ(par.finished.size(), serial.finished.size());
-    for (std::size_t i = 0; i < par.finished.size(); ++i) {
-        EXPECT_EQ(par.finished[i].first, serial.finished[i].first);
-        EXPECT_EQ(par.finished[i].second, serial.finished[i].second);
-    }
+    expectSameResult(par, serial,
+                     makeApp("pyramid", AppScale::Small)->pipeline());
 }
 
 TEST(ParallelTuner, FourThreadsPickSerialBest)
 {
+    // Four workers run with looser limits than the serial sweep, and
+    // the reduction still reports the serial bookkeeping.
     TunerResult serial = runSerial();
     TunerResult par = runParallel(4);
-    // Bit-identical winner: same cycles, same configuration, same
-    // device-time conversion.
-    EXPECT_EQ(par.bestRun.cycles, serial.bestRun.cycles);
-    EXPECT_EQ(par.bestRun.ms, serial.bestRun.ms);
-    EXPECT_EQ(par.bestRun.configName, serial.bestRun.configName);
-    EXPECT_EQ(par.evaluated, serial.evaluated);
-    // Interleaving can only let MORE candidates finish (cutoffs
-    // tighten later than in the serial sweep), never fewer.
-    EXPECT_LE(par.timedOut, serial.timedOut);
+    expectSameResult(par, serial,
+                     makeApp("pyramid", AppScale::Small)->pipeline());
 }
 
 TEST(ParallelTuner, ParallelSweepIsInternallyDeterministic)
@@ -97,15 +124,7 @@ void
 expectAdaptiveSweepMatchesSerial(const std::string& name)
 {
     SCOPED_TRACE(name);
-    TunerOptions opts;
-    opts.search.smCandidates = 4;
-    opts.search.blockCandidates = 4;
-    opts.search.maxConfigs = 40;
-    AdaptiveConfig ac;
-    ac.enabled = true;
-    ac.epochCycles = 20000.0;
-    opts.adaptive = ac;
-
+    TunerOptions opts = smallSearch(true);
     Engine engine(DeviceConfig::k20c());
     auto app = makeApp(name, AppScale::Small);
     Pipeline& pipe = app->pipeline();
@@ -120,23 +139,13 @@ expectAdaptiveSweepMatchesSerial(const std::string& name)
               static_cast<int>(configs.size() + adaptive));
 
     auto factory = [&] { return makeApp(name, AppScale::Small); };
-    opts.threads = 1;
-    TunerResult one = autotuneParallel(engine.deviceConfig(), factory,
-                                       opts);
-    EXPECT_EQ(one.evaluated, serial.evaluated);
-    EXPECT_EQ(one.timedOut, serial.timedOut);
-    EXPECT_EQ(one.finished, serial.finished);
-    EXPECT_EQ(one.best.describe(pipe), serial.best.describe(pipe));
-    EXPECT_EQ(one.bestAdaptive, serial.bestAdaptive);
-    EXPECT_EQ(one.replayed, serial.replayed);
-
-    opts.threads = 4;
-    TunerResult four = autotuneParallel(engine.deviceConfig(), factory,
-                                        opts);
-    EXPECT_EQ(four.evaluated, serial.evaluated);
-    EXPECT_EQ(four.best.describe(pipe), serial.best.describe(pipe));
-    EXPECT_EQ(four.bestAdaptive, serial.bestAdaptive);
-    EXPECT_EQ(four.bestRun.cycles, serial.bestRun.cycles);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        opts.threads = threads;
+        expectSameResult(autotuneParallel(engine.deviceConfig(),
+                                          factory, opts),
+                         serial, pipe);
+    }
 }
 
 } // namespace
@@ -151,22 +160,90 @@ TEST(ParallelTuner, AdaptiveSweepOfARealPayloadAppMatchesSerial)
     expectAdaptiveSweepMatchesSerial("reyes");
 }
 
+TEST(ParallelTuner, EveryAppMatchesSerialAtAnyThreadCount)
+{
+    for (const char* dev : {"k20c", "gtx1080"}) {
+        for (const std::string& name : appNames()) {
+            for (bool adaptive : {false, true}) {
+                SCOPED_TRACE(name + "@" + dev
+                             + (adaptive ? " +adaptive" : ""));
+                TunerOptions opts = smallSearch(adaptive);
+                Engine engine(DeviceConfig::byName(dev));
+                auto app = makeApp(name, AppScale::Small);
+                TunerResult serial = autotune(engine, *app, opts);
+                for (int threads : {1, 2, 4}) {
+                    SCOPED_TRACE(threads);
+                    opts.threads = threads;
+                    expectSameResult(
+                        autotuneParallel(
+                            engine.deviceConfig(),
+                            [&] {
+                                return makeApp(name, AppScale::Small);
+                            },
+                            opts),
+                        serial, app->pipeline());
+                }
+            }
+        }
+    }
+}
+
+namespace {
+
+/** A LinearApp that throws from reset() on every run but its first. */
+class OneRunApp : public test::LinearApp
+{
+  public:
+    void
+    reset() override
+    {
+        if (++runs_ > 1)
+            VP_FATAL("run " << runs_ << " fails");
+    }
+
+  private:
+    int runs_ = 0;
+};
+
+} // namespace
+
+TEST(ParallelTuner, ACandidateErrorReachesTheCaller)
+{
+    // The first worker's driver profiles, so each of its candidates
+    // throws; every other worker's first candidate runs.
+    for (int threads : {1, 2, 4}) {
+        TunerOptions opts;
+        opts.search.maxConfigs = 20;
+        opts.threads = threads;
+        EXPECT_THROW(autotuneParallel(
+                         DeviceConfig::k20c(),
+                         [] { return std::make_unique<OneRunApp>(); },
+                         opts),
+                     FatalError)
+            << threads;
+    }
+}
+
 TEST(ParallelTuner, RejectsBadArguments)
 {
     EXPECT_THROW(autotuneParallel(DeviceConfig::k20c(), nullptr),
                  FatalError);
-    for (double factor :
-         {0.5, std::numeric_limits<double>::quiet_NaN()}) {
-        TunerOptions opts;
-        opts.timeoutFactor = factor;
+    std::vector<TunerOptions> bad(5);
+    bad[0].timeoutFactor = 0.5;
+    bad[1].timeoutFactor = std::numeric_limits<double>::quiet_NaN();
+    bad[2].search.maxConfigs = 0;
+    bad[3].search.smCandidates = 0;
+    bad[4].search.blockCandidates = -1;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
         try {
             autotuneParallel(
                 DeviceConfig::k20c(),
                 [] { return makeApp("pyramid", AppScale::Small); },
-                opts);
-            ADD_FAILURE() << "accepted timeoutFactor " << factor;
+                bad[i]);
+            ADD_FAILURE() << "accepted options " << i;
         } catch (const FatalError& e) {
-            EXPECT_EQ(e.code(), ErrorCode::Config) << factor;
+            EXPECT_EQ(e.code(), ErrorCode::Config)
+                << i << ": " << e.what();
         }
     }
 }
