@@ -105,6 +105,7 @@ GroupsRunner::buildGroupSpecs(std::size_t g)
                 KernelSpec spec;
                 spec.name = pipe_.stage(s).name + "_fine";
                 spec.stages = {s};
+                spec.watch = watchMask(spec.stages);
                 spec.res = pipe_.stage(s).resources;
                 spec.sms = grp.sms;
                 spec.threads = stageBlockThreads(s);
@@ -148,6 +149,7 @@ GroupsRunner::buildGroupSpecs(std::size_t g)
             } else {
                 spec.stages = grp.stages;
             }
+            spec.watch = watchMask(spec.stages);
             int want = configured_blocks(-1);
             if (want <= 0) {
                 want = maxBlocksPerSm(dev_.config(), spec.res,
@@ -160,6 +162,9 @@ GroupsRunner::buildGroupSpecs(std::size_t g)
             specs_.push_back(std::move(spec));
         }
     }
+    blockCount_.resize(specs_.size()
+                           * static_cast<std::size_t>(dev_.numSms()),
+                       0);
 }
 
 void
@@ -259,7 +264,7 @@ GroupsRunner::serveWake()
     for (std::size_t i = 0; i < specs_.size(); ++i) {
         if (specLiveKernels_[i] > 0)
             continue;
-        if (!anyFutureWork(specs_[i].stages))
+        if (!futureWork(specs_[i].watch))
             continue;
         launchSpec(static_cast<int>(i), specs_[i].sms, false);
     }
@@ -271,8 +276,7 @@ GroupsRunner::blockMain(BlockContext& ctx, int specIdx)
     const KernelSpec& spec = specs_[specIdx];
     // Block-mapping check (filling-retreating): each stage keeps a
     // per-SM block counter; blocks beyond the budget retreat.
-    auto key = std::make_pair(specIdx, ctx.smId());
-    int& count = blockCount_[key];
+    int& count = blocksOn(specIdx, ctx.smId());
     if (count >= spec.blocksPerSm) {
         ++retreats_;
         if (tracer_)
@@ -299,11 +303,9 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
         // blocks retreat, freeing their slot for the receiving
         // stage's refill. Guarded by the armed flag, so unadapted
         // runs take exactly the pre-controller path.
-        auto key = std::make_pair(specIdx, ctx.smId());
-        auto it = blockCount_.find(key);
-        if (it != blockCount_.end()
-            && it->second > spec.blocksPerSm) {
-            --it->second;
+        int& count = blocksOn(specIdx, ctx.smId());
+        if (count > spec.blocksPerSm) {
+            --count;
             blockSpec_.erase(&ctx);
             ++retreats_;
             if (tracer_)
@@ -316,10 +318,9 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
             return;
         }
     }
-    if (!anyFutureWork(spec.stages)) {
+    if (!futureWork(spec.watch)) {
         // This stage group has fully drained: retire the block.
-        auto key = std::make_pair(specIdx, ctx.smId());
-        --blockCount_[key];
+        --blocksOn(specIdx, ctx.smId());
         blockSpec_.erase(&ctx);
         ctx.exit();
         return;
@@ -334,9 +335,10 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
                 += pollBackoff;
         Tick next_backoff = std::min(
             pollBackoff * 1.5, dev_.config().pollIntervalCycles * 3.0);
-        ctx.delay(pollBackoff, [this, &ctx, specIdx, next_backoff] {
-            blockLoop(ctx, specIdx, next_backoff);
-        });
+        ctx.delayFixed(pollBackoff,
+                       [this, &ctx, specIdx, next_backoff] {
+                           blockLoop(ctx, specIdx, next_backoff);
+                       });
         return;
     }
     processBatch(ctx, *qs, s, spec.inlineMask, -1,
@@ -354,7 +356,7 @@ GroupsRunner::onBlockAborted(BlockContext& ctx)
     if (it == blockSpec_.end())
         return;
     // The evicted block no longer occupies its block-mapping slot.
-    --blockCount_[std::make_pair(it->second, ctx.smId())];
+    --blocksOn(it->second, ctx.smId());
     blockSpec_.erase(it);
 }
 
@@ -371,7 +373,7 @@ GroupsRunner::onSmFailed(int sm)
     // what brings their stages back to life.
     for (std::size_t i = 0; i < specs_.size(); ++i) {
         const KernelSpec& spec = specs_[i];
-        if (!anyFutureWork(spec.stages))
+        if (!futureWork(spec.watch))
             continue;
         std::vector<int> sms;
         for (int bound : spec.sms)
@@ -495,7 +497,7 @@ GroupsRunner::adaptEpoch()
         l.depth = adaptDepth(t);
         l.blocks = spec.blocksPerSm;
         l.group = spec.groupIdx;
-        l.drained = !futureWorkPossible(spec.stages.front());
+        l.drained = !futureWork(spec.watch);
         // Occupancy: poll-wait cycles this spec's blocks burned
         // since the last epoch, normalised by the block-time the
         // epoch offered them.

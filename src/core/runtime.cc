@@ -1,6 +1,7 @@
 #include "core/runtime.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -162,9 +163,8 @@ RunnerBase::serveSeeder()
 bool
 RunnerBase::localWork(StageMask relevant) const
 {
-    for (int i = 0; i < pipe_.stageCount(); ++i) {
-        if (!(relevant & (StageMask(1) << i)))
-            continue;
+    for (StageMask m = relevant; m; m &= m - 1) {
+        int i = std::countr_zero(m);
         if (inFlight_[i] > 0)
             return true;
         if (!queues_[i]->empty())
@@ -178,15 +178,25 @@ RunnerBase::localWork(StageMask relevant) const
     return false;
 }
 
-bool
-RunnerBase::futureWorkPossible(int s) const
+StageMask
+RunnerBase::watchMask(const std::vector<int>& stages) const
 {
-    StageMask relevant = pipe_.ancestorsOf(s) | (StageMask(1) << s);
-    if (localWork(relevant))
+    StageMask m = 0;
+    for (int s : stages)
+        m |= pipe_.ancestorsOf(s) | (StageMask(1) << s);
+    return m;
+}
+
+bool
+RunnerBase::futureWork(StageMask watch) const
+{
+    if (!watch)
+        return false;
+    if (localWork(watch))
         return true;
     // Sharded: a remote device running an ancestor stage — or an
     // item in flight on the interconnect — may still feed us.
-    return shard_ && shard_->remoteWork && shard_->remoteWork(relevant);
+    return shard_ && shard_->remoteWork && shard_->remoteWork(watch);
 }
 
 std::uint64_t
@@ -248,15 +258,6 @@ void
 RunnerBase::adoptStages(const std::vector<int>& stages)
 {
     (void)stages;
-}
-
-bool
-RunnerBase::anyFutureWork(const std::vector<int>& stages) const
-{
-    for (int s : stages)
-        if (futureWorkPossible(s))
-            return true;
-    return false;
 }
 
 int
@@ -521,11 +522,8 @@ RunnerBase::finishBatch(BatchCommit c)
         faultStats_.deadLettered += corrupted;
     }
 
-    if (detect > 0.0)
+    if (detect > 0.0 || !tryCommit(c))
         awaitCommit(std::make_unique<BatchCommit>(std::move(c)), detect);
-    else if (!tryCommit(c))
-        awaitCommit(std::make_unique<BatchCommit>(std::move(c)),
-                    dev_.config().pollIntervalCycles);
 }
 
 bool
@@ -575,13 +573,18 @@ RunnerBase::tryCommit(BatchCommit& c)
 }
 
 void
-RunnerBase::awaitCommit(std::unique_ptr<BatchCommit> c, Tick wait)
+RunnerBase::awaitCommit(std::unique_ptr<BatchCommit> c, Tick detect)
 {
     BlockContext* block = c->block;
-    block->delay(wait, [this, c = std::move(c)]() mutable {
+    auto retry = [this, c = std::move(c)]() mutable {
         if (!tryCommit(*c))
-            awaitCommit(std::move(c), dev_.config().pollIntervalCycles);
-    });
+            awaitCommit(std::move(c), 0.0);
+    };
+    if (detect > 0.0)
+        block->delay(detect, std::move(retry));
+    else
+        block->delayFixed(dev_.config().pollIntervalCycles,
+                          std::move(retry));
 }
 
 void

@@ -376,13 +376,20 @@ class RunnerBase
     void seedFlow(AppDriver& driver, QueueSet& qs, int flow);
 
     /**
-     * True when stage @p s might still receive work: itself or any
-     * transitive producer has queued items or in-flight tasks.
+     * The stages whose work can reach any of @p stages: each one and
+     * its transitive producers. futureWork() takes this mask.
      */
-    bool futureWorkPossible(int s) const;
+    StageMask watchMask(const std::vector<int>& stages) const;
 
-    /** futureWorkPossible over a set of stages. */
-    bool anyFutureWork(const std::vector<int>& stages) const;
+    /**
+     * True when a stage of @p watch has queued items, in-flight tasks
+     * or buffered retries here or, sharded, on another device (or an
+     * item is on the interconnect). Over a watchMask() this says
+     * whether those stages might still receive work. Both tests are
+     * "any stage in the mask", so one call over a union of masks
+     * answers the same as one call per mask.
+     */
+    bool futureWork(StageMask watch) const;
 
     /**
      * Choose the next stage to serve among @p stages (those with a
@@ -572,9 +579,10 @@ class RunnerBase
      *  a backpressure wait and return false). */
     bool tryCommit(BatchCommit& c);
 
-    /** Hold the block for @p wait cycles, then retry the commit,
-     *  polling while a target stays full. */
-    void awaitCommit(std::unique_ptr<BatchCommit> c, Tick wait);
+    /** Hold the block for @p detect cycles (a corrupted push's
+     *  detection) or, at 0, one poll interval; then retry the
+     *  commit, polling while a target stays full. */
+    void awaitCommit(std::unique_ptr<BatchCommit> c, Tick detect);
 };
 
 /** Persistent-block runner for Groups configurations. */
@@ -606,6 +614,7 @@ class GroupsRunner : public RunnerBase
     {
         std::string name;
         std::vector<int> stages;  //!< stages this kernel serves
+        StageMask watch = 0;      //!< watchMask(stages)
         StageMask inlineMask = 0; //!< RTC groups: inlined stages
         ResourceUsage res;
         std::vector<int> sms;     //!< allowed SMs (empty = all)
@@ -644,8 +653,18 @@ class GroupsRunner : public RunnerBase
     std::vector<char> builtGroups_;
     /** Per-SM queue shards when cfg.distributedQueues is set. */
     std::vector<std::unique_ptr<QueueSet>> shards_;
-    /** (specIdx, smId) -> resident block count (block mapping). */
-    std::map<std::pair<int, int>, int> blockCount_;
+    /** Resident blocks per (spec, SM), at specIdx * numSms + smId
+     *  (block mapping); grows with specs_. */
+    std::vector<int> blockCount_;
+
+    /** Resident block count of spec @p specIdx on SM @p smId. */
+    int&
+    blocksOn(int specIdx, int smId)
+    {
+        return blockCount_[static_cast<std::size_t>(specIdx)
+                               * static_cast<std::size_t>(dev_.numSms())
+                           + static_cast<std::size_t>(smId)];
+    }
     /** Live block -> spec index, for eviction bookkeeping (kept
      *  only when blocks are evictable). */
     std::map<BlockContext*, int> blockSpec_;

@@ -44,11 +44,24 @@ BlockContext::exec(const WorkSpec& work, EventFn cb)
 void
 BlockContext::delay(Tick cycles, EventFn cb)
 {
-    VP_ASSERT(!exited_, "delay() on an exited block");
+    hold(std::move(cb));
+    pendingEvent_ = sim().after(cycles, [this] { complete(); });
+}
+
+void
+BlockContext::delayFixed(Tick cycles, EventFn cb)
+{
+    hold(std::move(cb));
+    pendingEvent_ = sim().afterFixed(cycles, [this] { complete(); });
+}
+
+void
+BlockContext::hold(EventFn cb)
+{
+    VP_ASSERT(!exited_, "delay on an exited block");
     VP_ASSERT(!busy_, "block already has an operation outstanding");
     busy_ = true;
     cont_ = std::move(cb);
-    pendingEvent_ = sim().after(cycles, [this] { complete(); });
 }
 
 void

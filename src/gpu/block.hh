@@ -58,6 +58,14 @@ class BlockContext
     /** Busy-occupy the block for @p cycles, then invoke @p cb. */
     void delay(Tick cycles, EventFn cb);
 
+    /**
+     * delay() for a wait the block repeats with a few fixed lengths
+     * (idle-poll backoff, backpressure retry): the event takes the
+     * simulator's FIFO lane for @p cycles (Simulator::afterFixed).
+     * Same time and order as delay(), without a heap sift.
+     */
+    void delayFixed(Tick cycles, EventFn cb);
+
     /** Retire the block, freeing its SM resources. */
     void exit();
 
@@ -72,6 +80,9 @@ class BlockContext
 
     /** Finish the outstanding operation and run its continuation. */
     void complete();
+
+    /** Mark a delay outstanding with continuation @p cb. */
+    void hold(EventFn cb);
 
     /**
      * Tear the block down after an SM failure: cancel the pending
@@ -92,7 +103,7 @@ class BlockContext
      * EventFn's inline buffer.
      */
     EventFn cont_;
-    /** Pending kernel-start or delay() event, for fault abort. */
+    /** Pending kernel-start or delay event, for fault abort. */
     EventHandle pendingEvent_;
     bool busy_ = false;
     bool exited_ = false;

@@ -19,36 +19,16 @@ QueueBase::QueueBase(std::string name, int itemBytes,
 
 QueueBase::~QueueBase() = default;
 
-void
-QueueBase::pushRecent(Tick t)
-{
-    if (recentCount_ == recent_.size()) {
-        // Grow and unroll the ring into a fresh buffer.
-        std::vector<Tick> grown;
-        grown.reserve(recent_.empty() ? 16 : recent_.size() * 2);
-        for (std::size_t i = 0; i < recentCount_; ++i)
-            grown.push_back(recent_[(recentHead_ + i) % recent_.size()]);
-        grown.resize(grown.capacity());
-        recent_ = std::move(grown);
-        recentHead_ = 0;
-    }
-    recent_[(recentHead_ + recentCount_) % recent_.size()] = t;
-    ++recentCount_;
-}
-
 Tick
 QueueBase::accessCost(const DeviceConfig& cfg, Tick now, int items)
 {
     VP_ASSERT(items >= 0, "negative item count");
     // Evict timestamps that fell out of the window. Accesses arrive
     // in non-decreasing time order, so only the head can expire.
-    while (recentCount_ > 0
-           && recent_[recentHead_] < now - kContentionWindow) {
-        recentHead_ = (recentHead_ + 1) % recent_.size();
-        --recentCount_;
-    }
-    auto contenders = static_cast<double>(recentCount_);
-    pushRecent(now);
+    while (!recent_.empty() && recent_.front() < now - kContentionWindow)
+        recent_.pop_front();
+    auto contenders = static_cast<double>(recent_.size());
+    recent_.push_back(now);
 
     // Payload movement is warp-parallel on the device: 16 lanes of a
     // block cooperate on bulk enqueue/dequeue traffic.
@@ -64,6 +44,7 @@ QueueBase::accessCost(const DeviceConfig& cfg, Tick now, int items)
 void
 QueueBase::recordPush(std::size_t depthAfter)
 {
+    count_ = depthAfter;
     ++stats_.pushes;
     stats_.maxDepth = std::max(stats_.maxDepth, depthAfter);
     if (ewmaEnabled_)
@@ -94,6 +75,7 @@ QueueBase::recordPush(std::size_t depthAfter)
 void
 QueueBase::recordPop(std::size_t depthAfter)
 {
+    count_ = depthAfter;
     ++stats_.pops;
     if (ewmaEnabled_)
         depthEwma_ +=
@@ -129,6 +111,7 @@ QueueBase::recordPop(std::size_t depthAfter)
 void
 QueueBase::recordPops(std::uint64_t n, std::size_t depthAfter)
 {
+    count_ = depthAfter;
     stats_.pops += n;
     if (ewmaEnabled_ && n > 0)
         depthEwma_ +=

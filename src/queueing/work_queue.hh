@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/ring.hh"
 #include "gpu/device_config.hh"
 #include "obs/provenance.hh"
 #include "obs/trace.hh"
@@ -90,7 +91,7 @@ class QueueBase
     std::type_index type() const { return type_; }
 
     /** Items currently buffered. */
-    virtual std::size_t size() const = 0;
+    std::size_t size() const { return count_; }
 
     /** Drop all buffered items. */
     virtual void clear() = 0;
@@ -112,7 +113,7 @@ class QueueBase
     virtual void takeOverLocal() {}
 
     /** True when no items are buffered. */
-    bool empty() const { return size() == 0; }
+    bool empty() const { return count_ == 0; }
 
     /**
      * Cycle cost of one queue access moving @p items items at virtual
@@ -141,8 +142,6 @@ class QueueBase
     {
         stats_ = QueueStats();
         recent_.clear();
-        recentHead_ = 0;
-        recentCount_ = 0;
         // Re-baseline the smoothed depth to the *surviving* contents:
         // zeroing it on a non-empty queue would feed the adaptive
         // controller a phantom under-load signal on reuse.
@@ -220,9 +219,10 @@ class QueueBase
     /** @name Retry metadata (fault/recovery support) @{
      *
      * When enabled, the queue carries a per-item retry count in a
-     * parallel deque, maintained inside the existing push/pop stat
+     * parallel ring, maintained inside the existing push/pop stat
      * hooks. Disabled (the default), the only cost on the hot path
-     * is one branch per bookkeeping call.
+     * is one branch per bookkeeping call, and the ring allocates
+     * nothing.
      */
 
     /** Start tracking per-item retry counts (existing items get 0). */
@@ -249,7 +249,7 @@ class QueueBase
     /** @name Item provenance (observability support) @{
      *
      * When attached, the queue carries a per-item provenance id in a
-     * parallel deque, maintained inside the existing push/pop stat
+     * parallel ring, maintained inside the existing push/pop stat
      * hooks, and reports every enqueue of a tracked item to the
      * tracker with the current simulated time. Purely host-side
      * recording; detached (the default), the only cost on the hot
@@ -292,7 +292,7 @@ class QueueBase
     /** @name Item tags (tuner replay support) @{
      *
      * When enabled, the queue carries an opaque pointer per item in a
-     * parallel deque, maintained inside the existing push/pop stat
+     * parallel ring, maintained inside the existing push/pop stat
      * hooks: a replayed item's task record (core/task_graph.hh), so
      * its pop needs no lookup. Disabled (the default), the only cost
      * on the hot path is one branch per bookkeeping call.
@@ -315,6 +315,11 @@ class QueueBase
     /** @} */
 
   protected:
+    /** @name Bookkeeping of the payload FIFO
+     * A subclass reports every change of its buffered items here,
+     * with the item count after it; size() and empty() read that
+     * count, so they are not virtual calls. @{ */
+
     void recordPush(std::size_t depthAfter);
     void recordPop(std::size_t depthAfter);
 
@@ -323,31 +328,29 @@ class QueueBase
 
     /** Keep item metadata in sync with a clear() of the payload. */
     void
-    metaCleared()
+    recordClear()
     {
+        count_ = 0;
         tries_.clear();
         ids_.clear();
         tags_.clear();
     }
 
+    /** @} */
+
   private:
     std::string name_;
     int itemBytes_;
     std::type_index type_;
+    /** Items buffered in the subclass's payload FIFO. */
+    std::size_t count_ = 0;
 
     /**
-     * Timestamps of accesses inside the contention window, as a ring
-     * buffer (timestamps are non-decreasing, so eviction only happens
-     * at the head). Replaces a std::deque whose chunked allocation
-     * and per-access pop/push churn sat on the queue-cost fast path;
-     * the contention estimate is bitwise identical.
+     * Timestamps of accesses inside the contention window
+     * (timestamps are non-decreasing, so eviction only happens at the
+     * head).
      */
-    std::vector<Tick> recent_;
-    std::size_t recentHead_ = 0;
-    std::size_t recentCount_ = 0;
-
-    /** Append @p t to the access window, growing if full. */
-    void pushRecent(Tick t);
+    Ring<Tick> recent_;
 
     QueueStats stats_;
 
@@ -361,7 +364,7 @@ class QueueBase
     bool metaEnabled_ = false;
     std::uint32_t nextTries_ = 0;
     /** Per-item retry counts, parallel to the payload FIFO. */
-    std::deque<std::uint32_t> tries_;
+    Ring<std::uint32_t> tries_;
     /** Retry counts of the last pop/popBatch (scratch, reused). */
     std::vector<std::uint32_t> poppedTries_;
     ProvenanceTracker* prov_ = nullptr;
@@ -370,13 +373,13 @@ class QueueBase
     int provDevice_ = 0;
     std::uint64_t nextId_ = 0;
     /** Per-item provenance ids, parallel to the payload FIFO. */
-    std::deque<std::uint64_t> ids_;
+    Ring<std::uint64_t> ids_;
     /** Provenance ids of the last pop/popBatch (scratch, reused). */
     std::vector<std::uint64_t> poppedIds_;
     bool tagsEnabled_ = false;
     const void* nextTag_ = nullptr;
     /** Per-item tags, parallel to the payload FIFO. */
-    std::deque<const void*> tags_;
+    Ring<const void*> tags_;
     /** Tags of the last pop/popBatch (reused buffer). */
     std::vector<const void*> poppedTags_;
 };
@@ -391,13 +394,11 @@ class WorkQueue : public QueueBase
                     std::type_index(typeid(T)))
     {}
 
-    std::size_t size() const override { return items_.size(); }
-
     void
     clear() override
     {
         items_.clear();
-        metaCleared();
+        recordClear();
     }
 
     /** Read-only access to the i-th buffered item (capture). */

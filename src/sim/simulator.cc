@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace vp {
 
@@ -101,16 +102,20 @@ Simulator::at(Tick when, EventFn fn)
     VP_ASSERT(std::isfinite(when), "event time must be finite");
     VP_ASSERT(when + 1e-9 >= now_,
               "cannot schedule in the past: " << when << " < " << now_);
+    HeapEntry e{when > now_ ? when : now_, claim(std::move(fn))};
+    heapPush(e);
+    return EventHandle(e.slot(), slab_[e.slot()].gen);
+}
+
+std::uint64_t
+Simulator::claim(EventFn fn)
+{
     std::uint32_t idx = allocSlot();
-    Slot& s = slab_[idx];
-    s.fn = std::move(fn);
-    std::uint32_t gen = s.gen;
+    slab_[idx].fn = std::move(fn);
     std::uint64_t seq = nextSeq_++;
     VP_ASSERT(seq < (std::uint64_t(1) << (64 - kSlotBits)),
               "event sequence space exhausted");
-    heapPush(HeapEntry{when > now_ ? when : now_,
-                       (seq << kSlotBits) | idx});
-    return EventHandle(idx, gen);
+    return (seq << kSlotBits) | idx;
 }
 
 EventHandle
@@ -118,6 +123,41 @@ Simulator::after(Tick delay, EventFn fn)
 {
     VP_ASSERT(delay >= 0.0, "negative delay " << delay);
     return at(now_ + delay, std::move(fn));
+}
+
+Simulator::Lane*
+Simulator::laneFor(Tick delay)
+{
+    for (Lane& l : lanes_)
+        if (l.delay == delay)
+            return &l;
+    if (lanes_.size() >= kMaxLanes)
+        return nullptr;
+    lanes_.push_back(Lane{delay, {}});
+    return &lanes_.back();
+}
+
+EventHandle
+Simulator::afterFixed(Tick delay, EventFn fn)
+{
+    VP_ASSERT(delay >= 0.0, "negative delay " << delay);
+    Tick when = now_ + delay;
+    VP_ASSERT(std::isfinite(when), "event time must be finite");
+    Lane* lane = laneFor(delay);
+    // A lane must stay in key order. advanceTo's tolerance lets the
+    // clock step back by under 1e-9 when a slightly earlier event
+    // fires after it; an event that would then sort before the
+    // lane's tail, or find every lane taken, goes on the heap under
+    // the same key.
+    if (!lane
+        || (!lane->fifo.empty() && when < lane->fifo.back().key.when))
+        return at(when, std::move(fn));
+    HeapEntry e{when, claim(std::move(fn))};
+    Slot& s = slab_[e.slot()];
+    s.heapPos = kInLane;
+    lane->fifo.push_back(LaneEntry{e, s.gen});
+    ++laneLive_;
+    return EventHandle(e.slot(), s.gen);
 }
 
 void
@@ -130,18 +170,45 @@ Simulator::cancel(EventHandle h)
     // and the slot may belong to someone else now.
     if (s.gen != h.gen_ || s.heapPos == kNotQueued)
         return;
-    heapRemove(s.heapPos);
+    // A lane entry stays in its lane; the generation bump below
+    // marks it dead for next().
+    if (s.heapPos == kInLane)
+        --laneLive_;
+    else
+        heapRemove(s.heapPos);
     freeSlot(h.slot_);
 }
 
-void
-Simulator::dispatchNext()
+Simulator::Next
+Simulator::next()
 {
-    std::uint32_t idx = heap_[0].slot();
-    now_ = heap_[0].when;
+    Next n{heap_.empty() ? nullptr : &heap_[0], -1};
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        Ring<LaneEntry>& fifo = lanes_[i].fifo;
+        while (!fifo.empty()
+               && slab_[fifo.front().key.slot()].gen != fifo.front().gen)
+            fifo.pop_front();
+        if (!fifo.empty()
+            && (!n.key || firesBefore(fifo.front().key, *n.key)))
+            n = Next{&fifo.front().key, static_cast<int>(i)};
+    }
+    return n;
+}
+
+void
+Simulator::dispatch(Next n)
+{
+    HeapEntry e = *n.key;
+    if (n.lane < 0) {
+        heapRemove(0);
+    } else {
+        lanes_[static_cast<std::size_t>(n.lane)].fifo.pop_front();
+        --laneLive_;
+    }
+    std::uint32_t idx = e.slot();
+    now_ = e.when;
     ++eventsRun_;
     EventFn fn = std::move(slab_[idx].fn);
-    heapRemove(0);
     // Recycle before firing: the callback may schedule new events,
     // which can then reuse this slot immediately.
     freeSlot(idx);
@@ -151,8 +218,12 @@ Simulator::dispatchNext()
 Tick
 Simulator::run()
 {
-    while (!heap_.empty() && !stop_)
-        dispatchNext();
+    while (!stop_) {
+        Next n = next();
+        if (!n.key)
+            break;
+        dispatch(n);
+    }
     return now_;
 }
 
@@ -160,16 +231,18 @@ bool
 Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
 {
     std::uint64_t start = eventsRun_;
-    while (!heap_.empty()) {
+    for (;;) {
+        Next n = next();
+        if (!n.key)
+            return true;
         if (stop_)
             return false;
         if (eventsRun_ - start >= eventLimit)
             return false;
-        if (heap_[0].when > timeLimit)
+        if (n.key->when > timeLimit)
             return false;
-        dispatchNext();
+        dispatch(n);
     }
-    return true;
 }
 
 void
@@ -177,24 +250,17 @@ Simulator::advanceTo(Tick t)
 {
     if (!(t > now_))
         return;
-    VP_ASSERT(heap_.empty() || heap_[0].when + 1e-9 >= t,
+    Next n = next();
+    VP_ASSERT(!n.key || n.key->when + 1e-9 >= t,
               "advanceTo(" << t << ") would skip an event at "
-                           << heap_[0].when);
+                           << n.key->when);
     now_ = t;
 }
 
 bool
 Simulator::runBounded(std::uint64_t limit)
 {
-    std::uint64_t start = eventsRun_;
-    while (!heap_.empty()) {
-        if (stop_)
-            return false;
-        if (eventsRun_ - start >= limit)
-            return false;
-        dispatchNext();
-    }
-    return true;
+    return runUntil(std::numeric_limits<Tick>::infinity(), limit);
 }
 
 } // namespace vp

@@ -15,6 +15,10 @@
  * is detected by a counter compare, never a lookup — and callbacks
  * are stored in EventFn, a move-only function whose inline buffer
  * fits every hot-path continuation without touching the allocator.
+ * Events scheduled with afterFixed() skip the heap: each fixed delay
+ * has a FIFO lane whose events are already in key order, and
+ * dispatch takes the least key over the heap top and the lane heads
+ * (docs/MODEL.md, "Event engine internals").
  */
 
 #ifndef VP_SIM_SIMULATOR_HH
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/ring.hh"
 
 namespace vp {
 
@@ -232,6 +237,17 @@ class Simulator
      */
     EventHandle after(Tick delay, EventFn fn);
 
+    /**
+     * after(@p delay, @p fn) for a delay the caller repeats (poll
+     * backoffs, commit retries): the event joins the FIFO lane of
+     * @p delay instead of the heap. The time, the sequence number and
+     * so the dispatch order are exactly after()'s; only the cost
+     * differs (O(1) instead of a heap sift). Meant for a handful of
+     * distinct delays: each lane adds a compare to every dispatch,
+     * and delays past the eighth lane go on the heap.
+     */
+    EventHandle afterFixed(Tick delay, EventFn fn);
+
     /** Cancel a previously scheduled event; no-op if already run. */
     void cancel(EventHandle h);
 
@@ -265,7 +281,11 @@ class Simulator
     std::uint64_t eventsRun() const { return eventsRun_; }
 
     /** Number of events currently pending. */
-    std::size_t pendingEvents() const { return heap_.size(); }
+    std::size_t
+    pendingEvents() const
+    {
+        return heap_.size() + laneLive_;
+    }
 
     /**
      * Ask the run loop to return after the current event. Used by the
@@ -288,7 +308,7 @@ class Simulator
         EventFn fn;
         /** Bumped on recycle; stale EventHandles mismatch. */
         std::uint32_t gen = 0;
-        /** Position in heap_, or kNotQueued. */
+        /** Position in heap_, kInLane, or kNotQueued. */
         std::uint32_t heapPos = kNotQueued;
         /** Next free slot when on the freelist. */
         std::uint32_t nextFree = EventHandle::kNone;
@@ -321,6 +341,44 @@ class Simulator
         (std::uint64_t(1) << kSlotBits) - 1;
 
     static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+    /** Slot::heapPos of an event waiting in a lane. */
+    static constexpr std::uint32_t kInLane = 0xfffffffeu;
+
+    /**
+     * One lane element: the heap's key plus the slot generation it
+     * was scheduled under. Cancellation frees the slot at once and
+     * leaves the entry behind; a generation mismatch marks it dead
+     * when it reaches the head.
+     */
+    struct LaneEntry
+    {
+        HeapEntry key;
+        std::uint32_t gen;
+    };
+
+    /**
+     * FIFO of the events scheduled afterFixed(delay), in (when, seq)
+     * order: each entry's time is now + delay at its scheduling, and
+     * afterFixed sends an event that would sort before the tail to
+     * the heap instead.
+     */
+    struct Lane
+    {
+        Tick delay;
+        Ring<LaneEntry> fifo;
+    };
+
+    /** Lanes beyond this many distinct delays fall back to the heap. */
+    static constexpr std::size_t kMaxLanes = 8;
+
+    /** Next event to dispatch: its key and where it waits. */
+    struct Next
+    {
+        /** Null when nothing is pending. */
+        const HeapEntry* key;
+        /** Lane index, or -1 for the heap top. */
+        int lane;
+    };
 
     /** Heap arity: 4-ary halves the depth vs. binary and keeps a
      *  node's children in exactly one cache line. */
@@ -336,11 +394,25 @@ class Simulator
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t idx);
+
+    /** Store @p fn in a fresh slot and take the next sequence number.
+     *  @return the packed HeapEntry::seqSlot word. */
+    std::uint64_t claim(EventFn fn);
     void heapPush(HeapEntry e);
     void heapRemove(std::uint32_t pos);
     void siftUp(std::uint32_t pos);
     void siftDown(std::uint32_t pos);
-    void dispatchNext();
+
+    /** The lane for @p delay, made on first use; null past
+     *  kMaxLanes. */
+    Lane* laneFor(Tick delay);
+
+    /** Least key over the heap top and the live lane heads. Drops
+     *  cancelled lane heads on the way. */
+    Next next();
+
+    /** Pop and fire the event @p n names. */
+    void dispatch(Next n);
 
     Tick now_ = 0.0;
     std::uint64_t nextSeq_ = 1;
@@ -354,6 +426,15 @@ class Simulator
      * probe, and the extra depth taxes all sifts.
      */
     std::vector<HeapEntry> heap_;
+    /**
+     * Fixed-delay lanes, one per distinct afterFixed() delay.
+     * Cancellation here is lazy: a FIFO cannot drop a middle entry
+     * cheaply, and lane events (polls) are cancelled only when a
+     * fault aborts their block.
+     */
+    std::vector<Lane> lanes_;
+    /** Live events in lanes_ (pendingEvents counts them). */
+    std::size_t laneLive_ = 0;
     std::uint32_t freeHead_ = EventHandle::kNone;
     bool stop_ = false;
 };

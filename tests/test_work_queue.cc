@@ -5,9 +5,63 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <deque>
+#include <new>
+
+#include "obs/provenance.hh"
 #include "queueing/work_queue.hh"
 
 using namespace vp;
+
+namespace {
+/** Global operator new calls in this binary (see below). */
+std::atomic<std::uint64_t> allocations{0};
+} // namespace
+
+// Count every allocation through the replaceable global operators so
+// a test can measure what constructing a queue costs. The deletes are
+// kept out of line: inlined, their free() would meet a new-expression
+// at the call site and trip -Wmismatched-new-delete.
+void*
+operator new(std::size_t n)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void*
+operator new[](std::size_t n)
+{
+    return operator new(n);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 TEST(WorkQueue, FifoOrder)
 {
@@ -200,4 +254,81 @@ TEST(WorkQueue, MoveOnlyPayloadsSupported)
     std::unique_ptr<int> out;
     EXPECT_TRUE(q.pop(out));
     EXPECT_EQ(*out, 5);
+}
+
+TEST(WorkQueue, DisabledMetadataAllocatesNothing)
+{
+    // With retry counts, provenance ids and tags all disabled, a
+    // queue allocates only what its payload FIFO does.
+    std::uint64_t before = allocations.load();
+    {
+        std::deque<int> payload;
+        payload.clear();
+    }
+    std::uint64_t payloadOnly = allocations.load() - before;
+    before = allocations.load();
+    {
+        WorkQueue<int> q("q");
+        EXPECT_FALSE(q.retryMetaEnabled());
+        EXPECT_FALSE(q.provenanceEnabled());
+    }
+    EXPECT_EQ(allocations.load() - before, payloadOnly);
+}
+
+TEST(WorkQueue, MetadataLanesKeepFifoOrder)
+{
+    // Retry counts, provenance ids and tags stay parallel to the
+    // payload across ring growth and wrap-around, through single and
+    // batch pops.
+    Simulator sim;
+    ProvenanceTracker prov;
+    WorkQueue<int> q("q");
+    q.push(-1); // present before enabling: metadata 0 / null
+    q.enableRetryMeta();
+    q.enableTags();
+    q.setProvenance(&prov, &sim, 0, 0);
+    std::vector<std::uint64_t> ids(100);
+    for (auto& id : ids)
+        id = prov.mintSeed();
+    static const int tags[100] = {};
+    int next = 0, expect = -1;
+    auto push = [&] {
+        q.stampNextPushTries(static_cast<std::uint32_t>(next + 7));
+        q.stampNextPushId(ids[static_cast<std::size_t>(next)]);
+        q.stampNextPushTag(&tags[next]);
+        q.push(next++);
+    };
+    auto check = [&](int item, std::size_t k) {
+        if (item < 0) {
+            EXPECT_EQ(q.poppedTries()[k], 0u);
+            EXPECT_EQ(q.poppedIds()[k], 0u);
+            EXPECT_EQ(q.poppedTags()[k], nullptr);
+            return;
+        }
+        EXPECT_EQ(q.poppedTries()[k],
+                  static_cast<std::uint32_t>(item + 7));
+        EXPECT_EQ(q.poppedIds()[k], ids[static_cast<std::size_t>(item)]);
+        EXPECT_EQ(q.poppedTags()[k], &tags[item]);
+    };
+    for (int round = 0; round < 6; ++round) {
+        for (int i = 0; i < 12; ++i)
+            push();
+        EXPECT_EQ(q.triesAt(1), q.triesAt(0) == 0 ? 7u : q.triesAt(0) + 1);
+        int out = 0;
+        for (int i = 0; i < 5; ++i) {
+            ASSERT_TRUE(q.pop(out));
+            EXPECT_EQ(out, expect++);
+            check(out, 0);
+        }
+        std::vector<int> batch;
+        ASSERT_EQ(q.popBatch(batch, 4), 4u);
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            EXPECT_EQ(batch[k], expect++);
+            check(batch[k], k);
+        }
+    }
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(next - expect));
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.triesAt(0), 0u);
 }
