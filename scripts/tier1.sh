@@ -18,8 +18,9 @@ ctest --test-dir build --output-on-failure -j"$jobs"
 ctest --test-dir build -L obs --output-on-failure
 
 # Serving layer (continuous ingest, admission control, SLO tracking):
-# the streaming test tier plus the serving lane of the property
-# tests (ctest label `serving`, also part of the full suite above).
+# the streaming test tier, the serving lane of the property tests
+# and README's sharded serving example (ctest label `serving`, also
+# part of the full suite above).
 ctest --test-dir build -L serving --output-on-failure
 
 cmake --preset asan-ubsan

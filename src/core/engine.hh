@@ -205,11 +205,10 @@ class Engine
     /**
      * Run @p driver sharded over the engine's device group under
      * @p plan. Requires construction with a DeviceGroupConfig and a
-     * Groups configuration (ShardPlan::validate). A single-device
-     * group with a replicate plan is the degenerate case and matches
-     * run() event-for-event — except under distributed queues, where
-     * run() seeds whole flows onto queue shards but the group seeds
-     * item by item, so only per-stage work matches (see the
+     * Groups configuration (ShardPlan::validate). run() is this run
+     * on the one-device group of the first device under a
+     * replicate-all plan, so a single-device group with a replicate
+     * plan matches run() event for event (the
      * Conformance.SingleDeviceGroupIsDegenerate lane).
      */
     RunResult runSharded(AppDriver& driver,
@@ -241,12 +240,16 @@ class Engine
     void requireTaskGraph(AppDriver& driver,
                           const TaskGraph& graph) const;
 
-    /** run() and runTimed(): at most one of @p capture and
-     *  @p replay is set. */
+    /**
+     * The one run set-up behind every entry point. With @p shardPlan
+     * the run spans the engine's group; without one it runs on the
+     * one-device group of the first device under a replicate-all
+     * plan. At most one of @p capture and @p replay is set.
+     */
     std::optional<RunResult>
-    runSingle(AppDriver& driver, const PipelineConfig& config,
-              double cycleLimit, TaskGraph* capture,
-              const TaskGraph* replay) const;
+    runGroup(AppDriver& driver, const PipelineConfig& config,
+             const ShardPlan* shardPlan, double cycleLimit,
+             TaskGraph* capture, const TaskGraph* replay) const;
 
     DeviceConfig cfg_;
     std::uint64_t eventLimit_ = 400000000ULL;

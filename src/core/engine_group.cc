@@ -1,7 +1,9 @@
 /**
  * @file
- * Multi-device (sharded) execution: Engine::runSharded runs one
- * pipeline over the devices of a DeviceGroup under a ShardPlan.
+ * The one run set-up behind every Engine entry point: a run executes
+ * one pipeline over the devices of a DeviceGroup under a ShardPlan.
+ * A plain run is the one-device group of the engine's first device
+ * under a replicate-all plan.
  *
  * Each device gets its own runner over the shared simulator; the
  * group coordinator routes seed items to their devices, forwards
@@ -15,7 +17,6 @@
 #include "core/engine.hh"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,7 +35,7 @@ Engine::Engine(DeviceGroupConfig group)
 }
 
 /**
- * Friend of Seeder: builds the routed seeders of a sharded run.
+ * Friend of Seeder: builds the routed seeders of every Groups run.
  * Pinned stages seed straight to their home device; replicated
  * stages hash each item over the group (shardSeedDevice), which is
  * the only point where replicated work is distributed — intermediate
@@ -58,10 +59,7 @@ class GroupCoordinator
         Seeder seeder;
         seeder.pipe_ = &pipe;
         seeder.prov_ = prov;
-        seeder.noteSeeded_ = [&pending](int stage, int items) {
-            (void)stage;
-            pending.add(items);
-        };
+        seeder.pending_ = &pending;
         seeder.route_ = [&runners, &plan,
                          n](int stage, int ordinal) -> QueueBase& {
             int home = plan.homeDevice(stage);
@@ -168,33 +166,29 @@ struct FailoverState
 
 } // namespace
 
-RunResult
-Engine::runSharded(AppDriver& driver, const PipelineConfig& config,
-                   const ShardPlan& plan) const
-{
-    auto r = runShardedTimed(driver, config, plan,
-                             std::numeric_limits<double>::infinity());
-    VP_ASSERT(r.has_value(), "untimed sharded run reported a timeout");
-    return *r;
-}
-
 std::optional<RunResult>
-Engine::runShardedTimed(AppDriver& driver,
-                        const PipelineConfig& config,
-                        const ShardPlan& plan, double cycleLimit,
-                        const TaskGraph* replay) const
+Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
+                 const ShardPlan* shardPlan, double cycleLimit,
+                 TaskGraph* capture, const TaskGraph* replay) const
 {
-    VP_CHECK(group_.has_value(), ErrorCode::Config,
-             "runSharded requires an Engine built from a "
-             "DeviceGroupConfig");
-    const DeviceGroupConfig& gcfg = *group_;
+    DeviceGroupConfig one;
+    if (!shardPlan)
+        one.devices.push_back(cfg_);
+    const DeviceGroupConfig& gcfg = shardPlan ? *group_ : one;
     int n = gcfg.size();
 
     Pipeline& pipe = driver.pipeline();
     pipe.validate();
     for (const DeviceConfig& dcfg : gcfg.devices)
         config.validate(pipe, dcfg);
-    plan.validate(pipe, config, n);
+    ShardPlan replicate;
+    if (shardPlan)
+        shardPlan->validate(pipe, config, n);
+    else
+        replicate = ShardPlan::replicateAll(pipe);
+    const ShardPlan& plan = shardPlan ? *shardPlan : replicate;
+    if (capture)
+        requireTaskGraph(driver, *capture);
     if (replay)
         requireTaskGraph(driver, *replay);
     driver.reset();
@@ -208,6 +202,10 @@ Engine::runShardedTimed(AppDriver& driver,
     // the Supervisor unwinds, on every return path.
     Supervisor supervisor(sim);
 
+    // All fault/recovery state lives on this stack frame, keeping
+    // runs const and re-entrant: repeated runs under the same plan
+    // are bit-reproducible because each builds a fresh seeded
+    // injector.
     std::optional<FaultInjector> injector;
     RecoveryConfig rc;
     bool faulted = plan_.has_value() || recovery_.has_value();
@@ -244,6 +242,12 @@ Engine::runShardedTimed(AppDriver& driver,
         for (const DeviceConfig& dcfg : gcfg.devices)
             smsPerDevice.push_back(dcfg.numSms);
         plan_->validateTargets(smsPerDevice, pipe.stageCount());
+        VP_CHECK(shardPlan
+                     || (!plan_->anyDeviceFaults()
+                         && !plan_->anyLinkFaults()),
+                 ErrorCode::Config,
+                 "fault plan scripts device/link failures but this "
+                 "is a single-device run");
         injector.emplace(*plan_);
         for (int i = 0; i < n; ++i)
             group.device(i).setFaultInjector(&*injector);
@@ -281,6 +285,7 @@ Engine::runShardedTimed(AppDriver& driver,
             fc.recovery = &*recovery_;
         if (obs)
             fc.obs = obs.get();
+        fc.capture = capture;
         fc.replay = replay;
         runners.push_back(makeRunner(sim, group.device(i),
                                      group.host(i), pipe, config,
@@ -320,7 +325,9 @@ Engine::runShardedTimed(AppDriver& driver,
             static_cast<std::size_t>(pipe.stageCount()), 0);
     }
 
-    for (int i = 0; i < n; ++i) {
+    // Only a group of two or more installs these: a one-device run
+    // has no peer, so its idle polls skip the remote-work check.
+    for (int i = 0; n > 1 && i < n; ++i) {
         ShardContext& sc = shardCtxs[static_cast<std::size_t>(i)];
         sc.forward = [&icx, &runners, &plan, &pending, &sim, i,
                       deliverySeq, inTransit, fo, tracer,
@@ -581,9 +588,10 @@ Engine::runShardedTimed(AppDriver& driver,
     if (obs && obs->sampler.enabled()) {
         for (auto& r : runners)
             r->registerProbes(obs->sampler);
-        obs->sampler.addSeries("interconnect_in_flight", [&icx] {
-            return static_cast<double>(icx.inFlight());
-        });
+        if (shardPlan)
+            obs->sampler.addSeries("interconnect_in_flight", [&icx] {
+                return static_cast<double>(icx.inFlight());
+            });
     }
 
     // Per-device controllers: each armed runner rebalances its own
@@ -597,11 +605,14 @@ Engine::runShardedTimed(AppDriver& driver,
                 adaptOn = true;
     }
 
-    for (int f = 0; f < driver.flowCount(); ++f) {
-        Seeder seeder = GroupCoordinator::routedSeeder(pipe, runners,
-                                                       plan, pending,
-                                                       prov);
-        driver.seedFlow(seeder, f);
+    // The coordinator seeds every Groups run, item by item. KBK and
+    // DP never shard: their host sequencing seeds its own flows.
+    if (config.top == PipelineConfig::Top::Groups) {
+        for (int f = 0; f < driver.flowCount(); ++f) {
+            Seeder seeder = GroupCoordinator::routedSeeder(
+                pipe, runners, plan, pending, prov);
+            driver.seedFlow(seeder, f);
+        }
     }
     for (auto& r : runners)
         r->start(driver);
@@ -617,6 +628,8 @@ Engine::runShardedTimed(AppDriver& driver,
     sr.adaptive = adaptOn ? &*adaptiveCfg_ : nullptr;
     sr.collect = [&] {
         RunResult merged = runners[0]->collect();
+        if (!shardPlan)
+            return merged;
         std::vector<RunResult> per;
         per.push_back(merged);
         for (int i = 1; i < n; ++i) {
@@ -697,7 +710,9 @@ Engine::runShardedTimed(AppDriver& driver,
             p += r->drainProgress();
         return p;
     };
-    sr.diagnose = [&runners, &icx] {
+    sr.diagnose = [&runners, &icx, shardPlan] {
+        if (!shardPlan)
+            return runners[0]->diagnoseStall();
         std::ostringstream os;
         os << "interconnect: inFlight=" << icx.inFlight() << "\n";
         for (std::size_t i = 0; i < runners.size(); ++i)
@@ -713,10 +728,13 @@ Engine::runShardedTimed(AppDriver& driver,
     // Serving mode (core/serve_hook.hh): the session seeds admitted
     // requests at epoch boundaries through one run-lifetime routed
     // seeder — the same (stage, ordinal) placement as the initial
-    // seeding, with the ordinal rolling across epochs so sharded
-    // serving placement is a pure function of the admission order.
+    // seeding, with the ordinal rolling across epochs so serving
+    // placement is a pure function of the admission order.
     Seeder serveSeeder;
     if (serve_) {
+        VP_CHECK(config.top == PipelineConfig::Top::Groups,
+                 ErrorCode::Config,
+                 "serving requires a Groups configuration");
         VP_CHECK(obs && prov, ErrorCode::Config,
                  "serving requires an armed provenance tracker "
                  "(ServingEngine arms it; request roots are "
@@ -729,6 +747,8 @@ Engine::runShardedTimed(AppDriver& driver,
                  "serving cannot combine with scripted fault events "
                  "(their drain-cancellation trigger assumes the "
                  "one-shot drain)");
+        // Requests may re-seed a flow, so its joins' keys repeat.
+        joins.dropLateArrivals();
         serveSeeder = GroupCoordinator::routedSeeder(pipe, runners, plan,
                                                      pending, prov);
         sr.serve = serve_;

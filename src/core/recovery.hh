@@ -6,7 +6,7 @@
  * wait out their backoff.
  *
  * The watchdog and drain timeout live in the Supervisor
- * (core/supervisor.hh), the one run loop both engines share: it
+ * (core/supervisor.hh), the one run loop behind every run: it
  * slices Simulator::runUntil at checkpoint boundaries and samples the
  * engine's drain-progress heartbeat, so a healthy run pays no extra
  * simulation events for being supervised.

@@ -52,7 +52,8 @@ DpRunner::onSmFailed(int sm)
 void
 DpRunner::start(AppDriver& driver)
 {
-    seedAll(driver, queues_);
+    for (int f = 0; f < driver.flowCount(); ++f)
+        seedFlow(driver, queues_, f);
     host_.memcpy(driver.inputBytes(), [this] {
         for (int s = 0; s < pipe_.stageCount(); ++s) {
             int n = static_cast<int>(queues_[s]->size());

@@ -77,10 +77,10 @@ GroupsRunner::buildSpecs()
     builtGroups_.assign(cfg_.groups.size(), 0);
     for (std::size_t g = 0; g < cfg_.groups.size(); ++g) {
         const StageGroup& grp = cfg_.groups[g];
-        // Sharded: groups homed on another device launch no kernels
-        // here. Placement is uniform within a group (ShardPlan::
-        // validate), so the first stage decides for all of them.
-        if (shard_ && shard_->plan && !grp.stages.empty()
+        // Groups homed on another device launch no kernels here.
+        // Placement is uniform within a group (ShardPlan::validate),
+        // so the first stage decides for all of them.
+        if (!grp.stages.empty()
             && shard_->plan->pinnedElsewhere(grp.stages.front(),
                                              shard_->deviceIndex))
             continue;
@@ -194,18 +194,10 @@ GroupsRunner::adoptStages(const std::vector<int>& stages)
 void
 GroupsRunner::start(AppDriver& driver)
 {
-    if (shard_) {
-        // Sharded runs are seeded once by the group coordinator,
-        // which routes each item to its device; do not re-seed here.
-    } else if (cfg_.distributedQueues) {
-        // Seed flows round-robin across the shards; stealing
-        // rebalances single-flow workloads at runtime.
-        for (int f = 0; f < driver.flowCount(); ++f)
-            seedFlow(driver, *shards_[f % shards_.size()], f);
-    } else {
-        seedAll(driver, queues_);
-    }
-    // The input transfer happens once, identically for every model.
+    // The group coordinator has seeded the run, routing each item to
+    // its device and (under distributed queues) to queue shard
+    // ordinal % numSms. The input transfer happens once, identically
+    // for every model.
     host_.memcpy(driver.inputBytes(), [this] {
         for (std::size_t i = 0; i < specs_.size(); ++i)
             launchSpec(static_cast<int>(i), specs_[i].sms, false);

@@ -21,17 +21,16 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
         recoveryCfg_ = *fc.recovery;
     recovery_.init(&sim_, &recoveryCfg_, pipe_.stageCount());
 
-    // Shard wiring must precede makeQueues: remote-stub installation
+    // Group wiring must precede makeQueues: remote-stub installation
     // depends on the plan, and seeding/commits go through the shared
     // counter.
     shard_ = fc.shard;
-    if (shard_) {
-        trackBase_ = shard_->smTrackBase;
-        if (shard_->sharedPending)
-            pendingPtr_ = shard_->sharedPending;
-        if (shard_->sharedJoins)
-            joinsPtr_ = shard_->sharedJoins;
-    }
+    VP_ASSERT(shard_ && shard_->plan && shard_->sharedPending
+                  && shard_->sharedJoins,
+              "a runner needs its run's device-group context");
+    trackBase_ = shard_->smTrackBase;
+    pendingPtr_ = shard_->sharedPending;
+    joinsPtr_ = shard_->sharedJoins;
 
     obs_ = fc.obs;
     if (obs_) {
@@ -76,9 +75,7 @@ RunnerBase::makeQueues(QueueSet& qs)
     qs.clear();
     for (int s = 0; s < pipe_.stageCount(); ++s) {
         StageBase& st = pipe_.stage(s);
-        bool remote = shard_ && shard_->plan
-            && shard_->plan->pinnedElsewhere(s, shard_->deviceIndex);
-        if (remote) {
+        if (shard_->plan->pinnedElsewhere(s, shard_->deviceIndex)) {
             // Stage homed on another device: pushes divert across
             // the interconnect. Bounded stages keep backpressure via
             // the coordinator's credit probe — full() consults the
@@ -107,10 +104,10 @@ RunnerBase::makeQueues(QueueSet& qs)
             qs.back()->enableTags();
         if (prov_)
             qs.back()->setProvenance(prov_, &sim_, s,
-                                     shard_ ? shard_->deviceIndex : 0);
+                                     shard_->deviceIndex);
         if (tracer_) {
             std::string qname = st.name;
-            if (shard_ && shard_->numDevices > 1)
+            if (shard_->numDevices > 1)
                 qname = "d" + std::to_string(shard_->deviceIndex)
                     + "/" + qname;
             qs.back()->setTrace(tracer_,
@@ -121,43 +118,16 @@ RunnerBase::makeQueues(QueueSet& qs)
 }
 
 void
-RunnerBase::seedAll(AppDriver& driver, QueueSet& qs)
-{
-    for (int f = 0; f < driver.flowCount(); ++f)
-        seedFlow(driver, qs, f);
-}
-
-void
 RunnerBase::seedFlow(AppDriver& driver, QueueSet& qs, int flow)
 {
     Seeder seeder;
     seeder.pipe_ = &pipe_;
-    seeder.queues_ = &qs;
-    seeder.noteSeeded_ = [this](int stage, int n) {
-        (void)stage;
-        pendingPtr_->add(n);
+    seeder.route_ = [&qs](int stage, int) -> QueueBase& {
+        return *qs[static_cast<std::size_t>(stage)];
     };
+    seeder.pending_ = pendingPtr_;
     seeder.prov_ = prov_;
     driver.seedFlow(seeder, flow);
-}
-
-Seeder
-RunnerBase::serveSeeder()
-{
-    // Same wiring as seedFlow's one-shot seeder, but returned to the
-    // engine so the serving session can inject items at every epoch
-    // boundary of a run. Requests may re-seed a flow, so its joins'
-    // keys repeat.
-    joinsPtr_->dropLateArrivals();
-    Seeder seeder;
-    seeder.pipe_ = &pipe_;
-    seeder.queues_ = &queues_;
-    seeder.noteSeeded_ = [this](int stage, int n) {
-        (void)stage;
-        pendingPtr_->add(n);
-    };
-    seeder.prov_ = prov_;
-    return seeder;
 }
 
 bool
@@ -194,9 +164,9 @@ RunnerBase::futureWork(StageMask watch) const
         return false;
     if (localWork(watch))
         return true;
-    // Sharded: a remote device running an ancestor stage — or an
+    // In a group: a remote device running an ancestor stage — or an
     // item in flight on the interconnect — may still feed us.
-    return shard_ && shard_->remoteWork && shard_->remoteWork(watch);
+    return shard_->remoteWork && shard_->remoteWork(watch);
 }
 
 std::uint64_t
@@ -639,7 +609,7 @@ RunnerBase::registerProbes(Sampler& sampler)
 {
     // Per-device series prefix so group runs keep the devices apart.
     std::string pre;
-    if (shard_ && shard_->numDevices > 1)
+    if (shard_->numDevices > 1)
         pre = "d" + std::to_string(shard_->deviceIndex) + "/";
     for (int s = 0; s < pipe_.stageCount(); ++s)
         sampler.addSeries(
@@ -656,8 +626,8 @@ RunnerBase::registerProbes(Sampler& sampler)
     sampler.addSeries(pre + "occupancy", [this, slots] {
         return slots > 0.0 ? dev_.residentBlocks() / slots : 0.0;
     });
-    if (!shard_ || shard_->deviceIndex == 0) {
-        // pending_work is group-wide when sharded; register it once.
+    if (shard_->deviceIndex == 0) {
+        // pending_work is group-wide; register it once.
         sampler.addSeries("pending_work", [this] {
             return static_cast<double>(pendingPtr_->value());
         });

@@ -39,11 +39,13 @@ class RunnerBase;
 class FaultInjector;
 
 /**
- * Wiring of one runner into a multi-device shard: its position in
- * the group, the shared termination counter, and callbacks into the
- * group coordinator for remote-work queries and cross-device item
- * forwarding. Null (the default) runs single-device exactly as
- * before — every shard hook is behind a null check.
+ * Wiring of one runner into its run's device group: its position in
+ * the group, the shared termination and join counters, and callbacks
+ * into the group coordinator for remote-work queries and cross-device
+ * item forwarding. Every run has a group (a plain run is the
+ * one-device group of the engine's first device), and every runner
+ * one context. The callbacks are set only in groups of two or more
+ * devices.
  */
 struct ShardContext
 {
@@ -86,9 +88,9 @@ struct ShardContext
 };
 
 /**
- * Optional fault-injection/recovery wiring handed to a runner. Every
- * pointer may be null (the default). With no injector, no batch takes
- * a fault branch; with no recovery policy, the defaults apply.
+ * The run wiring handed to a runner. Every pointer but `shard` may be
+ * null (the default). With no injector, no batch takes a fault
+ * branch; with no recovery policy, the defaults apply.
  */
 struct FaultContext
 {
@@ -99,7 +101,8 @@ struct FaultContext
     /** Observability bundle (tracer/metrics/histograms); owned by
      *  the caller. Null records nothing. */
     ObsData* obs = nullptr;
-    /** Multi-device shard wiring; null runs single-device. */
+    /** The runner's place in the run's device group (required);
+     *  owned by the caller. */
     const ShardContext* shard = nullptr;
     /** Task graph the run records into as its payload executes;
      *  owned by the caller (core/task_graph.hh). */
@@ -127,24 +130,13 @@ class Seeder
         using T = typename S::DataItemType;
         int idx = pipe_->indexOf<S>();
         int n = static_cast<int>(items.size());
-        if (route_) {
-            // Sharded seeding: the group coordinator routes each
-            // item to a device queue by (stage, ordinal).
-            for (auto& it : items) {
-                QueueBase& q = route_(idx, ordinal_++);
-                if (prov_)
-                    q.stampNextPushId(prov_->mintSeed());
-                typedQueue<T>(q).push(std::move(it));
-            }
-        } else {
-            auto& q = typedQueue<T>(*(*queues_)[idx]);
-            for (auto& it : items) {
-                if (prov_)
-                    q.stampNextPushId(prov_->mintSeed());
-                q.push(std::move(it));
-            }
+        for (auto& it : items) {
+            QueueBase& q = route_(idx, ordinal_++);
+            if (prov_)
+                q.stampNextPushId(prov_->mintSeed());
+            typedQueue<T>(q).push(std::move(it));
         }
-        noteSeeded_(idx, n);
+        pending_->add(n);
     }
 
     /** Single-item convenience overload. */
@@ -161,9 +153,9 @@ class Seeder
     friend class RunnerBase;
     friend class GroupCoordinator;
     Pipeline* pipe_ = nullptr;
-    QueueSet* queues_ = nullptr;
-    std::function<void(int, int)> noteSeeded_;
-    /** Per-item device routing for sharded seeding (else null). */
+    /** The run's outstanding-work counter; counts every seed. */
+    PendingCounter* pending_ = nullptr;
+    /** The queue of each item, by (stage, ordinal). */
     std::function<QueueBase&(int, int)> route_;
     int ordinal_ = 0;
     /** Stamps each seed with a fresh provenance id when armed. */
@@ -220,21 +212,18 @@ class RunnerBase
 {
   public:
     RunnerBase(Simulator& sim, Device& dev, Host& host, Pipeline& pipe,
-               const PipelineConfig& cfg, FaultContext fc = {});
+               const PipelineConfig& cfg, FaultContext fc);
 
     virtual ~RunnerBase() = default;
 
-    /** Seed input and launch the configured execution. */
+    /**
+     * Launch the configured execution. The engine has seeded a
+     * Groups run already; KBK and DP runners seed their own flows.
+     */
     virtual void start(AppDriver& driver) = 0;
 
     /** Gather statistics after the simulation has drained. */
     RunResult collect();
-
-    /** Outstanding-work counter (the group's when sharded). */
-    PendingCounter& pending() { return *pendingPtr_; }
-
-    /** Primary input queue of stage @p s. */
-    QueueBase& queue(int s) { return *queues_[s]; }
 
     /**
      * Queue that cross-device deliveries and coordinator seeds for
@@ -335,15 +324,6 @@ class RunnerBase
     /** @name Serving (continuous request ingest) @{ */
 
     /**
-     * Seeder for serving-mode epoch injection: pushes land in this
-     * runner's queues and count on the pending counter exactly like
-     * initial seeding, and each item is stamped with a fresh
-     * provenance id when the run tracks provenance. The caller keeps
-     * the seeder alive across epochs.
-     */
-    Seeder serveSeeder();
-
-    /**
      * Serving-mode wake-up after epoch seeding: relaunch kernels for
      * stage groups whose persistent blocks retired while the
      * pipeline sat idle between request bursts. Default no-op — only
@@ -369,10 +349,7 @@ class RunnerBase
     /** Create one queue per stage into @p qs. */
     void makeQueues(QueueSet& qs);
 
-    /** Seed every flow of @p driver into @p qs. */
-    void seedAll(AppDriver& driver, QueueSet& qs);
-
-    /** Seed one flow of @p driver into @p qs. */
+    /** Seed one flow of @p driver into @p qs (KBK and DP). */
     void seedFlow(AppDriver& driver, QueueSet& qs, int flow);
 
     /**
@@ -456,14 +433,11 @@ class RunnerBase
     QueueSet queues_;
     /** Additional queue sets (flow replicas) included in stats. */
     std::vector<QueueSet*> extraQueueSets_;
-    PendingCounter pending_;
-    /** Effective counter: &pending_, or the group's when sharded. */
-    PendingCounter* pendingPtr_ = &pending_;
-    /** The run's join arrivals (core/join.hh). */
-    JoinCounters joins_;
-    /** Effective counters: &joins_, or the group's when sharded. */
-    JoinCounters* joinsPtr_ = &joins_;
-    /** Multi-device wiring; null on single-device runs. */
+    /** The run's outstanding-work counter, shared by the group. */
+    PendingCounter* pendingPtr_ = nullptr;
+    /** The run's join arrivals (core/join.hh), shared likewise. */
+    JoinCounters* joinsPtr_ = nullptr;
+    /** The runner's place in the run's device group. */
     const ShardContext* shard_ = nullptr;
     /** Global trace-track offset of this device's SMs/stages. */
     int trackBase_ = 0;
@@ -591,7 +565,7 @@ class GroupsRunner : public RunnerBase
   public:
     GroupsRunner(Simulator& sim, Device& dev, Host& host,
                  Pipeline& pipe, const PipelineConfig& cfg,
-                 FaultContext fc = {});
+                 FaultContext fc);
 
     void start(AppDriver& driver) override;
 
@@ -697,7 +671,7 @@ class KbkRunner : public RunnerBase
 {
   public:
     KbkRunner(Simulator& sim, Device& dev, Host& host, Pipeline& pipe,
-              const PipelineConfig& cfg, FaultContext fc = {});
+              const PipelineConfig& cfg, FaultContext fc);
 
     ~KbkRunner() override;
 
@@ -748,7 +722,7 @@ class DpRunner : public RunnerBase
 {
   public:
     DpRunner(Simulator& sim, Device& dev, Host& host, Pipeline& pipe,
-             const PipelineConfig& cfg, FaultContext fc = {});
+             const PipelineConfig& cfg, FaultContext fc);
 
     void start(AppDriver& driver) override;
 
@@ -763,11 +737,12 @@ class DpRunner : public RunnerBase
     std::vector<int> claimed_;
 };
 
-/** Instantiate the runner for a configuration. */
+/** Instantiate the runner for a configuration; @p fc.shard places
+ *  it in its run's device group. */
 std::unique_ptr<RunnerBase> makeRunner(Simulator& sim, Device& dev,
                                        Host& host, Pipeline& pipe,
                                        const PipelineConfig& cfg,
-                                       FaultContext fc = {});
+                                       FaultContext fc);
 
 } // namespace vp
 

@@ -2,12 +2,12 @@
  * @file
  * Supervisor: the one run loop behind every engine entry point.
  *
- * It owns what single-device and sharded runs share: the trace-level
- * log clock, the boundary schedule (watchdog checkpoints, drain
- * timeout, sampler ticks, adaptive epochs, serve epochs, the cycle
- * limit and the event budget), the outcome classification and the
- * observability finish. An engine builds its device(s) and runner(s)
- * and hands over only what differs between them (SupervisedRun).
+ * It owns the trace-level log clock, the boundary schedule (watchdog
+ * checkpoints, drain timeout, sampler ticks, adaptive epochs, serve
+ * epochs, the cycle limit and the event budget), the outcome
+ * classification and the observability finish. The engine's run
+ * set-up builds the device group and its runners and hands over the
+ * rest (SupervisedRun).
  *
  * Supervision happens only at slice boundaries: the loop cuts
  * Simulator::runUntil at the next scheduled boundary and samples the
@@ -71,7 +71,7 @@ struct SupervisedRun
 
     /** @name Engine hooks @{ */
 
-    /** Outstanding work (the group's counter when sharded). */
+    /** Outstanding work, the group's one counter. */
     const PendingCounter* pending = nullptr;
     /** Monotonic drain-progress heartbeat (also the serve session's
      *  queue-traffic counter). */

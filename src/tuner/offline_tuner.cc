@@ -187,8 +187,8 @@ struct Worker
  * The one sweep behind autotune() and autotuneParallel(): profile,
  * enumerate the jobs, timeout-execute them over @p threads workers
  * and reduce in job order. The first worker runs on @p engine and
- * @p driver on the calling thread, each other one comes from
- * @p makeWorker and runs on a thread of its own.
+ * @p driver on the calling thread; each other one is built by
+ * @p makeWorker on a thread of its own and runs there.
  */
 TunerResult
 sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
@@ -211,8 +211,17 @@ sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
     std::vector<std::optional<double>> cycles(jobs.size());
     std::optional<RunResult> bestRun;
     std::size_t bestJob = 0;
+    // The error the sweep throws is the one of least rank: 0 for a
+    // worker that could not be built, i + 1 for a failed job i.
     std::exception_ptr error;
-    std::size_t errorJob = jobs.size();
+    std::size_t errorRank = jobs.size() + 1;
+    auto fail = [&](std::size_t rank) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (rank < errorRank) {
+            errorRank = rank;
+            error = std::current_exception();
+        }
+    };
     auto work = [&](Engine& eng, AppDriver& drv) {
         for (;;) {
             std::size_t i;
@@ -234,12 +243,7 @@ sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
                     : eng.runTimed(drv, job.config, limit,
                                    replay.graph());
             } catch (...) {
-                // The lowest-index error is the one the sweep throws.
-                std::lock_guard<std::mutex> lock(mutex);
-                if (i < errorJob) {
-                    errorJob = i;
-                    error = std::current_exception();
-                }
+                fail(i + 1);
                 return;
             }
             if (!run)
@@ -257,14 +261,20 @@ sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
     };
     std::size_t extra =
         std::min<std::size_t>(std::max(threads, 1), jobs.size()) - 1;
-    std::vector<Worker> workers;
-    for (std::size_t t = 0; t < extra; ++t)
-        workers.push_back(makeWorker());
     {
         // Joined on every exit from this block.
         std::vector<std::jthread> pool;
-        for (Worker& w : workers)
-            pool.emplace_back([&work, &w] { work(w.engine, *w.driver); });
+        for (std::size_t t = 0; t < extra; ++t)
+            pool.emplace_back([&] {
+                std::optional<Worker> w;
+                try {
+                    w.emplace(makeWorker());
+                } catch (...) {
+                    fail(0);
+                    return;
+                }
+                work(w->engine, *w->driver);
+            });
         work(engine, driver);
     }
     if (error)

@@ -96,14 +96,19 @@ struct TunerResult
 TunerResult autotune(Engine& engine, AppDriver& driver,
                      const TunerOptions& opts = {});
 
-/** Creates one private AppDriver instance per tuner worker. */
+/**
+ * Creates one private AppDriver instance per tuner worker. Workers
+ * call it on their own threads, concurrently.
+ */
 using DriverFactory = std::function<std::unique_ptr<AppDriver>()>;
 
 /**
  * autotune() with the candidate sweep spread over
  * TunerOptions::threads host threads. The calling thread is the first
- * worker; every other one owns a private Engine and AppDriver (from
- * @p makeDriver), so candidate runs never share mutable state.
+ * worker; every other one builds a private Engine and AppDriver (from
+ * @p makeDriver) on its own thread, so candidate runs never share
+ * mutable state. A factory that throws, or returns null, on any
+ * worker fails the call with that error.
  *
  * Returns autotune()'s TunerResult on an Engine of @p deviceCfg,
  * field for field, at any thread count. A worker claims the next job

@@ -9,7 +9,7 @@
  * no model and no device split may lose, duplicate, or invent work.
  * Every run's verify() must also pass (RunResult::completed).
  *
- * The degeneracy lane pins the shared Supervisor: a 1-device group
+ * The degeneracy lane pins the one run set-up: a 1-device group
  * must replay the single-device run exactly, with and without
  * supervision armed. The instrumented-batch lane pins the one batch
  * path: backpressure and eviction branches that never fire leave a
@@ -162,15 +162,12 @@ TEST_P(Conformance, TwoDeviceShardsMatchSingleDevice)
     EXPECT_GE(covered, 2) << GetParam();
 }
 
-// Degeneracy: a 1-device group under replicateAll is the same
-// simulation as a plain run, so both engine entry points must hand
-// the Supervisor identical runs — once with nothing armed (the
-// unsupervised fast path) and once with the drain timeout, sampler
-// and adaptive epochs slicing the run. Distributed-queue configs
-// are the documented exception: a plain run seeds each whole flow
-// onto queue shard f % numSms, while the group coordinator routes
-// item by item onto shard ordinal % numSms, so their cycles differ
-// and only the work fingerprint must agree.
+// Degeneracy: a plain run is the 1-device group under replicateAll,
+// so both engine entry points must produce identical runs, for every
+// Groups model (distributed queues included: the group coordinator
+// seeds both item by item onto queue shard ordinal % numSms) — once
+// with nothing armed (the unsupervised fast path) and once with the
+// drain timeout, sampler and adaptive epochs slicing the run.
 TEST_P(Conformance, SingleDeviceGroupIsDegenerate)
 {
     DeviceConfig dev = DeviceConfig::byName("gtx1080");
@@ -192,7 +189,7 @@ TEST_P(Conformance, SingleDeviceGroupIsDegenerate)
     };
 
     int exact = 0;
-    int fingerprintOnly = 0;
+    int distributed = 0;
     for (bool armed : {false, true}) {
         Engine single(dev);
         Engine group(DeviceGroupConfig::homogeneous(dev, 1));
@@ -210,10 +207,6 @@ TEST_P(Conformance, SingleDeviceGroupIsDegenerate)
             ASSERT_TRUE(r1.completed) << what << ": " << r1.failureReason;
             ASSERT_TRUE(r2.completed) << what << ": " << r2.failureReason;
             EXPECT_EQ(fingerprint(r2), fingerprint(r1)) << what;
-            if (cfg.distributedQueues) {
-                ++fingerprintOnly;
-                continue;
-            }
             EXPECT_EQ(r2.outcome, r1.outcome) << what;
             EXPECT_EQ(r2.cycles, r1.cycles) << what;
             EXPECT_EQ(r2.simEvents, r1.simEvents) << what;
@@ -226,11 +219,12 @@ TEST_P(Conformance, SingleDeviceGroupIsDegenerate)
                     << what << " stage " << r1.stages[s].name;
             }
             ++exact;
+            distributed += cfg.distributedQueues ? 1 : 0;
         }
     }
-    // Megakernel in both modes at minimum, plus its dq variant.
-    EXPECT_GE(exact, 2) << GetParam();
-    EXPECT_EQ(fingerprintOnly, 2) << GetParam();
+    // Megakernel and its dq variant in both modes at minimum.
+    EXPECT_GE(exact, 4) << GetParam();
+    EXPECT_EQ(distributed, 2) << GetParam();
 }
 
 // One batch path: a fault or backpressure branch that never fires

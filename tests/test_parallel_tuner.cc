@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "apps/registry.hh"
 #include "toy_apps.hh"
@@ -221,6 +224,45 @@ TEST(ParallelTuner, ACandidateErrorReachesTheCaller)
                          opts),
                      FatalError)
             << threads;
+    }
+}
+
+// Extra workers build their drivers on their own threads. A factory
+// that fails there fails the call with its own error.
+TEST(ParallelTuner, AWorkerFactoryErrorReachesTheCaller)
+{
+    for (int threads : {2, 4}) {
+        std::atomic<int> calls{0};
+        auto throwing = [&calls]() -> std::unique_ptr<AppDriver> {
+            if (calls++ > 0)
+                throw std::runtime_error("no driver for this worker");
+            return makeApp("pyramid", AppScale::Small);
+        };
+        TunerOptions opts = smallSearch(false);
+        opts.threads = threads;
+        try {
+            autotuneParallel(DeviceConfig::k20c(), throwing, opts);
+            ADD_FAILURE() << threads << ": a factory error was lost";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "no driver for this worker")
+                << threads;
+        }
+
+        calls = 0;
+        auto null = [&calls]() -> std::unique_ptr<AppDriver> {
+            if (calls++ > 0)
+                return nullptr;
+            return makeApp("pyramid", AppScale::Small);
+        };
+        try {
+            autotuneParallel(DeviceConfig::k20c(), null, opts);
+            ADD_FAILURE() << threads << ": a null driver was accepted";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "driver factory returned null"),
+                      std::string::npos)
+                << threads << ": " << e.what();
+        }
     }
 }
 

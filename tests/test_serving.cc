@@ -6,8 +6,9 @@
  * generator kinds, poll-granularity invariance), engine integration
  * (a disabled ServeConfig run is event-for-event identical to the
  * seed, per-tenant conservation, hand-computed SLO verdicts,
- * 2-device sharded parity), the epoch-stats snapshot-delta fix, and
- * a byte-exact golden streaming report.
+ * 2-device sharded parity, sharded join apps and distributed
+ * queues), the epoch-stats snapshot-delta fix, and a byte-exact
+ * golden streaming report.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "apps/registry.hh"
 #include "apps/vidstream/vidstream_app.hh"
@@ -731,6 +733,68 @@ TEST(Serving, ShardedTwoDeviceServeRerunsBitIdentical)
     expectServeEqual(first, second);
     expectServeConserved(first);
     EXPECT_EQ(first.serving->outstanding, 0u);
+}
+
+// Requests re-seed flows whose joins already fired. Sharded serving
+// drops those late arrivals like single-device serving, so every
+// admitted request of a join app completes on 1 and 2 devices.
+TEST(Serving, ShardedJoinAppsServeEveryRequest)
+{
+    DeviceConfig dev = DeviceConfig::byName("gtx1080");
+    for (const char* name : {"pyramid", "facedetect"}) {
+        for (int devices : {1, 2}) {
+            SCOPED_TRACE(std::string(name) + " on "
+                         + std::to_string(devices) + " device(s)");
+            auto app = makeApp(name, AppScale::Small);
+            Engine engine(DeviceGroupConfig::homogeneous(dev, devices));
+            ServingEngine serve(engine, openLoopConfig());
+            FlowServingWorkload wl(*app);
+            RunResult r = serve.runSharded(
+                wl, makeMegakernelConfig(app->pipeline()),
+                ShardPlan::replicateAll(app->pipeline()));
+            ASSERT_TRUE(r.completed) << r.failureReason;
+            expectServeConserved(r);
+            ASSERT_TRUE(r.serving);
+            EXPECT_GT(r.serving->admitted, 0u);
+            EXPECT_EQ(r.serving->completed, r.serving->admitted);
+        }
+    }
+}
+
+// Under distributed queues, blocks read only their per-SM queue
+// shards. Epoch seeds must land there on a single device too, so
+// every request completes and the plain run equals the 1-device
+// group's.
+TEST(Serving, DistributedQueuesServeEveryRequest)
+{
+    DeviceConfig dev = DeviceConfig::byName("gtx1080");
+    // Stranded requests would poll on; end such a run at a timeout.
+    RecoveryConfig rc;
+    rc.drainTimeoutCycles = 1e6;
+    auto serveOn = [&](Engine& engine, bool sharded) {
+        engine.setRecovery(rc);
+        ServeLinearApp app(2, 8);
+        ServingEngine serve(engine, openLoopConfig());
+        FlowServingWorkload wl(app);
+        PipelineConfig cfg = makeMegakernelConfig(app.pipeline());
+        cfg.distributedQueues = true;
+        return sharded
+            ? serve.runSharded(wl, cfg,
+                               ShardPlan::replicateAll(app.pipeline()))
+            : serve.run(wl, cfg);
+    };
+    Engine single(dev);
+    Engine group(DeviceGroupConfig::homogeneous(dev, 1));
+    RunResult plain = serveOn(single, false);
+    RunResult grouped = serveOn(group, true);
+    for (const RunResult* r : {&plain, &grouped}) {
+        ASSERT_TRUE(r->completed) << r->failureReason;
+        ASSERT_TRUE(r->serving);
+        expectServeConserved(*r);
+        EXPECT_GT(r->serving->admitted, 0u);
+        EXPECT_EQ(r->serving->completed, r->serving->admitted);
+    }
+    expectServeEqual(plain, grouped);
 }
 
 TEST(Serving, ShardedDisabledConfigMatchesSeedRun)
