@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <limits>
 #include <string>
 #include <vector>
@@ -173,20 +174,20 @@ benchApp(const std::string& app, AppScale scale, int reps)
     return r;
 }
 
-struct FaultModeRow
+/** CPU seconds of the calling thread: time it spent descheduled on
+ *  a shared host does not count. */
+double
+threadSeconds()
 {
-    std::string app;
-    std::uint64_t events = 0;
-    double plainSeconds = 0.0;
-    double disabledSeconds = 0.0;
-    /** disabled/plain wall ratio (1.0 = injection is free). */
-    double ratio = 0.0;
-    bool eventsMatch = false;
-};
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+}
 
 /**
- * Seconds per run of @p app under the Megakernel model on @p engine
- * (secondsPerRepeat over one driver); @p last receives the last run.
+ * Thread CPU seconds per run of @p app under the Megakernel model on
+ * @p engine (secondsPerRepeat over one driver); @p last receives the
+ * last run.
  */
 double
 timeMegakernel(const Engine& engine, const std::string& app,
@@ -195,134 +196,69 @@ timeMegakernel(const Engine& engine, const std::string& app,
     auto driver = makeApp(app, AppScale::Small);
     PipelineConfig cfg = makeMegakernelConfig(driver->pipeline());
     return secondsPerRepeat(1, [&] {
-        auto t0 = Clock::now();
+        double t0 = threadSeconds();
         last = engine.run(*driver, cfg);
-        return secondsSince(t0);
+        return threadSeconds() - t0;
     });
 }
 
-/**
- * Overhead of the fault-injection layer when it is compiled in but
- * the plan injects nothing: no fault branch of the batch path may
- * run, and the event trace must be bit-identical. Wall time is the
- * min over interleaved reps (robust against CPU drift) of the time
- * per run; the event counts must match exactly.
- */
-FaultModeRow
-benchFaultMode(const std::string& app, int reps)
+double
+median(std::vector<double> v)
 {
-    Engine plain(DeviceConfig::k20c());
-    Engine armed(DeviceConfig::k20c());
-    armed.setFaultPlan(FaultPlan{}); // nothing enabled
-
-    FaultModeRow row;
-    row.app = app;
-    row.plainSeconds = 1e30;
-    row.disabledSeconds = 1e30;
-    RunResult plainRun, disabledRun;
-    for (int i = 0; i < reps; ++i) {
-        row.plainSeconds = std::min(row.plainSeconds,
-                                    timeMegakernel(plain, app, plainRun));
-        row.disabledSeconds = std::min(
-            row.disabledSeconds, timeMegakernel(armed, app, disabledRun));
-    }
-    row.events = plainRun.simEvents;
-    row.eventsMatch = plainRun.simEvents == disabledRun.simEvents;
-    row.ratio = row.disabledSeconds / row.plainSeconds;
-    return row;
+    std::sort(v.begin(), v.end());
+    std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-struct ObsModeRow
+/** Host cost of a layer that is armed but must stay passive. */
+struct OverheadRow
 {
     std::string app;
     std::uint64_t events = 0;
-    double plainSeconds = 0.0;
-    double disabledSeconds = 0.0;
-    /** disabled/plain wall ratio (1.0 = tracing-off is free). */
-    double ratio = 0.0;
-    bool eventsMatch = false;
-};
-
-/**
- * Overhead of the observability layer when it is armed but inert
- * (tracing disabled, sampling off): every hook collapses to a null
- * tracer check, and the run must produce a bit-identical event
- * trace. Same methodology as benchFaultMode: min wall time over
- * interleaved reps, exact event-count comparison.
- */
-ObsModeRow
-benchObsMode(const std::string& app, int reps)
-{
-    Engine plain(DeviceConfig::k20c());
-    Engine armed(DeviceConfig::k20c());
-    ObsConfig oc;
-    oc.trace = false;
-    oc.sampleIntervalCycles = 0.0;
-    armed.setObservability(oc);
-
-    ObsModeRow row;
-    row.app = app;
-    row.plainSeconds = 1e30;
-    row.disabledSeconds = 1e30;
-    RunResult plainRun, disabledRun;
-    for (int i = 0; i < reps; ++i) {
-        row.plainSeconds = std::min(row.plainSeconds,
-                                    timeMegakernel(plain, app, plainRun));
-        row.disabledSeconds = std::min(
-            row.disabledSeconds, timeMegakernel(armed, app, disabledRun));
-    }
-    row.events = plainRun.simEvents;
-    row.eventsMatch = plainRun.simEvents == disabledRun.simEvents;
-    row.ratio = row.disabledSeconds / row.plainSeconds;
-    return row;
-}
-
-struct ProvRow
-{
-    std::string app;
-    std::uint64_t events = 0;
+    /** Medians of the thread CPU seconds per run. */
     double plainSeconds = 0.0;
     double armedSeconds = 0.0;
-    /** armed/plain wall ratio (tracking is host-side bookkeeping). */
+    /** Median armed/plain ratio of the pairs (1.0 = free). */
     double ratio = 0.0;
     bool eventsMatch = false;
     bool cyclesMatch = false;
-    std::uint64_t itemsTracked = 0;
+    RunResult armedRun;
 };
 
 /**
- * Overhead of per-item provenance tracking when armed (every seed
- * tracked, tracing off). Recording is passive — the armed run must
- * reproduce the plain run's event count and cycle count exactly; the
- * wall cost of the host-side lineage bookkeeping is budgeted at 5%.
+ * @p reps (plain, armed) pairs of Megakernel runs of @p app,
+ * alternating which side of a pair runs first. Each sample is thread
+ * CPU time, so descheduling on a shared host drops out, and the
+ * ratio is the median of the pairs' armed/plain ratios. The armed
+ * run must reproduce the plain run's events and cycles exactly.
  */
-ProvRow
-benchProvenance(const std::string& app, int reps)
+OverheadRow
+benchOverhead(const Engine& plain, const Engine& armed,
+              const std::string& app, int reps)
 {
-    Engine plain(DeviceConfig::k20c());
-    Engine armed(DeviceConfig::k20c());
-    ObsConfig oc;
-    oc.trace = false;
-    oc.sampleIntervalCycles = 0.0;
-    oc.provenance = true;
-    armed.setObservability(oc);
-
-    ProvRow row;
+    OverheadRow row;
     row.app = app;
-    row.plainSeconds = 1e30;
-    row.armedSeconds = 1e30;
-    RunResult plainRun, armedRun;
+    std::vector<double> plainSecs, armedSecs, ratios;
+    RunResult plainRun;
     for (int i = 0; i < reps; ++i) {
-        row.plainSeconds = std::min(row.plainSeconds,
-                                    timeMegakernel(plain, app, plainRun));
-        row.armedSeconds = std::min(row.armedSeconds,
-                                    timeMegakernel(armed, app, armedRun));
+        double p = 0.0, a = 0.0;
+        if (i % 2 == 0) {
+            p = timeMegakernel(plain, app, plainRun);
+            a = timeMegakernel(armed, app, row.armedRun);
+        } else {
+            a = timeMegakernel(armed, app, row.armedRun);
+            p = timeMegakernel(plain, app, plainRun);
+        }
+        plainSecs.push_back(p);
+        armedSecs.push_back(a);
+        ratios.push_back(a / p);
     }
-    row.itemsTracked = armedRun.obs->provenance->records().size();
+    row.plainSeconds = median(plainSecs);
+    row.armedSeconds = median(armedSecs);
+    row.ratio = median(ratios);
     row.events = plainRun.simEvents;
-    row.eventsMatch = plainRun.simEvents == armedRun.simEvents;
-    row.cyclesMatch = plainRun.cycles == armedRun.cycles;
-    row.ratio = row.armedSeconds / row.plainSeconds;
+    row.eventsMatch = plainRun.simEvents == row.armedRun.simEvents;
+    row.cyclesMatch = plainRun.cycles == row.armedRun.cycles;
     return row;
 }
 
@@ -610,8 +546,8 @@ struct AdaptiveRow
  * back-heavy for the second. The static partition is the one an
  * offline tuner would pick for phase 0 (front-weighted); the
  * controller starts from the same partition and must rebalance.
- * Also measures the disabled-config overhead with the interleaved
- * min-wall methodology of benchFaultMode.
+ * Also measures the disabled-config overhead: the least wall time of
+ * interleaved plain and disabled runs.
  */
 AdaptiveRow
 benchAdaptive(bool smoke)
@@ -997,12 +933,27 @@ main(int argc, char** argv)
                     static_cast<unsigned long long>(r.events),
                     r.seconds, r.eventsPerSec / 1e6);
 
+    // The three passive layers, each against the same plain engine.
+    Engine plain(DeviceConfig::k20c());
+    Engine faultArmed(DeviceConfig::k20c());
+    faultArmed.setFaultPlan(FaultPlan{}); // nothing enabled
+    ObsConfig inert;
+    inert.trace = false;
+    inert.sampleIntervalCycles = 0.0;
+    Engine obsArmed(DeviceConfig::k20c());
+    obsArmed.setObservability(inert);
+    ObsConfig tracked = inert;
+    tracked.provenance = true;
+    Engine provArmed(DeviceConfig::k20c());
+    provArmed.setObservability(tracked);
+    int pairs = smoke ? 3 : 20;
+
     vp::bench::header("fault-injection overhead (pyramid, small)");
-    FaultModeRow fm = benchFaultMode("pyramid", smoke ? 3 : 20);
+    OverheadRow fm = benchOverhead(plain, faultArmed, "pyramid", pairs);
     std::printf("  plain             %8.3fms\n"
                 "  disabled plan     %8.3fms  ratio=%.4f  "
                 "events %s\n",
-                fm.plainSeconds * 1e3, fm.disabledSeconds * 1e3,
+                fm.plainSeconds * 1e3, fm.armedSeconds * 1e3,
                 fm.ratio, fm.eventsMatch ? "identical" : "DIVERGED");
     if (!fm.eventsMatch) {
         std::fprintf(stderr,
@@ -1019,11 +970,11 @@ main(int argc, char** argv)
     }
 
     vp::bench::header("observability overhead (pyramid, small)");
-    ObsModeRow om = benchObsMode("pyramid", smoke ? 3 : 20);
+    OverheadRow om = benchOverhead(plain, obsArmed, "pyramid", pairs);
     std::printf("  plain             %8.3fms\n"
                 "  tracing disabled  %8.3fms  ratio=%.4f  "
                 "events %s\n",
-                om.plainSeconds * 1e3, om.disabledSeconds * 1e3,
+                om.plainSeconds * 1e3, om.armedSeconds * 1e3,
                 om.ratio, om.eventsMatch ? "identical" : "DIVERGED");
     if (!om.eventsMatch) {
         std::fprintf(stderr,
@@ -1040,14 +991,16 @@ main(int argc, char** argv)
     }
 
     vp::bench::header("provenance overhead (pyramid, small)");
-    ProvRow pr = benchProvenance("pyramid", smoke ? 3 : 20);
+    OverheadRow pr = benchOverhead(plain, provArmed, "pyramid", pairs);
+    std::uint64_t itemsTracked =
+        pr.armedRun.obs->provenance->records().size();
     std::printf("  plain             %8.3fms\n"
                 "  provenance armed  %8.3fms  ratio=%.4f  "
                 "events %s  cycles %s  items=%llu\n",
                 pr.plainSeconds * 1e3, pr.armedSeconds * 1e3,
                 pr.ratio, pr.eventsMatch ? "identical" : "DIVERGED",
                 pr.cyclesMatch ? "identical" : "DIVERGED",
-                static_cast<unsigned long long>(pr.itemsTracked));
+                static_cast<unsigned long long>(itemsTracked));
     if (!pr.eventsMatch || !pr.cyclesMatch) {
         std::fprintf(stderr,
                      "ERROR: armed provenance changed the %s\n",
@@ -1280,7 +1233,7 @@ main(int argc, char** argv)
                      fm.app.c_str(),
                      static_cast<unsigned long long>(fm.events),
                      fm.eventsMatch ? "true" : "false",
-                     fm.plainSeconds, fm.disabledSeconds, fm.ratio);
+                     fm.plainSeconds, fm.armedSeconds, fm.ratio);
         std::fprintf(json,
                      "  \"obs_mode\": {\"app\": \"%s\", "
                      "\"events\": %llu, \"events_identical\": %s, "
@@ -1290,7 +1243,7 @@ main(int argc, char** argv)
                      om.app.c_str(),
                      static_cast<unsigned long long>(om.events),
                      om.eventsMatch ? "true" : "false",
-                     om.plainSeconds, om.disabledSeconds, om.ratio);
+                     om.plainSeconds, om.armedSeconds, om.ratio);
         std::fprintf(json,
                      "  \"provenance\": {\"app\": \"%s\", "
                      "\"events\": %llu, \"events_identical\": %s, "
@@ -1303,7 +1256,7 @@ main(int argc, char** argv)
                      static_cast<unsigned long long>(pr.events),
                      pr.eventsMatch ? "true" : "false",
                      pr.cyclesMatch ? "true" : "false",
-                     static_cast<unsigned long long>(pr.itemsTracked),
+                     static_cast<unsigned long long>(itemsTracked),
                      pr.plainSeconds, pr.armedSeconds, pr.ratio);
         std::fprintf(json,
                      "  \"multi_device\": {\"app\": \"%s\", "

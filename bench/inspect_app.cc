@@ -587,6 +587,8 @@ show(const std::string& name, const DeviceConfig& dev,
         std::cout << t.render();
         std::cout << "launches=" << r.device.kernelLaunches
                   << " peakBlocks=" << r.device.peakResidentBlocks
+                  << " events=" << r.simEvents
+                  << " dispatched=" << r.dispatchedEvents
                   << " polls=" << r.polls
                   << " retreats=" << r.retreats
                   << " util=" << TextTable::num(r.smUtilization, 3)

@@ -654,6 +654,7 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
         merged.cycles = sim.now();
         merged.ms = gcfg.devices[0].cyclesToMs(merged.cycles);
         merged.simEvents = sim.eventsRun();
+        merged.dispatchedEvents = sim.dispatched();
         merged.deviceName = gcfg.describe();
         merged.configName = config.describe(pipe) + " shard="
             + plan.describe();

@@ -205,10 +205,14 @@ struct RunResult
     /** Cross-device transfer totals; zero on single-device runs. */
     InterconnectStats interconnect;
 
-    /** Simulation events dispatched during this run (host-side
-     *  engine-throughput metric, not a property of the modeled
-     *  device). */
+    /** Simulation events fired during this run, elided idle polls
+     *  included (host-side engine-throughput metric, not a property
+     *  of the modeled device). */
     std::uint64_t simEvents = 0;
+    /** Of simEvents, the ones the engine actually dispatched: the
+     *  rest are parked polls it counted without running (host-side,
+     *  like simEvents). */
+    std::uint64_t dispatchedEvents = 0;
 
     /** True when the run drained all work and verified cleanly. */
     bool completed = false;

@@ -31,6 +31,55 @@ GroupsRunner::GroupsRunner(Simulator& sim, Device& dev, Host& host,
             extraQueueSets_.push_back(shards_.back().get());
         }
     }
+    wakeHook_ = sim_.addWakeHook([this] { settleWaiters(); });
+}
+
+GroupsRunner::~GroupsRunner()
+{
+    sim_.removeWakeHook(wakeHook_);
+}
+
+void
+GroupsRunner::elidedPolls(int tag, std::uint64_t polls, double idle)
+{
+    polls_ += polls;
+    if (adaptiveArmed_)
+        adaptIdle_[static_cast<std::size_t>(tag)] += idle;
+}
+
+bool
+GroupsRunner::hasWork(const KernelSpec& spec) const
+{
+    for (int s : spec.stages) {
+        if (shards_.empty()) {
+            if (!queues_[static_cast<std::size_t>(s)]->empty())
+                return true;
+            continue;
+        }
+        // findWork steals, so every shard serves the stage set.
+        for (const auto& sh : shards_)
+            if (!(*sh)[static_cast<std::size_t>(s)]->empty())
+                return true;
+    }
+    return false;
+}
+
+void
+GroupsRunner::settleWaiters()
+{
+    // Evaluated on the state at the end of a dispatch (or between
+    // slices), so a transient inside one, like a pop before its batch
+    // counts in flight, wakes nobody.
+    for (std::size_t i = 0; i < waiters_.size(); ++i) {
+        if (waiters_[i].empty())
+            continue;
+        const KernelSpec& spec = specs_[i];
+        // A drained watch mask retires the parked blocks, each at its
+        // own poll; a budget cut makes the surplus retreat.
+        bool all = budgetCut_[i] || !futureWork(spec.watch);
+        waiters_[i].settle(sim_, !all && hasWork(spec), all);
+    }
+    std::fill(budgetCut_.begin(), budgetCut_.end(), 0);
 }
 
 QueueSet&
@@ -165,6 +214,8 @@ GroupsRunner::buildGroupSpecs(std::size_t g)
     blockCount_.resize(specs_.size()
                            * static_cast<std::size_t>(dev_.numSms()),
                        0);
+    waiters_.resize(specs_.size());
+    budgetCut_.resize(specs_.size(), 0);
 }
 
 void
@@ -320,17 +371,20 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
     QueueSet* qs = nullptr;
     int s = findWork(ctx.smId(), spec.stages, qs);
     if (s < 0) {
-        // Upstream still working: poll with exponential backoff.
+        // Upstream still working: poll with exponential backoff. The
+        // block parks; its polls stay virtual until settleWaiters
+        // wakes the one that can see new work.
         ++polls_;
         if (adaptiveArmed_)
             adaptIdle_[static_cast<std::size_t>(specIdx)]
                 += pollBackoff;
-        Tick next_backoff = std::min(
-            pollBackoff * 1.5, dev_.config().pollIntervalCycles * 3.0);
-        ctx.delayFixed(pollBackoff,
-                       [this, &ctx, specIdx, next_backoff] {
-                           blockLoop(ctx, specIdx, next_backoff);
-                       });
+        ctx.park(pollBackoff, dev_.config().pollIntervalCycles * 3.0,
+                 this, specIdx, [this, &ctx, specIdx] {
+                     waiters_[static_cast<std::size_t>(specIdx)].remove(
+                         ctx.chain());
+                     blockLoop(ctx, specIdx, ctx.pollBackoff());
+                 });
+        waiters_[static_cast<std::size_t>(specIdx)].add(ctx.chain());
         return;
     }
     processBatch(ctx, *qs, s, spec.inlineMask, -1,
@@ -347,8 +401,10 @@ GroupsRunner::onBlockAborted(BlockContext& ctx)
     auto it = blockSpec_.find(&ctx);
     if (it == blockSpec_.end())
         return;
-    // The evicted block no longer occupies its block-mapping slot.
+    // The evicted block no longer occupies its block-mapping slot;
+    // if it was parked, the next earliest poll takes its place.
     --blocksOn(it->second, ctx.smId());
+    waiters_[static_cast<std::size_t>(it->second)].remove(ctx.chain());
     blockSpec_.erase(it);
 }
 
@@ -518,6 +574,7 @@ GroupsRunner::adaptEpoch()
     int to = adaptTargets_[static_cast<std::size_t>(move->to)];
     specs_[static_cast<std::size_t>(from)].blocksPerSm -=
         move->count;
+    budgetCut_[static_cast<std::size_t>(from)] = 1;
     specs_[static_cast<std::size_t>(to)].blocksPerSm += move->count;
     adaptMoves_ += static_cast<std::uint64_t>(move->count);
     if (obs_)
@@ -534,7 +591,8 @@ GroupsRunner::adaptEpoch()
     // The receiver gains its blocks through a refill launch: the
     // wider grid fills the raised per-SM budget and the surplus
     // retreats on arrival. Donor blocks over budget retreat at
-    // their next loop iteration (see blockLoop).
+    // their next loop iteration (see blockLoop); parked ones are
+    // woken for it.
     launchSpec(to, specs_[static_cast<std::size_t>(to)].sms, true);
 }
 

@@ -550,11 +550,8 @@ RunnerBase::awaitCommit(std::unique_ptr<BatchCommit> c, Tick detect)
         if (!tryCommit(*c))
             awaitCommit(std::move(c), 0.0);
     };
-    if (detect > 0.0)
-        block->delay(detect, std::move(retry));
-    else
-        block->delayFixed(dev_.config().pollIntervalCycles,
-                          std::move(retry));
+    block->delay(detect > 0.0 ? detect : dev_.config().pollIntervalCycles,
+                 std::move(retry));
 }
 
 void
@@ -669,6 +666,7 @@ RunnerBase::collect()
     r.cycles = sim_.now();
     r.ms = dev_.config().cyclesToMs(r.cycles);
     r.simEvents = sim_.eventsRun();
+    r.dispatchedEvents = sim_.dispatched();
     r.configName = configName_;
     r.deviceName = dev_.config().name;
     r.device = dev_.stats();

@@ -559,13 +559,22 @@ class RunnerBase
     void awaitCommit(std::unique_ptr<BatchCommit> c, Tick detect);
 };
 
-/** Persistent-block runner for Groups configurations. */
-class GroupsRunner : public RunnerBase
+/**
+ * Persistent-block runner for Groups configurations. A block whose
+ * queues are empty parks its poll chain (BlockContext::park); the
+ * runner counts the elided polls (PollSink) and wakes parked blocks
+ * on the state each dispatch leaves: a push into a spec's queues
+ * wakes its earliest parked poll, a spec whose watch mask drains or
+ * whose budget the controller cut wakes all of them.
+ */
+class GroupsRunner : public RunnerBase, private PollSink
 {
   public:
     GroupsRunner(Simulator& sim, Device& dev, Host& host,
                  Pipeline& pipe, const PipelineConfig& cfg,
                  FaultContext fc);
+
+    ~GroupsRunner() override;
 
     void start(AppDriver& driver) override;
 
@@ -607,6 +616,15 @@ class GroupsRunner : public RunnerBase
                     bool isRefill);
     void blockMain(BlockContext& ctx, int specIdx);
     void blockLoop(BlockContext& ctx, int specIdx, Tick pollBackoff);
+
+    /** PollSink: polls a parked block of spec @p tag elided. */
+    void elidedPolls(int tag, std::uint64_t polls, double idle) override;
+
+    /** Wake hook: re-establish every spec's wake order. */
+    void settleWaiters();
+
+    /** True when a queue findWork searches for @p spec holds items. */
+    bool hasWork(const KernelSpec& spec) const;
     void onKernelComplete();
     void maybeRefill();
 
@@ -639,6 +657,12 @@ class GroupsRunner : public RunnerBase
                                * static_cast<std::size_t>(dev_.numSms())
                            + static_cast<std::size_t>(smId)];
     }
+    /** Parked blocks per spec index; grows with specs_. */
+    std::vector<PollWaiters> waiters_;
+    /** Specs whose budget the controller cut since the last wake
+     *  hook: their parked blocks wake to retreat. */
+    std::vector<char> budgetCut_;
+    int wakeHook_ = -1;
     /** Live block -> spec index, for eviction bookkeeping (kept
      *  only when blocks are evictable). */
     std::map<BlockContext*, int> blockSpec_;

@@ -49,10 +49,19 @@ BlockContext::delay(Tick cycles, EventFn cb)
 }
 
 void
-BlockContext::delayFixed(Tick cycles, EventFn cb)
+BlockContext::park(Tick backoff, Tick cap, PollSink* sink, int tag,
+                   EventFn cb)
 {
     hold(std::move(cb));
-    pendingEvent_ = sim().afterFixed(cycles, [this] { complete(); });
+    pendingEvent_ = EventHandle();
+    chain_ = sim().park(chain_, backoff, cap, sink, tag,
+                        [this] { complete(); });
+}
+
+Tick
+BlockContext::pollBackoff() const
+{
+    return dev_.sim().backoff(chain_);
 }
 
 void
@@ -73,6 +82,9 @@ BlockContext::abortForFault()
     // into this context again.
     sim().cancel(pendingEvent_);
     pendingEvent_ = EventHandle();
+    // The chain handle stays (stale) so the owner can still find the
+    // block among its parked ones.
+    sim().cancel(chain_);
     cont_.reset();
     busy_ = false;
     aborted_ = true;

@@ -4,10 +4,10 @@
  *
  * A block drives itself in continuation-passing style: exec() submits
  * work to the SM's processor-sharing engine, delay() models fixed-cost
- * actions (queue operations, polling), and exit() retires the block
- * and frees its SM resources. All continuations are trampolined
- * through the simulator's event loop, so there is no recursion-depth
- * concern.
+ * actions (queue operations, backoffs), park() waits out idle polls,
+ * and exit() retires the block and frees its SM resources. All
+ * continuations are trampolined through the simulator's event loop,
+ * so there is no recursion-depth concern.
  */
 
 #ifndef VP_GPU_BLOCK_HH
@@ -59,12 +59,20 @@ class BlockContext
     void delay(Tick cycles, EventFn cb);
 
     /**
-     * delay() for a wait the block repeats with a few fixed lengths
-     * (idle-poll backoff, backpressure retry): the event takes the
-     * simulator's FIFO lane for @p cycles (Simulator::afterFixed).
-     * Same time and order as delay(), without a heap sift.
+     * Park after a poll that found nothing: the next poll is due in
+     * @p backoff cycles and later ones back off up to @p cap, all
+     * virtual (Simulator::park) until the owner wakes chain(); the
+     * woken poll runs @p cb. Parking again from the woken poll
+     * continues the same chain.
      */
-    void delayFixed(Tick cycles, EventFn cb);
+    void park(Tick backoff, Tick cap, PollSink* sink, int tag,
+              EventFn cb);
+
+    /** The block's poll chain (stale once it ended). */
+    PollChain chain() const { return chain_; }
+
+    /** Backoff of the running woken poll. */
+    Tick pollBackoff() const;
 
     /** Retire the block, freeing its SM resources. */
     void exit();
@@ -86,9 +94,10 @@ class BlockContext
 
     /**
      * Tear the block down after an SM failure: cancel the pending
-     * start/delay event, drop the continuation, and mark the block
-     * exited without the exit() invariants (the SM engine has
-     * already dropped any in-flight exec). Called by Device only.
+     * start/delay event or poll chain, drop the continuation, and
+     * mark the block exited without the exit() invariants (the SM
+     * engine has already dropped any in-flight exec). Called by
+     * Device only.
      */
     void abortForFault();
 
@@ -105,6 +114,8 @@ class BlockContext
     EventFn cont_;
     /** Pending kernel-start or delay event, for fault abort. */
     EventHandle pendingEvent_;
+    /** The poll chain while parked (and during its woken poll). */
+    PollChain chain_;
     bool busy_ = false;
     bool exited_ = false;
     bool aborted_ = false;

@@ -100,6 +100,8 @@ writeReportJson(std::ostream& os, const RunResult& r)
     os << "  \"ms\": " << num(r.ms) << ",\n";
     os << "  \"sm_utilization\": " << num(r.smUtilization) << ",\n";
     os << "  \"sim_events\": " << uint(r.simEvents) << ",\n";
+    os << "  \"dispatched_events\": " << uint(r.dispatchedEvents)
+       << ",\n";
     os << "  \"polls\": " << uint(r.polls) << ",\n";
     os << "  \"retreats\": " << uint(r.retreats) << ",\n";
     os << "  \"refills\": " << uint(r.refills) << ",\n";

@@ -1,6 +1,7 @@
 #include "tuner/offline_tuner.hh"
 
 #include <algorithm>
+#include <condition_variable>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -204,8 +205,11 @@ sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
     // below it. A worker claims the next job and reads best-so-far
     // under it, so every finished run it sees has a lower index. Per
     // job it keeps the cycles of a run that finished, and only the
-    // run least by (cycles, job index).
+    // run least by (cycles, job index). Job 0 runs alone, on the
+    // calling thread: until it ends there is no limit to run under.
     std::mutex mutex;
+    std::condition_variable firstEnded;
+    bool firstDone = false;
     std::size_t next = 0;
     double bestSoFar = std::numeric_limits<double>::infinity();
     std::vector<std::optional<double>> cycles(jobs.size());
@@ -221,6 +225,7 @@ sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
             errorRank = rank;
             error = std::current_exception();
         }
+        firstEnded.notify_all();
     };
     auto work = [&](Engine& eng, AppDriver& drv) {
         for (;;) {
@@ -246,9 +251,13 @@ sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
                 fail(i + 1);
                 return;
             }
+            std::lock_guard<std::mutex> lock(mutex);
+            if (i == 0) {
+                firstDone = true;
+                firstEnded.notify_all();
+            }
             if (!run)
                 continue;
-            std::lock_guard<std::mutex> lock(mutex);
             cycles[i] = run->cycles;
             bestSoFar = std::min(bestSoFar, run->cycles);
             if (!bestRun
@@ -272,6 +281,11 @@ sweep(Engine& engine, AppDriver& driver, const TunerOptions& opts,
                 } catch (...) {
                     fail(0);
                     return;
+                }
+                {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    firstEnded.wait(lock,
+                                    [&] { return firstDone || error; });
                 }
                 work(w->engine, *w->driver);
             });

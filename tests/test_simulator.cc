@@ -9,6 +9,7 @@
 #include <array>
 #include <functional>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -292,60 +293,64 @@ TEST(Simulator, DeterministicAcrossRuns)
     EXPECT_EQ(trace(), trace());
 }
 
-TEST(Simulator, FixedDelayEventsInterleaveByKey)
+TEST(Simulator, ParkedChainCountsItsPollsWithoutDispatching)
 {
-    // Lane and heap events share one (time, schedule order) key.
+    // A chain parked at 0 with nothing to wake it: its polls at 150,
+    // 375, 712.5, 1162.5, 1612.5, ... all count, none is dispatched.
+    struct Sink : PollSink
+    {
+        std::uint64_t polls = 0;
+        double idle = 0.0;
+        void
+        elidedPolls(int, std::uint64_t n, double i) override
+        {
+            polls += n;
+            idle += i;
+        }
+    } sink;
     Simulator sim;
-    std::vector<char> order;
-    auto log = [&](char c) { return [&order, c] { order.push_back(c); }; };
-    sim.afterFixed(100.0, log('A'));
-    sim.after(100.0, log('B'));
-    sim.afterFixed(50.0, log('C'));
-    sim.at(100.0, log('D'));
-    sim.afterFixed(100.0, log('E'));
-    sim.afterFixed(0.0, log('F'));
-    EXPECT_EQ(sim.pendingEvents(), 6u);
-    sim.run();
-    EXPECT_EQ(order, (std::vector<char>{'F', 'C', 'A', 'B', 'D', 'E'}));
-    EXPECT_EQ(sim.eventsRun(), 6u);
-    EXPECT_DOUBLE_EQ(sim.now(), 100.0);
-}
-
-TEST(Simulator, CancelledLaneEventNeverFires)
-{
-    Simulator sim;
-    bool ranA = false, ranB = false;
-    EventHandle a = sim.afterFixed(5.0, [&] { ranA = true; });
-    sim.cancel(a);
-    EXPECT_EQ(sim.pendingEvents(), 0u);
-    // B reuses A's slot and queues behind A's dead entry.
-    EventHandle b = sim.afterFixed(5.0, [&] { ranB = true; });
-    sim.cancel(a); // stale: must not touch b
-    EXPECT_EQ(sim.pendingEvents(), 1u);
-    EXPECT_TRUE(sim.runUntil(1e9, 10));
-    EXPECT_FALSE(ranA);
-    EXPECT_TRUE(ranB);
-    EXPECT_EQ(sim.eventsRun(), 1u);
-    sim.cancel(b); // post-run: no-op
-    EXPECT_EQ(sim.pendingEvents(), 0u);
-}
-
-TEST(Simulator, LaneKeepsKeyOrderWhenTheClockStepsBack)
-{
-    // advanceTo tolerates an event up to 1e-9 before its target, so
-    // the clock can step back when that event fires. A fixed-delay
-    // event scheduled then sorts before the lane's tail and must
-    // still fire first.
-    Simulator sim;
-    std::vector<char> order;
-    sim.at(100.0, [&] {
-        order.push_back('X');
-        sim.afterFixed(10.0, [&] { order.push_back('C'); });
+    bool woke = false;
+    sim.at(0.0, [&] {
+        sim.park(PollChain(), 150.0, 450.0, &sink, 0,
+                 [&] { woke = true; });
     });
-    sim.advanceTo(100.0 + 5e-10);
-    sim.afterFixed(10.0, [&] { order.push_back('A'); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<char>{'X', 'C', 'A'}));
+    // A parked chain is a pending poll: the slice is not drained.
+    EXPECT_FALSE(sim.runUntil(0.0, 10));
+    EXPECT_FALSE(sim.runUntil(1700.0, 100));
+    EXPECT_FALSE(woke);
+    EXPECT_EQ(sink.polls, 5u);
+    EXPECT_DOUBLE_EQ(sink.idle, 225.0 + 337.5 + 450.0 * 3);
+    EXPECT_EQ(sim.eventsRun(), 6u);
+    EXPECT_EQ(sim.dispatched(), 1u);
+    EXPECT_DOUBLE_EQ(sim.now(), 1612.5);
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    // The event limit lands on the third poll after 1612.5.
+    EXPECT_FALSE(sim.runBounded(3));
+    EXPECT_DOUBLE_EQ(sim.now(), 2962.5);
+    EXPECT_EQ(sink.polls, 8u);
+}
+
+TEST(Simulator, WakeTakesThePollsKeyAmongItsTick)
+{
+    // Chain polls at 150 and 375. An event drawn before the 150 poll
+    // fired sorts before the 375 wake; one drawn after it, after.
+    Simulator sim;
+    std::vector<char> order;
+    PollChain chain;
+    sim.at(0.0, [&] {
+        chain = sim.park(PollChain(), 150.0, 450.0, nullptr, 0,
+                         [&] { order.push_back('W'); });
+        sim.at(375.0, [&] { order.push_back('A'); });
+    });
+    sim.at(200.0, [&] {
+        sim.at(375.0, [&] { order.push_back('B'); });
+        sim.wake(chain);
+    });
+    EXPECT_TRUE(sim.runUntil(1e9, 100));
+    EXPECT_EQ(order, (std::vector<char>{'A', 'W', 'B'}));
+    // Polls: 150 elided, 375 dispatched.
+    EXPECT_EQ(sim.eventsRun(), 6u);
+    EXPECT_EQ(sim.dispatched(), 5u);
 }
 
 namespace {
@@ -363,7 +368,7 @@ mix(std::uint64_t x)
 /**
  * Reference engine for the differential test: a flat list of pending
  * events, dispatched by a linear scan for the least (time, schedule
- * order). afterFixed is after; there are no lanes.
+ * order). Every poll is one of its events.
  */
 class RefSim
 {
@@ -386,12 +391,6 @@ class RefSim
     after(Tick delay, std::function<void()> fn)
     {
         return at(now_ + delay, std::move(fn));
-    }
-
-    Handle
-    afterFixed(Tick delay, std::function<void()> fn)
-    {
-        return after(delay, std::move(fn));
     }
 
     void
@@ -466,8 +465,40 @@ class RefSim
     std::uint64_t run_ = 0;
 };
 
-/** What driveEngine saw: fired (id, time) and counters
- *  after every step. */
+constexpr int kSets = 3;
+
+/** First backoff of set @p s's blocks: the last set polls on another
+ *  schedule, whose chains the engine dispatches poll by poll. */
+Tick
+pollFor(int s)
+{
+    return s + 1 < kSets ? 150.0 : 112.5;
+}
+
+/** Backoff cap of set @p s's blocks. */
+Tick
+capFor(int s)
+{
+    return 3.0 * pollFor(s);
+}
+/** Fired-log ids of block actions: kBlockBase + 4 × block + action. */
+constexpr std::size_t kBlockBase = std::size_t(1) << 40;
+
+/** One persistent block of the model: polls its set's queue. */
+struct Block
+{
+    int set = 0;
+    bool alive = true;
+    /** Waiting for its next poll. */
+    bool parked = false;
+    std::uint64_t takes = 0;
+    std::uint64_t polls = 0;
+    PollChain chain;
+    RefSim::Handle refPoll = 0;
+};
+
+/** What driveModel saw: fired (id, time) and counters after every
+ *  slice. */
 struct EngineLog
 {
     std::vector<std::pair<std::size_t, Tick>> fired;
@@ -475,29 +506,166 @@ struct EngineLog
     std::vector<std::size_t> pending;
     std::vector<Tick> now;
     std::vector<bool> drained;
+    std::vector<std::vector<std::uint64_t>> polls;
+    std::uint64_t takes = 0;
+};
+
+/** Reference polling: every poll is a real event. */
+struct RefPolls
+{
+    RefSim& sim;
+
+    template <typename Check>
+    void
+    park(Block& b, std::size_t, Tick backoff, Check check)
+    {
+        Tick cap = capFor(b.set);
+        b.refPoll = sim.after(backoff, [check, backoff, cap] {
+            check(std::min(backoff * 1.5, cap));
+        });
+    }
+
+    void evict(Block& b) { sim.cancel(b.refPoll); }
+
+    /** No wake triggers: nothing is parked. */
+    template <typename Work, typename Drained>
+    void
+    hook(Work, Drained)
+    {
+    }
+};
+
+/** Parked chains under the runtime's wake order (PollWaiters). */
+struct ChainPolls : PollSink
+{
+    Simulator& sim;
+    std::deque<Block>& blocks;
+    PollWaiters waiters[kSets];
+    /** Woken polls that found neither work nor a drained set. */
+    std::uint64_t idleWakes = 0;
+    const Block* waking = nullptr;
+
+    ChainPolls(Simulator& s, std::deque<Block>& b) : sim(s), blocks(b) {}
+
+    void
+    elidedPolls(int tag, std::uint64_t n, double) override
+    {
+        blocks[static_cast<std::size_t>(tag)].polls += n;
+    }
+
+    template <typename Check>
+    void
+    park(Block& b, std::size_t id, Tick backoff, Check check)
+    {
+        if (waking == &b)
+            ++idleWakes;
+        b.chain = sim.park(b.chain, backoff, capFor(b.set), this,
+                           static_cast<int>(id), [this, &b, check] {
+                               waiters[b.set].remove(b.chain);
+                               waking = &b;
+                               check(sim.backoff(b.chain));
+                               waking = nullptr;
+                           });
+        waiters[b.set].add(b.chain);
+    }
+
+    void
+    evict(Block& b)
+    {
+        sim.cancel(b.chain);
+        waiters[b.set].remove(b.chain);
+    }
+
+    /** The wake triggers, as GroupsRunner::settleWaiters: a set with
+     *  work wakes its earliest parked poll, a drained one all. */
+    template <typename Work, typename Drained>
+    void
+    hook(Work work, Drained drained)
+    {
+        sim.addWakeHook([this, work, drained] {
+            for (int s = 0; s < kSets; ++s) {
+                bool all = drained(s);
+                waiters[s].settle(sim, !all && work(s), all);
+            }
+        });
+    }
 };
 
 /**
- * Drive engine @p sim with a random mix keyed by @p seed: heap events
- * through at() and after() with arbitrary delays, fixed-delay events
- * with ten delays (0 among them; past the engine's eight lanes, so
- * some take the heap), cancels of either kind and of fired or stale
- * handles, children scheduled from callbacks, and runUntil slices
- * with time and event limits between advanceTo hops. Delays are
- * mostly multiples of 18.75, so lane, cross-lane and heap events tie
- * exactly. @p hop maps a proposed advanceTo target to a legal one (at
- * most the next pending event's time).
+ * Drive engine @p sim through @p polls with a random mix keyed by
+ * @p seed. Events scheduled through at() and after() push work into
+ * three stage sets (set s feeds set s + 1), launch blocks (several at
+ * once, so chains share one grid), evict parked blocks, schedule
+ * children and cancel events. Blocks take one item at a time and park
+ * when their set is empty; a set drains once the mix is closed and
+ * nothing upstream is queued or busy, and its blocks then retire.
+ * Delays are mostly multiples of 18.75, like the poll grids, so
+ * pushes land exactly on grid points; the last set polls on a second
+ * schedule. runUntil slices with time and event
+ * limits alternate with advanceTo hops; @p hop maps a proposed target
+ * to a legal one.
  */
-template <typename Sim, typename Hop>
+template <typename Sim, typename Polls, typename Hop>
 EngineLog
-driveEngine(Sim& sim, std::uint64_t seed, Hop hop)
+driveModel(Sim& sim, Polls& polls, std::deque<Block>& blocks,
+           std::uint64_t seed, Hop hop)
 {
     using Handle = decltype(sim.after(0.0, [] {}));
-    static constexpr Tick kFixed[] = {0.0,   150.0, 225.0,  337.5,
-                                      450.0, 18.75, 37.5,   75.0,
-                                      93.75, 131.25};
     EngineLog log;
     std::vector<Handle> handles;
+    int items[kSets] = {};
+    int busy[kSets] = {};
+    bool closed = false;
+
+    auto drained = [&](int s) {
+        if (!closed)
+            return false;
+        for (int t = 0; t <= s; ++t)
+            if (items[t] > 0 || busy[t] > 0)
+                return false;
+        return true;
+    };
+    polls.hook([&](int s) { return items[s] > 0; }, drained);
+
+    std::function<void(std::size_t, Tick)> check;
+    check = [&](std::size_t bi, Tick backoff) {
+        Block& b = blocks[bi];
+        b.parked = false;
+        int s = b.set;
+        if (items[s] > 0) {
+            --items[s];
+            ++busy[s];
+            ++log.takes;
+            log.fired.emplace_back(kBlockBase + 4 * bi, sim.now());
+            std::uint64_t h = mix(seed ^ mix(kBlockBase + 4096 * bi
+                                             + b.takes++));
+            Tick d = static_cast<Tick>(h % 16) * 18.75 + 10.0;
+            sim.after(d, [&, bi, h] {
+                Block& done = blocks[bi];
+                log.fired.emplace_back(kBlockBase + 4 * bi + 2,
+                                       sim.now());
+                --busy[done.set];
+                if (done.set + 1 < kSets && (h >> 8) % 3 != 0)
+                    ++items[done.set + 1];
+                check(bi, pollFor(done.set));
+            });
+            return;
+        }
+        if (drained(s)) {
+            b.alive = false;
+            log.fired.emplace_back(kBlockBase + 4 * bi + 1, sim.now());
+            return;
+        }
+        ++b.polls;
+        b.parked = true;
+        polls.park(b, bi, backoff,
+                   [&check, bi](Tick next) { check(bi, next); });
+    };
+    auto launch = [&](int set) {
+        blocks.emplace_back();
+        blocks.back().set = set;
+        check(blocks.size() - 1, pollFor(set));
+    };
 
     auto delayFor = [](std::uint64_t h) -> Tick {
         if (h % 5 == 0)
@@ -508,6 +676,25 @@ driveEngine(Sim& sim, std::uint64_t seed, Hop hop)
     auto fire = [&](std::size_t id) {
         log.fired.emplace_back(id, sim.now());
         std::uint64_t h = mix(seed ^ mix(id));
+        if (!closed && (h >> 24) % 3 != 0)
+            items[(h >> 28) % kSets] += 1 + static_cast<int>(h >> 30 & 1);
+        if ((h >> 32) % 9 == 0) {
+            int set = static_cast<int>((h >> 36) % kSets);
+            for (std::uint64_t i = 0; i <= (h >> 38) % 3; ++i)
+                launch(set);
+        }
+        if ((h >> 42) % 7 == 0) {
+            std::vector<std::size_t> parked;
+            for (std::size_t i = 0; i < blocks.size(); ++i)
+                if (blocks[i].alive && blocks[i].parked)
+                    parked.push_back(i);
+            if (!parked.empty()) {
+                Block& b = blocks[parked[(h >> 46) % parked.size()]];
+                polls.evict(b);
+                b.alive = false;
+                b.parked = false;
+            }
+        }
         // 0, 1 or 2 children (0.8 on average), then maybe a cancel.
         int children = static_cast<int>(h % 10 < 4 ? 0 : h % 10 < 8 ? 1 : 2);
         for (int c = 0; c < children; ++c)
@@ -518,18 +705,21 @@ driveEngine(Sim& sim, std::uint64_t seed, Hop hop)
     schedule = [&](std::uint64_t h) {
         std::size_t id = handles.size();
         auto fn = [&fire, id] { fire(id); };
-        switch (h % 4) {
-          case 0:
+        if (h % 2 == 0)
             handles.push_back(sim.at(sim.now() + delayFor(h >> 2), fn));
-            break;
-          case 1:
+        else
             handles.push_back(sim.after(delayFor(h >> 2), fn));
-            break;
-          default:
-            handles.push_back(
-                sim.afterFixed(kFixed[(h >> 2) % 10], fn));
-            break;
-        }
+    };
+
+    auto record = [&](bool drainedNow) {
+        log.drained.push_back(drainedNow);
+        log.eventsRun.push_back(sim.eventsRun());
+        log.pending.push_back(sim.pendingEvents());
+        log.now.push_back(sim.now());
+        std::vector<std::uint64_t> p;
+        for (const Block& b : blocks)
+            p.push_back(b.polls);
+        log.polls.push_back(std::move(p));
     };
 
     std::uint64_t r = mix(seed);
@@ -540,6 +730,8 @@ driveEngine(Sim& sim, std::uint64_t seed, Hop hop)
         r = mix(r);
         for (std::uint64_t i = 0; i < r % 3 && !handles.empty(); ++i)
             sim.cancel(handles[mix(r + i) % handles.size()]);
+        if (step == 40)
+            closed = true;
         r = mix(r);
         if (r % 4 == 0) {
             sim.advanceTo(
@@ -548,53 +740,64 @@ driveEngine(Sim& sim, std::uint64_t seed, Hop hop)
         r = mix(r);
         Tick limit = sim.now() + static_cast<Tick>((r >> 4) % 1200);
         std::uint64_t events = (r >> 24) % 3 == 0 ? ~0ull : (r >> 32) % 40;
-        log.drained.push_back(sim.runUntil(limit, events));
-        log.eventsRun.push_back(sim.eventsRun());
-        log.pending.push_back(sim.pendingEvents());
-        log.now.push_back(sim.now());
+        record(sim.runUntil(limit, events));
     }
-    log.drained.push_back(sim.runUntil(1e18, ~0ull));
-    log.eventsRun.push_back(sim.eventsRun());
-    log.pending.push_back(sim.pendingEvents());
-    log.now.push_back(sim.now());
+    record(sim.runUntil(1e18, ~0ull));
     return log;
 }
 
 } // namespace
 
-TEST(Simulator, LanesMatchAReferenceOrderEngine)
+TEST(Simulator, ParkedChainsMatchAReferenceOrderEngine)
 {
-    // Differential property test: the lane engine must fire exactly
-    // what a flat (time, schedule order) scan fires, in the same
-    // order, with the same counters after every run slice.
-    std::uint64_t fired = 0;
-    for (std::uint64_t seed = 0; seed < 300; ++seed) {
-        // The reference picks each advanceTo target; the lane engine
-        // replays them.
+    // Differential property test: with parked chains and the wake
+    // order, the engine must fire what a flat (time, schedule order)
+    // scan that dispatches every poll fires, in the same order, with
+    // the same counters after every run slice.
+    std::uint64_t fired = 0, takes = 0, elided = 0;
+    for (std::uint64_t seed = 0; seed < 400; ++seed) {
+        // The reference picks each advanceTo target; the elided
+        // engine replays them.
         RefSim ref;
+        std::deque<Block> refBlocks;
+        RefPolls refPolls{ref};
         std::vector<Tick> hops;
-        EngineLog want = driveEngine(ref, seed, [&](Tick proposed) {
-            hops.push_back(std::min(proposed, ref.nextTime()));
-            return hops.back();
-        });
+        EngineLog want = driveModel(
+            ref, refPolls, refBlocks, seed,
+            [&](Tick proposed) {
+                hops.push_back(std::min(proposed, ref.nextTime()));
+                return hops.back();
+            });
         Simulator sim;
+        std::deque<Block> blocks;
+        ChainPolls chains(sim, blocks);
         std::size_t nextHop = 0;
         EngineLog got;
         try {
-            got = driveEngine(sim, seed, [&](Tick) {
-                return nextHop < hops.size() ? hops[nextHop++]
-                                             : sim.now();
-            });
+            got = driveModel(
+                sim, chains, blocks, seed,
+                [&](Tick) {
+                    return nextHop < hops.size() ? hops[nextHop++]
+                                                 : sim.now();
+                });
         } catch (const std::exception& e) {
             FAIL() << "seed " << seed << ": " << e.what();
         }
         ASSERT_EQ(got.fired, want.fired) << "seed " << seed;
+        ASSERT_EQ(got.polls, want.polls) << "seed " << seed;
         ASSERT_EQ(got.eventsRun, want.eventsRun) << "seed " << seed;
         ASSERT_EQ(got.pending, want.pending) << "seed " << seed;
         ASSERT_EQ(got.now, want.now) << "seed " << seed;
         ASSERT_EQ(got.drained, want.drained) << "seed " << seed;
+        // No herd: a woken poll finds nothing only when an earlier
+        // check took the work it was woken for.
+        ASSERT_LE(chains.idleWakes, got.takes) << "seed " << seed;
         fired += got.fired.size();
+        takes += got.takes;
+        elided += sim.eventsRun() - sim.dispatched();
     }
     // The mix must have fired a real workload, not a trivial one.
     EXPECT_GT(fired, 10000u);
+    EXPECT_GT(takes, 2000u);
+    EXPECT_GT(elided, 10000u);
 }
