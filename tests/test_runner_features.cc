@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/registry.hh"
 #include "gpu/occupancy.hh"
 #include "toy_apps.hh"
 
@@ -82,6 +83,50 @@ TEST(DistributedQueues, ConservationAcrossShards)
     // Merged queue stats still balance pushes and pops.
     for (const auto& s : r.stages)
         EXPECT_EQ(s.queue.pushes, s.queue.pops) << s.name;
+}
+
+TEST(DistributedQueues, PinnedRunsOfPaperApps)
+{
+    // Megakernel with one queue set per SM, pinned exactly: a change
+    // to the queue layout must leave every cycle, event, poll, steal
+    // and per-stage contention cycle of these runs where it was.
+    struct Pin
+    {
+        const char* app;
+        const char* device;
+        double cycles;
+        std::uint64_t simEvents;
+        std::uint64_t polls;
+        double steals;
+        std::vector<double> contention;
+    };
+    const std::vector<Pin> pins = {
+        {"pyramid", "k20c", 198151.46249999999, 15079u, 14919u, 17,
+         {168, 84, 1526}},
+        {"ldpc", "k20c", 22796.5, 1512u, 1211u, 0, {0, 672, 672, 168}},
+        {"reyes", "k20c", 22915.0821875, 259u, 135u, 9, {84, 490, 238}},
+        {"pyramid", "gtx1080", 103693.06601644492, 10414u, 10232u, 27,
+         {168, 28, 840}},
+        {"ldpc", "gtx1080", 28660.5, 1360u, 1031u, 0,
+         {0, 672, 672, 168}},
+        {"reyes", "gtx1080", 29110.5, 322u, 192u, 9, {84, 490, 238}},
+    };
+    for (const Pin& p : pins) {
+        auto app = makeApp(p.app, AppScale::Small);
+        auto cfg = makeMegakernelConfig(app->pipeline());
+        cfg.distributedQueues = true;
+        auto r = run(*app, cfg, DeviceConfig::byName(p.device));
+        std::string what = std::string(p.app) + " on " + p.device;
+        EXPECT_EQ(r.cycles, p.cycles) << what;
+        EXPECT_EQ(r.simEvents, p.simEvents) << what;
+        EXPECT_EQ(r.polls, p.polls) << what;
+        EXPECT_EQ(r.extra.get("steals"), p.steals) << what;
+        ASSERT_EQ(r.stages.size(), p.contention.size()) << what;
+        for (std::size_t s = 0; s < r.stages.size(); ++s)
+            EXPECT_EQ(r.stages[s].queue.contentionCycles,
+                      p.contention[s])
+                << what << " stage " << r.stages[s].name;
+    }
 }
 
 TEST(DistributedQueues, DescribeMentionsFlag)
