@@ -79,38 +79,13 @@ namespace {
 void
 mergeRunnerResult(RunResult& merged, const RunResult& ri)
 {
-    for (std::size_t s = 0; s < merged.stages.size(); ++s) {
-        StageRunStats& a = merged.stages[s];
-        const StageRunStats& b = ri.stages[s];
-        a.items += b.items;
-        a.batches += b.batches;
-        a.warpInsts += b.warpInsts;
-        a.execCycles += b.execCycles;
-        a.retried += b.retried;
-        a.deadLettered += b.deadLettered;
-        a.queue.pushes += b.queue.pushes;
-        a.queue.pops += b.queue.pops;
-        a.queue.maxDepth = std::max(a.queue.maxDepth,
-                                    b.queue.maxDepth);
-        a.queue.opCycles += b.queue.opCycles;
-        a.queue.contentionCycles += b.queue.contentionCycles;
-    }
+    for (std::size_t s = 0; s < merged.stages.size(); ++s)
+        merged.stages[s] += ri.stages[s];
     merged.polls += ri.polls;
     merged.retreats += ri.retreats;
     merged.refills += ri.refills;
-
-    merged.faults.taskFaults += ri.faults.taskFaults;
-    merged.faults.tasksRetried += ri.faults.tasksRetried;
-    merged.faults.deadLettered += ri.faults.deadLettered;
-    merged.faults.droppedPushes += ri.faults.droppedPushes;
-    merged.faults.corruptedPushes += ri.faults.corruptedPushes;
-    merged.faults.slowdowns += ri.faults.slowdowns;
-    merged.faults.backpressureWaits += ri.faults.backpressureWaits;
-    merged.faults.degradeRelaunches += ri.faults.degradeRelaunches;
-    merged.faults.launchDelays += ri.faults.launchDelays;
-    merged.faults.smsFailed += ri.faults.smsFailed;
-    merged.faults.smsDegraded += ri.faults.smsDegraded;
-    merged.faults.blocksEvicted += ri.faults.blocksEvicted;
+    merged.faults += ri.faults;
+    merged.extra.merge(ri.extra);
 }
 
 /**
@@ -295,7 +270,7 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
     // Cross-device forwarding: a push into a remote stub on device i
     // rides the interconnect to the stage's home device and lands in
     // that runner's delivery queue at arrival time. The rolling
-    // sequence spreads deliveries over queue shards deterministically.
+    // sequence spreads deliveries over queue sets deterministically.
     //
     // Bounded stages keep backpressure across devices via a credit
     // scheme: per-stage counters charge every in-flight transfer
@@ -636,19 +611,6 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
             per.push_back(runners[static_cast<std::size_t>(i)]
                               ->collect());
             mergeRunnerResult(merged, per.back());
-        }
-        double steals = 0.0;
-        double adEpochs = 0.0;
-        double adMoves = 0.0;
-        for (const RunResult& ri : per) {
-            steals += ri.extra.get("steals");
-            adEpochs += ri.extra.get("adaptiveEpochs");
-            adMoves += ri.extra.get("adaptiveMoves");
-        }
-        merged.extra.set("steals", steals);
-        if (adaptOn) {
-            merged.extra.set("adaptiveEpochs", adEpochs);
-            merged.extra.set("adaptiveMoves", adMoves);
         }
 
         merged.cycles = sim.now();

@@ -117,6 +117,33 @@ struct FaultRecoveryStats
     std::uint64_t itemsEvacuated = 0;
 
     /** @} */
+
+    /** Fold in another device's counters: each adds, and
+     *  watchdogFired holds if either fired. */
+    FaultRecoveryStats&
+    operator+=(const FaultRecoveryStats& o)
+    {
+        taskFaults += o.taskFaults;
+        tasksRetried += o.tasksRetried;
+        deadLettered += o.deadLettered;
+        droppedPushes += o.droppedPushes;
+        corruptedPushes += o.corruptedPushes;
+        slowdowns += o.slowdowns;
+        backpressureWaits += o.backpressureWaits;
+        degradeRelaunches += o.degradeRelaunches;
+        launchDelays += o.launchDelays;
+        smsFailed += o.smsFailed;
+        smsDegraded += o.smsDegraded;
+        blocksEvicted += o.blocksEvicted;
+        watchdogFired = watchdogFired || o.watchdogFired;
+        devicesFailed += o.devicesFailed;
+        linksFailed += o.linksFailed;
+        linksDegraded += o.linksDegraded;
+        stagesRehomed += o.stagesRehomed;
+        transfersRedelivered += o.transfersRedelivered;
+        itemsEvacuated += o.itemsEvacuated;
+        return *this;
+    }
 };
 
 /**

@@ -71,6 +71,21 @@ struct StageRunStats
     std::uint64_t deadLettered = 0;
     /** Queue statistics of the stage's input queue. */
     QueueStats queue;
+
+    /** Fold in the same stage's stats from another queue set or
+     *  device (the name stays). */
+    StageRunStats&
+    operator+=(const StageRunStats& o)
+    {
+        items += o.items;
+        batches += o.batches;
+        warpInsts += o.warpInsts;
+        execCycles += o.execCycles;
+        retried += o.retried;
+        deadLettered += o.deadLettered;
+        queue += o.queue;
+        return *this;
+    }
 };
 
 /** Per-device breakdown of a sharded (multi-device) run. */

@@ -21,12 +21,12 @@ DpRunner::DpRunner(Simulator& sim, Device& dev, Host& host,
                    FaultContext fc)
     : RunnerBase(sim, dev, host, pipe, cfg, fc)
 {
+    makeQueueSets(1);
     claimed_.assign(pipe.stageCount(), 0);
     // DP has no polling workers: redelivered items need a kernel
     // spawned for them explicitly.
     recovery_.setOnRedelivered([this](int s) {
-        int unclaimed =
-            static_cast<int>(queues_[s]->size()) - claimed_[s];
+        int unclaimed = static_cast<int>(totalQueued(s)) - claimed_[s];
         if (unclaimed > 0 && dev_.numOnlineSms() > 0)
             spawnKernel(s, unclaimed, false);
     });
@@ -40,8 +40,7 @@ DpRunner::onSmFailed(int sm)
         return;
     // Respawn for anything queued but orphaned by the failure.
     for (int t = 0; t < pipe_.stageCount(); ++t) {
-        int unclaimed =
-            static_cast<int>(queues_[t]->size()) - claimed_[t];
+        int unclaimed = static_cast<int>(totalQueued(t)) - claimed_[t];
         if (unclaimed > 0) {
             ++faultStats_.degradeRelaunches;
             spawnKernel(t, unclaimed, false);
@@ -53,10 +52,10 @@ void
 DpRunner::start(AppDriver& driver)
 {
     for (int f = 0; f < driver.flowCount(); ++f)
-        seedFlow(driver, queues_, f);
+        seedFlow(driver, queueSets_.front(), f);
     host_.memcpy(driver.inputBytes(), [this] {
         for (int s = 0; s < pipe_.stageCount(); ++s) {
-            int n = static_cast<int>(queues_[s]->size());
+            int n = static_cast<int>(totalQueued(s));
             if (n > 0)
                 spawnKernel(s, n, false);
         }
@@ -88,15 +87,15 @@ DpRunner::spawnKernel(int s, int items, bool fromDevice)
             int m = std::min(cap, *remaining);
             *remaining -= m;
             claimed_[s] -= m; // popped in the same instant below
-            processBatch(ctx, queues_, s, 0, m, [this, &ctx] {
+            processBatch(ctx, queueSets_.front(), s, 0, m, [this, &ctx] {
                 // Claim every unassigned queued item now, then pay
                 // the device-side launch cost and spawn one
                 // sub-kernel per item.
                 std::vector<std::pair<int, int>> to_spawn;
                 int spawns = 0;
                 for (int t = 0; t < pipe_.stageCount(); ++t) {
-                    int unclaimed = static_cast<int>(
-                        queues_[t]->size()) - claimed_[t];
+                    int unclaimed =
+                        static_cast<int>(totalQueued(t)) - claimed_[t];
                     if (unclaimed > 0) {
                         claimed_[t] += unclaimed;
                         to_spawn.emplace_back(t, unclaimed);
@@ -129,7 +128,7 @@ DpRunner::spawnKernel(int s, int items, bool fromDevice)
             claimed_[s] -= *remaining;
             *remaining = 0;
             int unclaimed =
-                static_cast<int>(queues_[s]->size()) - claimed_[s];
+                static_cast<int>(totalQueued(s)) - claimed_[s];
             if (unclaimed > 0 && dev_.numOnlineSms() > 0)
                 spawnKernel(s, unclaimed, false);
         });

@@ -20,17 +20,11 @@ GroupsRunner::GroupsRunner(Simulator& sim, Device& dev, Host& host,
                            FaultContext fc)
     : RunnerBase(sim, dev, host, pipe, cfg, fc)
 {
+    // Distributed queues give each SM its own set; blocks work on
+    // their home set and steal from the others when it runs dry
+    // (sec 8.5's distributed-queue direction).
+    makeQueueSets(cfg_.distributedQueues ? dev_.numSms() : 1);
     buildSpecs();
-    if (cfg_.distributedQueues) {
-        // One queue shard per SM; blocks work on their home shard
-        // and steal from the others when it runs dry (sec 8.5's
-        // distributed-queue direction).
-        for (int i = 0; i < dev_.numSms(); ++i) {
-            shards_.push_back(std::make_unique<QueueSet>());
-            makeQueues(*shards_.back());
-            extraQueueSets_.push_back(shards_.back().get());
-        }
-    }
     wakeHook_ = sim_.addWakeHook([this] { settleWaiters(); });
 }
 
@@ -50,17 +44,11 @@ GroupsRunner::elidedPolls(int tag, std::uint64_t polls, double idle)
 bool
 GroupsRunner::hasWork(const KernelSpec& spec) const
 {
-    for (int s : spec.stages) {
-        if (shards_.empty()) {
-            if (!queues_[static_cast<std::size_t>(s)]->empty())
+    // findWork steals, so an item queued in any set is work here.
+    for (int s : spec.stages)
+        for (const QueueSet& qs : queueSets_)
+            if (!qs[static_cast<std::size_t>(s)]->empty())
                 return true;
-            continue;
-        }
-        // findWork steals, so every shard serves the stage set.
-        for (const auto& sh : shards_)
-            if (!(*sh)[static_cast<std::size_t>(s)]->empty())
-                return true;
-    }
     return false;
 }
 
@@ -85,17 +73,7 @@ GroupsRunner::settleWaiters()
 QueueSet&
 GroupsRunner::homeQueues(int smId)
 {
-    if (shards_.empty())
-        return queues_;
-    return *shards_[smId % shards_.size()];
-}
-
-QueueBase&
-GroupsRunner::deliveryQueue(int stage, std::uint64_t hint)
-{
-    if (shards_.empty())
-        return *queues_[stage];
-    return *(*shards_[hint % shards_.size()])[stage];
+    return queueSets_[static_cast<std::size_t>(smId) % queueSets_.size()];
 }
 
 int
@@ -104,12 +82,12 @@ GroupsRunner::findWork(int smId, const std::vector<int>& stages,
 {
     qs = &homeQueues(smId);
     int s = pickStage(*qs, stages);
-    if (s >= 0 || shards_.empty())
+    if (s >= 0)
         return s;
-    // Steal scan over the other shards, nearest-first.
-    int n = static_cast<int>(shards_.size());
+    // Steal scan over the other sets, nearest-first.
+    int n = static_cast<int>(queueSets_.size());
     for (int d = 1; d < n; ++d) {
-        QueueSet& victim = *shards_[(smId + d) % n];
+        QueueSet& victim = queueSets_[(smId + d) % n];
         int found = pickStage(victim, stages);
         if (found >= 0) {
             ++steals_;
@@ -246,9 +224,8 @@ void
 GroupsRunner::start(AppDriver& driver)
 {
     // The group coordinator has seeded the run, routing each item to
-    // its device and (under distributed queues) to queue shard
-    // ordinal % numSms. The input transfer happens once, identically
-    // for every model.
+    // its device and there to queue set ordinal % n. The input
+    // transfer happens once, identically for every model.
     host_.memcpy(driver.inputBytes(), [this] {
         for (std::size_t i = 0; i < specs_.size(); ++i)
             launchSpec(static_cast<int>(i), specs_[i].sms, false);
@@ -507,10 +484,8 @@ GroupsRunner::armAdaptive(const AdaptiveConfig& cfg)
     }
     for (int t : adaptTargets_) {
         int s = specs_[static_cast<std::size_t>(t)].stages.front();
-        queues_[static_cast<std::size_t>(s)]->enableDepthEwma(
-            cfg.ewmaAlpha);
-        for (auto& sh : shards_)
-            (*sh)[static_cast<std::size_t>(s)]->enableDepthEwma(
+        for (QueueSet& qs : queueSets_)
+            qs[static_cast<std::size_t>(s)]->enableDepthEwma(
                 cfg.ewmaAlpha);
     }
     adaptCfg_ = cfg;
@@ -526,9 +501,9 @@ double
 GroupsRunner::adaptDepth(int specIdx) const
 {
     int s = specs_[static_cast<std::size_t>(specIdx)].stages.front();
-    double d = queues_[static_cast<std::size_t>(s)]->depthEwma();
-    for (const auto& sh : shards_)
-        d += (*sh)[static_cast<std::size_t>(s)]->depthEwma();
+    double d = 0.0;
+    for (const QueueSet& qs : queueSets_)
+        d += qs[static_cast<std::size_t>(s)]->depthEwma();
     return d;
 }
 

@@ -76,14 +76,11 @@ KbkRunner::start(AppDriver& driver)
     int concurrent = cfg_.top == PipelineConfig::Top::KbkStream
         ? std::min(cfg_.numStreams, n)
         : 1;
+    makeQueueSets(std::max(1, n));
     flows_.resize(n);
     for (int f = 0; f < n; ++f) {
         flows_[f].id = f;
         flows_[f].stream = dev_.createStream();
-        flowQueues_.push_back(std::make_unique<QueueSet>());
-        makeQueues(*flowQueues_.back());
-        flows_[f].queues = flowQueues_.back().get();
-        extraQueueSets_.push_back(flows_[f].queues);
     }
     host_.memcpy(driver.inputBytes(), [this, concurrent] {
         activeFlows_ = 0;
@@ -105,7 +102,7 @@ KbkRunner::startNextFlows()
         tracer_->begin(TraceKind::FlowSpan,
                        static_cast<std::int16_t>(flow.id),
                        sim_.now(), flow.id);
-    seedFlow(*driver_, *flow.queues, flow.id);
+    seedFlow(*driver_, queueSets_[flow.id], flow.id);
     flowPass(flow);
 }
 
@@ -119,8 +116,9 @@ void
 KbkRunner::flowStage(Flow& flow, int unitIdx)
 {
     // Scan forward for the next unit with queued items.
+    const QueueSet& qs = queueSets_[flow.id];
     for (int i = unitIdx; i < static_cast<int>(units_.size()); ++i) {
-        if (!(*flow.queues)[units_[i].entry]->empty()) {
+        if (!qs[units_[i].entry]->empty()) {
             launchStageKernel(flow, i, [this, &flow, i] {
                 flowStage(flow, i + 1);
             });
@@ -132,8 +130,7 @@ KbkRunner::flowStage(Flow& flow, int unitIdx)
     // polling until they land back in a queue.
     bool any = false;
     for (int i = 0; i < pipe_.stageCount(); ++i) {
-        any = any || !(*flow.queues)[i]->empty()
-            || recovery_.buffered(i) > 0;
+        any = any || !qs[i]->empty() || recovery_.buffered(i) > 0;
     }
     if (any) {
         host_.control(dev_.config().hostControlUs,
@@ -149,42 +146,19 @@ KbkRunner::launchStageKernel(Flow& flow, int unitIdx,
 {
     const Unit& unit = units_[unitIdx];
     int s = unit.entry;
-    StageMask inline_mask = unit.inlineMask;
-    StageBase& st = pipe_.stage(s);
-    int snapshot = static_cast<int>((*flow.queues)[s]->size());
+    int snapshot = static_cast<int>(queueSets_[flow.id][s]->size());
     VP_ASSERT(snapshot > 0, "launch over empty stage queue");
     int cap = batchCapacity(s);
     int grid = (snapshot + cap - 1) / cap;
 
     // Consume at most the items present at launch; items the kernel
     // itself produces (recursion) wait for the next host pass.
-    auto remaining = std::make_shared<int>(snapshot);
-    QueueSet* qs = flow.queues;
+    flow.remaining = snapshot;
 
     auto kernel = std::make_shared<Kernel>(
-        st.name + "_kbk", unit.res, stageBlockThreads(s), grid,
-        [this, s, cap, remaining, qs, inline_mask](BlockContext& ctx) {
-            // The stored loop body references itself weakly; each
-            // pending continuation holds the strong reference. The
-            // final iteration schedules no continuation, so the chain
-            // frees itself instead of leaking through a closure
-            // cycle.
-            auto loop = std::make_shared<std::function<void()>>();
-            *loop = [this, s, cap, remaining, qs, inline_mask, &ctx,
-                     wl = std::weak_ptr<std::function<void()>>(
-                         loop)] {
-                if (*remaining <= 0) {
-                    ctx.exit();
-                    return;
-                }
-                int m = std::min(cap, *remaining);
-                *remaining -= m;
-                auto l = wl.lock();
-                VP_ASSERT(l, "kbk block loop expired");
-                processBatch(ctx, *qs, s, inline_mask, m,
-                             [l] { (*l)(); });
-            };
-            (*loop)();
+        pipe_.stage(s).name + "_kbk", unit.res, stageBlockThreads(s),
+        grid, [this, &flow, unitIdx](BlockContext& ctx) {
+            blockLoop(ctx, flow, unitIdx);
         });
     host_.launchAsync(flow.stream, kernel);
     host_.synchronize(flow.stream, [this, &flow, unitIdx, snapshot,
@@ -198,6 +172,22 @@ KbkRunner::launchStageKernel(Flow& flow, int unitIdx,
         else
             after_copy();
     });
+}
+
+void
+KbkRunner::blockLoop(BlockContext& ctx, Flow& flow, int unitIdx)
+{
+    if (flow.remaining <= 0) {
+        ctx.exit();
+        return;
+    }
+    const Unit& unit = units_[unitIdx];
+    int m = std::min(batchCapacity(unit.entry), flow.remaining);
+    flow.remaining -= m;
+    processBatch(ctx, queueSets_[flow.id], unit.entry, unit.inlineMask,
+                 m, [this, &ctx, &flow, unitIdx] {
+                     blockLoop(ctx, flow, unitIdx);
+                 });
 }
 
 void

@@ -21,9 +21,9 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
         recoveryCfg_ = *fc.recovery;
     recovery_.init(&sim_, &recoveryCfg_, pipe_.stageCount());
 
-    // Group wiring must precede makeQueues: remote-stub installation
-    // depends on the plan, and seeding/commits go through the shared
-    // counter.
+    // Group wiring must precede makeQueueSets: remote-stub
+    // installation depends on the plan, and seeding/commits go
+    // through the shared counter.
     shard_ = fc.shard;
     VP_ASSERT(shard_ && shard_->plan && shard_->sharedPending
                   && shard_->sharedJoins,
@@ -58,9 +58,8 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
     graphReplay_ = fc.replay;
     dev_.setBlockAbortHook(
         [this](BlockContext& ctx) { blockAborted(ctx); });
-    dev_.setSmFailedHook([this](int sm) { smFailed(sm); });
+    dev_.setSmFailedHook([this](int sm) { onSmFailed(sm); });
 
-    makeQueues(queues_);
     inFlight_.assign(pipe_.stageCount(), 0);
     stageStats_.resize(pipe_.stageCount());
     stageKernels_.resize(pipe_.stageCount());
@@ -70,49 +69,54 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
 }
 
 void
-RunnerBase::makeQueues(QueueSet& qs)
+RunnerBase::makeQueueSets(int n)
 {
-    qs.clear();
-    for (int s = 0; s < pipe_.stageCount(); ++s) {
-        StageBase& st = pipe_.stage(s);
-        if (shard_->plan->pinnedElsewhere(s, shard_->deviceIndex)) {
-            // Stage homed on another device: pushes divert across
-            // the interconnect. Bounded stages keep backpressure via
-            // the coordinator's credit probe — full() consults the
-            // home queue's depth plus in-flight transfers, so a
-            // remote producer stalls exactly when a local one would.
-            RemoteFullProbe probe;
-            if (st.queueCapacity > 0)
-                probe = [this, s] {
-                    return shard_->remoteFull && shard_->remoteFull(s);
-                };
-            qs.push_back(st.makeRemoteStub(
-                [this, s](int bytes, std::uint64_t provId,
-                          std::function<void(QueueBase&)> deliver) {
-                    shard_->forward(s, bytes, provId,
-                                    std::move(deliver));
-                },
-                std::move(probe)));
-        } else {
-            qs.push_back(st.makeQueue());
-            if (st.queueCapacity > 0)
-                qs.back()->setCapacity(st.queueCapacity);
-        }
-        if (injector_ && injector_->plan().anyTaskFaults())
-            qs.back()->enableRetryMeta();
-        if (graphReplay_)
-            qs.back()->enableTags();
-        if (prov_)
-            qs.back()->setProvenance(prov_, &sim_, s,
-                                     shard_->deviceIndex);
-        if (tracer_) {
-            std::string qname = st.name;
-            if (shard_->numDevices > 1)
-                qname = "d" + std::to_string(shard_->deviceIndex)
-                    + "/" + qname;
-            qs.back()->setTrace(tracer_,
-                                static_cast<std::int16_t>(s),
-                                tracer_->intern(qname));
+    VP_ASSERT(queueSets_.empty() && n >= 1,
+              "a runner builds its queue sets once, at least one");
+    queueSets_.resize(static_cast<std::size_t>(n));
+    // The first set interns the stage names, before any kernel name.
+    for (QueueSet& qs : queueSets_) {
+        for (int s = 0; s < pipe_.stageCount(); ++s) {
+            StageBase& st = pipe_.stage(s);
+            if (shard_->plan->pinnedElsewhere(s, shard_->deviceIndex)) {
+                // Stage homed on another device: pushes divert across
+                // the interconnect. Bounded stages keep backpressure via
+                // the coordinator's credit probe — full() consults the
+                // home queue's depth plus in-flight transfers, so a
+                // remote producer stalls exactly when a local one would.
+                RemoteFullProbe probe;
+                if (st.queueCapacity > 0)
+                    probe = [this, s] {
+                        return shard_->remoteFull && shard_->remoteFull(s);
+                    };
+                qs.push_back(st.makeRemoteStub(
+                    [this, s](int bytes, std::uint64_t provId,
+                              std::function<void(QueueBase&)> deliver) {
+                        shard_->forward(s, bytes, provId,
+                                        std::move(deliver));
+                    },
+                    std::move(probe)));
+            } else {
+                qs.push_back(st.makeQueue());
+                if (st.queueCapacity > 0)
+                    qs.back()->setCapacity(st.queueCapacity);
+            }
+            if (injector_ && injector_->plan().anyTaskFaults())
+                qs.back()->enableRetryMeta();
+            if (graphReplay_)
+                qs.back()->enableTags();
+            if (prov_)
+                qs.back()->setProvenance(prov_, &sim_, s,
+                                         shard_->deviceIndex);
+            if (tracer_) {
+                std::string qname = st.name;
+                if (shard_->numDevices > 1)
+                    qname = "d" + std::to_string(shard_->deviceIndex)
+                        + "/" + qname;
+                qs.back()->setTrace(tracer_,
+                                    static_cast<std::int16_t>(s),
+                                    tracer_->intern(qname));
+            }
         }
     }
 }
@@ -130,19 +134,22 @@ RunnerBase::seedFlow(AppDriver& driver, QueueSet& qs, int flow)
     driver.seedFlow(seeder, flow);
 }
 
+QueueBase&
+RunnerBase::deliveryQueue(int stage, std::uint64_t hint)
+{
+    return *queueSets_[hint % queueSets_.size()]
+                      [static_cast<std::size_t>(stage)];
+}
+
 bool
 RunnerBase::localWork(StageMask relevant) const
 {
     for (StageMask m = relevant; m; m &= m - 1) {
         int i = std::countr_zero(m);
-        if (inFlight_[i] > 0)
+        if (inFlight_[i] > 0 || recovery_.buffered(i) > 0)
             return true;
-        if (!queues_[i]->empty())
-            return true;
-        if (recovery_.buffered(i) > 0)
-            return true;
-        for (const QueueSet* qs : extraQueueSets_)
-            if (!(*qs)[i]->empty())
+        for (const QueueSet& qs : queueSets_)
+            if (!qs[i]->empty())
                 return true;
     }
     return false;
@@ -173,10 +180,8 @@ std::uint64_t
 RunnerBase::drainProgress() const
 {
     std::uint64_t h = faultStats_.deadLettered;
-    for (const auto& q : queues_)
-        h += q->stats().pushes + q->stats().pops;
-    for (const QueueSet* qs : extraQueueSets_)
-        for (const auto& q : *qs)
+    for (const QueueSet& qs : queueSets_)
+        for (const auto& q : qs)
             h += q->stats().pushes + q->stats().pops;
     return h;
 }
@@ -184,29 +189,27 @@ RunnerBase::drainProgress() const
 std::size_t
 RunnerBase::totalQueued(int s) const
 {
-    std::size_t total = queues_[s]->size();
-    for (const QueueSet* qs : extraQueueSets_)
-        total += (*qs)[s]->size();
+    std::size_t total = 0;
+    for (const QueueSet& qs : queueSets_)
+        total += qs[s]->size();
     return total;
 }
 
 void
 RunnerBase::takeOverStage(int s, std::size_t capacity)
 {
-    queues_[s]->takeOverLocal();
-    queues_[s]->setCapacity(capacity);
-    for (QueueSet* qs : extraQueueSets_) {
-        (*qs)[s]->takeOverLocal();
-        (*qs)[s]->setCapacity(capacity);
+    for (QueueSet& qs : queueSets_) {
+        qs[s]->takeOverLocal();
+        qs[s]->setCapacity(capacity);
     }
 }
 
 std::size_t
 RunnerBase::evacuateStage(int s, QueueBase& dst)
 {
-    std::size_t moved = queues_[s]->drainInto(dst);
-    for (QueueSet* qs : extraQueueSets_)
-        moved += (*qs)[s]->drainInto(dst);
+    std::size_t moved = 0;
+    for (QueueSet& qs : queueSets_)
+        moved += qs[s]->drainInto(dst);
     return moved;
 }
 
@@ -596,12 +599,6 @@ RunnerBase::blockAborted(BlockContext& ctx)
 }
 
 void
-RunnerBase::smFailed(int sm)
-{
-    onSmFailed(sm);
-}
-
-void
 RunnerBase::registerProbes(Sampler& sampler)
 {
     // Per-device series prefix so group runs keep the devices apart.
@@ -643,8 +640,8 @@ RunnerBase::diagnoseStall() const
     for (int s = 0; s < pipe_.stageCount(); ++s) {
         os << "  stage `" << pipe_.stage(s).name
            << "`: queued=" << totalQueued(s);
-        if (queues_[s]->capacity() > 0)
-            os << "/cap" << queues_[s]->capacity();
+        if (std::size_t cap = queueSets_.front()[s]->capacity())
+            os << "/cap" << cap;
         os << " inFlight=" << inFlight_[s]
            << " buffered=" << recovery_.buffered(s)
            << " retried=" << stageStats_[s].retried
@@ -701,16 +698,8 @@ RunnerBase::collect()
 
     for (int s = 0; s < pipe_.stageCount(); ++s) {
         StageRunStats st = stageStats_[s];
-        st.queue = queues_[s]->stats();
-        for (const QueueSet* qs : extraQueueSets_) {
-            const QueueStats& extra = (*qs)[s]->stats();
-            st.queue.pushes += extra.pushes;
-            st.queue.pops += extra.pops;
-            st.queue.maxDepth = std::max(st.queue.maxDepth,
-                                         extra.maxDepth);
-            st.queue.opCycles += extra.opCycles;
-            st.queue.contentionCycles += extra.contentionCycles;
-        }
+        for (const QueueSet& qs : queueSets_)
+            st.queue += qs[s]->stats();
         r.stages.push_back(std::move(st));
     }
 

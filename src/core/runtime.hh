@@ -112,7 +112,7 @@ struct FaultContext
     const TaskGraph* replay = nullptr;
 };
 
-/** One stage's input queues (per execution flow). */
+/** One input queue per stage: one of a runner's queue sets. */
 using QueueSet = std::vector<std::unique_ptr<QueueBase>>;
 
 /**
@@ -207,7 +207,11 @@ class AppDriver
     virtual bool keyedItems() const { return false; }
 };
 
-/** Shared machinery of all runners. */
+/**
+ * Shared machinery of all runners. A runner works against a list of
+ * n alike queue sets, built once: n is 1 for Groups and DP runs, the
+ * SM count under distributed queues, and the flow count under KBK.
+ */
 class RunnerBase
 {
   public:
@@ -227,15 +231,10 @@ class RunnerBase
 
     /**
      * Queue that cross-device deliveries and coordinator seeds for
-     * stage @p stage should land in. @p hint spreads deliveries over
-     * queue shards under distributed queues (GroupsRunner override).
+     * stage @p stage should land in: its queue in set @p hint % n, so
+     * a rolling hint spreads them over the sets.
      */
-    virtual QueueBase&
-    deliveryQueue(int stage, std::uint64_t hint)
-    {
-        (void)hint;
-        return *queues_[stage];
-    }
+    QueueBase& deliveryQueue(int stage, std::uint64_t hint);
 
     /**
      * True when this runner holds work for any stage in @p relevant:
@@ -299,7 +298,7 @@ class RunnerBase
      * this runner's recovery manager: the item waits out one backoff
      * (counting as future work, so blocks keep polling) and then
      * lands in this device's delivery queue. @p hint spreads
-     * deliveries over queue shards like a normal delivery.
+     * deliveries over queue sets like a normal delivery.
      */
     void redeliverForeign(int stage, std::uint64_t hint,
                           std::function<void(QueueBase&)> deliver);
@@ -346,8 +345,8 @@ class RunnerBase
     virtual void adaptEpoch() {}
 
   protected:
-    /** Create one queue per stage into @p qs. */
-    void makeQueues(QueueSet& qs);
+    /** Build the runner's @p n queue sets; called once, n >= 1. */
+    void makeQueueSets(int n);
 
     /** Seed one flow of @p driver into @p qs (KBK and DP). */
     void seedFlow(AppDriver& driver, QueueSet& qs, int flow);
@@ -381,8 +380,8 @@ class RunnerBase
      * execute (processor sharing), cost the pushes, commit outputs,
      * then invoke @p next. @p maxItems bounds the batch (-1 = the
      * block's natural capacity). Outputs commit into @p pushInto
-     * when given (distributed queues push to the block's home
-     * shard), otherwise back into @p qs.
+     * when given (distributed queues push to the block's home set),
+     * otherwise back into @p qs.
      *
      * Every runner and every run takes this one path; each fault
      * branch runs only when its condition holds. Fetch faults,
@@ -403,13 +402,11 @@ class RunnerBase
      */
     void blockAborted(BlockContext& ctx);
 
-    /** Device hook: SM @p sm went offline (after evictions). */
-    void smFailed(int sm);
-
     /** Subclass bookkeeping for an evicted block. */
     virtual void onBlockAborted(BlockContext&) {}
 
-    /** Subclass re-provisioning after an SM failure. */
+    /** Device hook: SM @p sm went offline (after evictions); the
+     *  subclass re-provisions. */
     virtual void onSmFailed(int) {}
 
     /** Tasks a block of stage @p s processes per fetch. */
@@ -430,9 +427,9 @@ class RunnerBase
     Pipeline& pipe_;
     const PipelineConfig& cfg_;
 
-    QueueSet queues_;
-    /** Additional queue sets (flow replicas) included in stats. */
-    std::vector<QueueSet*> extraQueueSets_;
+    /** The queue sets, alike (see the class comment); every loop
+     *  over them runs from set 0. */
+    std::vector<QueueSet> queueSets_;
     /** The run's outstanding-work counter, shared by the group. */
     PendingCounter* pendingPtr_ = nullptr;
     /** The run's join arrivals (core/join.hh), shared likewise. */
@@ -560,12 +557,15 @@ class RunnerBase
 };
 
 /**
- * Persistent-block runner for Groups configurations. A block whose
- * queues are empty parks its poll chain (BlockContext::park); the
- * runner counts the elided polls (PollSink) and wakes parked blocks
- * on the state each dispatch leaves: a push into a spec's queues
- * wakes its earliest parked poll, a spec whose watch mask drains or
- * whose budget the controller cut wakes all of them.
+ * Persistent-block runner for Groups configurations. A block on SM i
+ * works against queue set i % n and, when that runs dry, steals from
+ * the other n - 1 (n is 1 unless distributed queues give each SM its
+ * own set). A block whose queues are empty parks its poll chain
+ * (BlockContext::park); the runner counts the elided polls
+ * (PollSink) and wakes parked blocks on the state each dispatch
+ * leaves: a push into a spec's queues wakes its earliest parked
+ * poll, a spec whose watch mask drains or whose budget the
+ * controller cut wakes all of them.
  */
 class GroupsRunner : public RunnerBase, private PollSink
 {
@@ -577,8 +577,6 @@ class GroupsRunner : public RunnerBase, private PollSink
     ~GroupsRunner() override;
 
     void start(AppDriver& driver) override;
-
-    QueueBase& deliveryQueue(int stage, std::uint64_t hint) override;
 
     bool armAdaptive(const AdaptiveConfig& cfg) override;
     void adaptEpoch() override;
@@ -633,9 +631,9 @@ class GroupsRunner : public RunnerBase, private PollSink
 
     /**
      * Find a queue set holding work for one of @p stages, starting
-     * at SM @p smId's home shard and stealing from the others
-     * (distributed queues). @return the chosen stage, or -1; sets
-     * @p qs to the set it was found in.
+     * at SM @p smId's home set and stealing from the others, nearest
+     * first. @return the chosen stage, or -1; sets @p qs to the set
+     * it was found in.
      */
     int findWork(int smId, const std::vector<int>& stages,
                  QueueSet*& qs);
@@ -643,8 +641,6 @@ class GroupsRunner : public RunnerBase, private PollSink
     std::vector<KernelSpec> specs_;
     /** Config groups whose specs exist here (home or adopted). */
     std::vector<char> builtGroups_;
-    /** Per-SM queue shards when cfg.distributedQueues is set. */
-    std::vector<std::unique_ptr<QueueSet>> shards_;
     /** Resident blocks per (spec, SM), at specIdx * numSms + smId
      *  (block mapping); grows with specs_. */
     std::vector<int> blockCount_;
@@ -690,7 +686,10 @@ class GroupsRunner : public RunnerBase, private PollSink
     /** @} */
 };
 
-/** Host-sequenced kernel-by-kernel runner (plus stream variant). */
+/**
+ * Host-sequenced kernel-by-kernel runner (plus stream variant). Flow
+ * f works against queue set f.
+ */
 class KbkRunner : public RunnerBase
 {
   public:
@@ -707,8 +706,10 @@ class KbkRunner : public RunnerBase
     {
         int id = 0;
         Stream* stream = nullptr;
-        QueueSet* queues = nullptr;
         bool active = false;
+        /** Items the flow's running kernel has yet to hand out to
+         *  its blocks (a flow runs one kernel at a time). */
+        int remaining = 0;
     };
 
     /**
@@ -730,13 +731,17 @@ class KbkRunner : public RunnerBase
     void flowStage(Flow& flow, int unitIdx);
     void launchStageKernel(Flow& flow, int unitIdx,
                            std::function<void()> done);
+
+    /** One block of a unit's kernel: batches of the flow's items
+     *  until the kernel has handed them all out. */
+    void blockLoop(BlockContext& ctx, Flow& flow, int unitIdx);
+
     void flowFinished(Flow& flow);
 
     std::vector<Unit> units_;
 
     AppDriver* driver_ = nullptr;
     std::vector<Flow> flows_;
-    std::vector<std::unique_ptr<QueueSet>> flowQueues_;
     int nextFlowToSeed_ = 0;
     int activeFlows_ = 0;
 };

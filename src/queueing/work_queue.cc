@@ -55,61 +55,14 @@ QueueBase::recordPush(std::size_t depthAfter)
                          tracer_->now(),
                          static_cast<double>(depthAfter),
                          traceName_);
-    if (metaEnabled_) {
-        tries_.push_back(nextTries_);
-        nextTries_ = 0;
-    }
-    if (prov_) {
-        ids_.push_back(nextId_);
-        if (nextId_)
-            prov_->noteEnqueue(nextId_, provStage_, provDevice_,
-                               provSim_->now());
-        nextId_ = 0;
-    }
-    if (tagsEnabled_) {
-        tags_.push_back(nextTag_);
-        nextTag_ = nullptr;
-    }
+    tries_.push();
+    if (std::uint64_t id = ids_.push())
+        prov_->noteEnqueue(id, provStage_, provDevice_, provSim_->now());
+    tags_.push();
 }
 
 void
-QueueBase::recordPop(std::size_t depthAfter)
-{
-    count_ = depthAfter;
-    ++stats_.pops;
-    if (ewmaEnabled_)
-        depthEwma_ +=
-            ewmaAlpha_ * (static_cast<double>(depthAfter) - depthEwma_);
-    if (tracer_)
-        tracer_->counter(TraceKind::QueueDepth, traceTrack_,
-                         tracer_->now(),
-                         static_cast<double>(depthAfter),
-                         traceName_);
-    if (metaEnabled_) {
-        poppedTries_.clear();
-        if (!tries_.empty()) {
-            poppedTries_.push_back(tries_.front());
-            tries_.pop_front();
-        }
-    }
-    if (prov_) {
-        poppedIds_.clear();
-        if (!ids_.empty()) {
-            poppedIds_.push_back(ids_.front());
-            ids_.pop_front();
-        }
-    }
-    if (tagsEnabled_) {
-        poppedTags_.clear();
-        if (!tags_.empty()) {
-            poppedTags_.push_back(tags_.front());
-            tags_.pop_front();
-        }
-    }
-}
-
-void
-QueueBase::recordPops(std::uint64_t n, std::size_t depthAfter)
+QueueBase::recordPop(std::size_t depthAfter, std::uint64_t n)
 {
     count_ = depthAfter;
     stats_.pops += n;
@@ -121,47 +74,9 @@ QueueBase::recordPops(std::uint64_t n, std::size_t depthAfter)
                          tracer_->now(),
                          static_cast<double>(depthAfter),
                          traceName_);
-    if (metaEnabled_) {
-        poppedTries_.clear();
-        std::uint64_t take =
-            std::min<std::uint64_t>(n, tries_.size());
-        for (std::uint64_t i = 0; i < take; ++i) {
-            poppedTries_.push_back(tries_.front());
-            tries_.pop_front();
-        }
-    }
-    if (prov_) {
-        poppedIds_.clear();
-        std::uint64_t take = std::min<std::uint64_t>(n, ids_.size());
-        for (std::uint64_t i = 0; i < take; ++i) {
-            poppedIds_.push_back(ids_.front());
-            ids_.pop_front();
-        }
-    }
-    if (tagsEnabled_) {
-        poppedTags_.clear();
-        std::uint64_t take = std::min<std::uint64_t>(n, tags_.size());
-        for (std::uint64_t i = 0; i < take; ++i) {
-            poppedTags_.push_back(tags_.front());
-            tags_.pop_front();
-        }
-    }
-}
-
-void
-QueueBase::enableRetryMeta()
-{
-    if (metaEnabled_)
-        return;
-    metaEnabled_ = true;
-    tries_.assign(size(), 0);
-}
-
-void
-QueueBase::enableTags()
-{
-    tagsEnabled_ = true;
-    tags_.assign(size(), nullptr);
+    tries_.pop(n);
+    ids_.pop(n);
+    tags_.pop(n);
 }
 
 void
@@ -173,15 +88,9 @@ QueueBase::setProvenance(ProvenanceTracker* prov, const Simulator* sim,
     provStage_ = stage;
     provDevice_ = device;
     if (prov_)
-        ids_.assign(size(), 0);
-}
-
-std::uint32_t
-QueueBase::triesAt(std::size_t i) const
-{
-    if (!metaEnabled_ || i >= tries_.size())
-        return 0;
-    return tries_[i];
+        ids_.enable(size());
+    else
+        ids_.disable();
 }
 
 } // namespace vp

@@ -12,6 +12,7 @@
 #ifndef VP_QUEUEING_WORK_QUEUE_HH
 #define VP_QUEUEING_WORK_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -39,6 +40,19 @@ struct QueueStats
     double opCycles = 0.0;
     /** Cycles of that total attributable to contention. */
     double contentionCycles = 0.0;
+
+    /** Fold in another queue's statistics: counters add, maxDepth
+     *  takes the larger high-water mark. */
+    QueueStats&
+    operator+=(const QueueStats& o)
+    {
+        pushes += o.pushes;
+        pops += o.pops;
+        maxDepth = std::max(maxDepth, o.maxDepth);
+        opCycles += o.opCycles;
+        contentionCycles += o.contentionCycles;
+        return *this;
+    }
 };
 
 /**
@@ -61,6 +75,88 @@ queueStatsDelta(const QueueStats& now, const QueueStats& prev)
     d.contentionCycles = now.contentionCycles - prev.contentionCycles;
     return d;
 }
+
+/**
+ * One kind of per-item metadata, kept parallel to a queue's payload
+ * FIFO: a value per buffered item, a one-shot stamp for the next
+ * push, and the values the last pop removed. A queue carries three
+ * (retry counts, provenance ids, replay tags). Disabled (the
+ * default), a lane allocates nothing and each bookkeeping call costs
+ * one branch; a stamp then waits, unconsumed, for take().
+ */
+template <typename T>
+class ItemLane
+{
+  public:
+    bool enabled() const { return on_; }
+
+    /** Switch on; the @p depth items already buffered get T{}. */
+    void
+    enable(std::size_t depth)
+    {
+        on_ = true;
+        ring_.assign(depth, T{});
+    }
+
+    /** Switch off (the buffered values stay, unread). */
+    void disable() { on_ = false; }
+
+    /** Stamp the NEXT pushed item with @p v (one-shot). */
+    void stamp(T v) { next_ = v; }
+
+    /** Consume the pending stamp without pushing. */
+    T
+    take()
+    {
+        T v = next_;
+        next_ = T{};
+        return v;
+    }
+
+    /** Record one push, consuming the stamp. @return the pushed
+     *  item's value (T{} while disabled). */
+    T
+    push()
+    {
+        if (!on_)
+            return T{};
+        T v = take();
+        ring_.push_back(v);
+        return v;
+    }
+
+    /** Record @p n pops: popped() becomes their values. */
+    void
+    pop(std::uint64_t n)
+    {
+        if (!on_)
+            return;
+        popped_.clear();
+        for (std::uint64_t i = 0; i < n && !ring_.empty(); ++i) {
+            popped_.push_back(ring_.front());
+            ring_.pop_front();
+        }
+    }
+
+    /** Value of the i-th buffered item (T{} if disabled). */
+    T
+    at(std::size_t i) const
+    {
+        return on_ && i < ring_.size() ? ring_[i] : T{};
+    }
+
+    /** Values of the items the last pop removed (scratch, reused). */
+    const std::vector<T>& popped() const { return popped_; }
+
+    /** Keep in sync with a clear() of the payload. */
+    void clear() { ring_.clear(); }
+
+  private:
+    bool on_ = false;
+    T next_{};
+    Ring<T> ring_;
+    std::vector<T> popped_;
+};
 
 /**
  * Type-erased base of all work queues, carrying the cost model and
@@ -203,9 +299,6 @@ class QueueBase
         depthEwma_ = static_cast<double>(size());
     }
 
-    /** True once enableDepthEwma() was called. */
-    bool depthEwmaEnabled() const { return ewmaEnabled_; }
-
     /** Smoothed queue depth (instantaneous size when disabled). */
     double
     depthEwma() const
@@ -218,42 +311,42 @@ class QueueBase
 
     /** @name Retry metadata (fault/recovery support) @{
      *
-     * When enabled, the queue carries a per-item retry count in a
-     * parallel ring, maintained inside the existing push/pop stat
-     * hooks. Disabled (the default), the only cost on the hot path
-     * is one branch per bookkeeping call, and the ring allocates
-     * nothing.
+     * When enabled, the queue carries a per-item retry count in an
+     * ItemLane. Disabled by default.
      */
 
     /** Start tracking per-item retry counts (existing items get 0). */
-    void enableRetryMeta();
+    void
+    enableRetryMeta()
+    {
+        if (!tries_.enabled())
+            tries_.enable(size());
+    }
 
     /** True once enableRetryMeta() was called. */
-    bool retryMetaEnabled() const { return metaEnabled_; }
+    bool retryMetaEnabled() const { return tries_.enabled(); }
 
     /** Stamp the NEXT pushed item with @p tries (one-shot). */
-    void stampNextPushTries(std::uint32_t tries) { nextTries_ = tries; }
+    void stampNextPushTries(std::uint32_t tries) { tries_.stamp(tries); }
 
     /** Retry count of the i-th buffered item (0 if meta disabled). */
-    std::uint32_t triesAt(std::size_t i) const;
+    std::uint32_t triesAt(std::size_t i) const { return tries_.at(i); }
 
     /** Retry counts of the items removed by the last pop/popBatch. */
     const std::vector<std::uint32_t>&
     poppedTries() const
     {
-        return poppedTries_;
+        return tries_.popped();
     }
 
     /** @} */
 
     /** @name Item provenance (observability support) @{
      *
-     * When attached, the queue carries a per-item provenance id in a
-     * parallel ring, maintained inside the existing push/pop stat
-     * hooks, and reports every enqueue of a tracked item to the
+     * When attached, the queue carries a per-item provenance id in an
+     * ItemLane and reports every enqueue of a tracked item to the
      * tracker with the current simulated time. Purely host-side
-     * recording; detached (the default), the only cost on the hot
-     * path is one branch per bookkeeping call.
+     * recording; detached by default.
      */
 
     /**
@@ -265,51 +358,43 @@ class QueueBase
                        int stage, int device);
 
     /** True while a tracker is attached. */
-    bool provenanceEnabled() const { return prov_ != nullptr; }
+    bool provenanceEnabled() const { return ids_.enabled(); }
 
     /** Stamp the NEXT pushed item with provenance @p id (one-shot). */
-    void stampNextPushId(std::uint64_t id) { nextId_ = id; }
+    void stampNextPushId(std::uint64_t id) { ids_.stamp(id); }
 
     /** Consume a pending stamp without pushing (remote-stub diverts
      *  the item onto the interconnect instead of buffering it). */
-    std::uint64_t
-    takeStampedId()
-    {
-        std::uint64_t id = nextId_;
-        nextId_ = 0;
-        return id;
-    }
+    std::uint64_t takeStampedId() { return ids_.take(); }
 
     /** Provenance ids of the items removed by the last pop/popBatch
      *  (scratch — copy before the next pop). */
     const std::vector<std::uint64_t>& poppedIds() const
     {
-        return poppedIds_;
+        return ids_.popped();
     }
 
     /** @} */
 
     /** @name Item tags (tuner replay support) @{
      *
-     * When enabled, the queue carries an opaque pointer per item in a
-     * parallel ring, maintained inside the existing push/pop stat
-     * hooks: a replayed item's task record (core/task_graph.hh), so
-     * its pop needs no lookup. Disabled (the default), the only cost
-     * on the hot path is one branch per bookkeeping call.
+     * When enabled, the queue carries an opaque pointer per item in an
+     * ItemLane: a replayed item's task record (core/task_graph.hh),
+     * so its pop needs no lookup. Disabled by default.
      */
 
     /** Start carrying item tags (existing items get null). */
-    void enableTags();
+    void enableTags() { tags_.enable(size()); }
 
     /** Stamp the NEXT pushed item with @p tag (one-shot). */
-    void stampNextPushTag(const void* tag) { nextTag_ = tag; }
+    void stampNextPushTag(const void* tag) { tags_.stamp(tag); }
 
     /** Tags of the items removed by the last pop/popBatch (valid
      *  until the next pop; empty while tags are disabled). */
     const std::vector<const void*>&
     poppedTags() const
     {
-        return poppedTags_;
+        return tags_.popped();
     }
 
     /** @} */
@@ -321,10 +406,10 @@ class QueueBase
      * count, so they are not virtual calls. @{ */
 
     void recordPush(std::size_t depthAfter);
-    void recordPop(std::size_t depthAfter);
 
-    /** Record @p n pops in one bookkeeping step (batch pop). */
-    void recordPops(std::uint64_t n, std::size_t depthAfter);
+    /** Record @p n pops in one bookkeeping step (a batch pop takes
+     *  several). */
+    void recordPop(std::size_t depthAfter, std::uint64_t n = 1);
 
     /** Keep item metadata in sync with a clear() of the payload. */
     void
@@ -361,27 +446,15 @@ class QueueBase
     Tracer* tracer_ = nullptr;
     std::int16_t traceTrack_ = 0;
     std::int32_t traceName_ = -1;
-    bool metaEnabled_ = false;
-    std::uint32_t nextTries_ = 0;
-    /** Per-item retry counts, parallel to the payload FIFO. */
-    Ring<std::uint32_t> tries_;
-    /** Retry counts of the last pop/popBatch (scratch, reused). */
-    std::vector<std::uint32_t> poppedTries_;
+    ItemLane<std::uint32_t> tries_;
+    ItemLane<std::uint64_t> ids_;
+    ItemLane<const void*> tags_;
+    /** The tracker the ids lane reports enqueues to, and this
+     *  queue's identity there. */
     ProvenanceTracker* prov_ = nullptr;
     const Simulator* provSim_ = nullptr;
     int provStage_ = -1;
     int provDevice_ = 0;
-    std::uint64_t nextId_ = 0;
-    /** Per-item provenance ids, parallel to the payload FIFO. */
-    Ring<std::uint64_t> ids_;
-    /** Provenance ids of the last pop/popBatch (scratch, reused). */
-    std::vector<std::uint64_t> poppedIds_;
-    bool tagsEnabled_ = false;
-    const void* nextTag_ = nullptr;
-    /** Per-item tags, parallel to the payload FIFO. */
-    Ring<const void*> tags_;
-    /** Tags of the last pop/popBatch (reused buffer). */
-    std::vector<const void*> poppedTags_;
 };
 
 /** FIFO of data items of type T. */
@@ -458,7 +531,7 @@ class WorkQueue : public QueueBase
             out.push_back(std::move(items_.front()));
             items_.pop_front();
         }
-        recordPops(n, items_.size());
+        recordPop(items_.size(), n);
         return n;
     }
 

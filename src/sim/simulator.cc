@@ -538,8 +538,6 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
             drained = true;
             break;
         }
-        if (stop_)
-            break;
         bool due = !heap_.empty() && heap_[0].when <= timeLimit;
         std::uint64_t used = eventsRun_ - start;
         std::uint64_t budget = used < eventLimit ? eventLimit - used : 0;

@@ -366,20 +366,6 @@ class Simulator
         return heap_.size() + parked_;
     }
 
-    /**
-     * Ask the run loop to return after the current event. Used by the
-     * fault watchdog to convert a wedged pipeline into a structured
-     * failure instead of spinning to an event/cycle cap. Sticky until
-     * clearStop().
-     */
-    void requestStop() { stop_ = true; }
-
-    /** True once requestStop() has been called. */
-    bool stopRequested() const { return stop_; }
-
-    /** Re-arm the run loop after a requested stop. */
-    void clearStop() { stop_ = false; }
-
   private:
     static constexpr std::uint32_t kNone = 0xffffffffu;
 
@@ -596,7 +582,6 @@ class Simulator
      */
     std::vector<HeapEntry> heap_;
     std::uint32_t freeHead_ = kNone;
-    bool stop_ = false;
 
     std::vector<Chain> chains_;
     /** Parked and woken chains. */

@@ -254,6 +254,38 @@ TEST(Shard, SmKillOnOneDeviceDoesNotWedgeTheGroup)
     EXPECT_EQ(r.shardDevices[1].device.smsFailed, 1u);
 }
 
+TEST(Shard, GroupCountsRedeliveriesOfEveryDevice)
+{
+    // The SM kill on device 1 evicts batches of raster's retryable
+    // stages, so every redelivery of the run happens on device 1;
+    // the group's count must include them. At 25000 cycles device
+    // 1's blocks are mid-batch (probed; the first assertion guards
+    // drift).
+    auto app = makeApp("raster", AppScale::Small);
+    PipelineConfig cfg = makeMegakernelConfig(app->pipeline());
+    ShardPlan plan = ShardPlan::replicateAll(app->pipeline());
+
+    FaultPlan fp;
+    SmFaultEvent kill;
+    kill.time = 25000.0;
+    kill.sm = 0;
+    kill.kind = SmFaultEvent::Kind::Kill;
+    kill.device = 1;
+    fp.smEvents.push_back(kill);
+
+    Engine group(twoGtx1080());
+    group.setFaultPlan(fp);
+    group.setRecovery(RecoveryConfig{});
+    RunResult r = group.runSharded(*app, cfg, plan);
+    ASSERT_GT(r.faults.tasksRetried, 0u)
+        << "no retryable batch was in flight at the kill; move it";
+    // One redelivery per evicted batch, each of at least one item.
+    double redeliveries = r.extra.get("redeliveries");
+    EXPECT_GT(redeliveries, 0.0);
+    EXPECT_LE(redeliveries, static_cast<double>(r.faults.blocksEvicted));
+    EXPECT_LE(redeliveries, static_cast<double>(r.faults.tasksRetried));
+}
+
 TEST(Shard, FaultPlanTargetingDeviceOneIsRejectedSingleDevice)
 {
     auto app = makeApp("pyramid", AppScale::Small);
