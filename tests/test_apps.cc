@@ -242,6 +242,90 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0, 5)));
 
 // ------------------------------------------------------------------
+// Payload outputs, pinned. The cost() of cfd, raster and reyes does
+// not read the data and verify() compares against a reference built
+// from the same kernels, so neither golden cycles nor verification
+// would see a kernel change that moved a single bit. These values
+// were measured before the kernels were rewritten for speed; any
+// rewrite must reproduce them exactly.
+
+namespace {
+
+std::uint64_t
+fnvWords(const auto& words)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (auto v : words) {
+        h ^= v;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+fnvImage(const RgbImage& img)
+{
+    std::vector<std::uint8_t> bytes;
+    for (int y = 0; y < img.height(); ++y)
+        bytes.insert(bytes.end(), img.row(y),
+                     img.row(y) + img.width() * 3);
+    return fnvWords(bytes);
+}
+
+} // namespace
+
+TEST(PinnedOutputs, SmallMegakernelRunsOnK20c)
+{
+    Engine engine(DeviceConfig::k20c());
+
+    cfd::CfdApp cfd_app(cfd::CfdParams::small());
+    EXPECT_TRUE(engine.run(cfd_app, makeMegakernelConfig(
+                                        cfd_app.pipeline())).completed);
+    EXPECT_EQ(cfd_app.densityChecksum(), 0xa8548ad4ac0dea64ULL);
+
+    raster::RasterApp raster_app(raster::RasterParams::small());
+    EXPECT_TRUE(engine.run(raster_app, makeMegakernelConfig(
+                                           raster_app.pipeline()))
+                    .completed);
+    EXPECT_EQ(fnvWords(raster_app.framebuffer()), 0xfab74152c303b4c5ULL);
+
+    reyes::ReyesApp reyes_app(reyes::ReyesParams::small());
+    EXPECT_TRUE(engine.run(reyes_app, makeMegakernelConfig(
+                                          reyes_app.pipeline()))
+                    .completed);
+    EXPECT_EQ(fnvWords(reyes_app.framebuffer()), 0x6052bcaf39539909ULL);
+}
+
+TEST(PinnedOutputs, TestImageBytes)
+{
+    struct Want
+    {
+        int w, h;
+        std::uint64_t plain, marked;
+    };
+    const Want wants[] = {
+        {1, 1, 0xa1f55a4e148d1761ULL, 0xb177ad50615a5a4dULL},
+        {1, 7, 0x4157eb6bcaaf9d10ULL, 0x14fb3dbf9ed08769ULL},
+        {7, 1, 0x1752f2eb30eb5c29ULL, 0x2c8db5c6e0bb230dULL},
+        {64, 48, 0x2d86d191a2c97e47ULL, 0xcdd6423a61efb411ULL},
+        {640, 360, 0x8f79af8d262eb9b8ULL, 0x7ae17c5d3aaf51b9ULL},
+    };
+    for (const Want& want : wants) {
+        // Markers on two corners and straddling two edges.
+        std::vector<std::pair<int, int>> faces = {
+            {0, 0}, {want.w - 1, want.h - 1}, {want.w + 5, want.h / 2},
+            {want.w / 2, -7}};
+        std::uint64_t seed = 20170505 + want.w * 1000 + want.h;
+        EXPECT_EQ(fnvImage(makeTestImage(want.w, want.h, seed)),
+                  want.plain)
+            << want.w << "x" << want.h;
+        EXPECT_EQ(fnvImage(makeTestImage(want.w, want.h, seed, faces)),
+                  want.marked)
+            << want.w << "x" << want.h << " with markers";
+    }
+}
+
+// ------------------------------------------------------------------
 // App kernels against the formulations they replaced, bit for bit.
 // ldpc's and pyramid's cost() do not read the data, so golden cycles
 // would not catch a drift in these.
