@@ -8,10 +8,95 @@
 namespace vp::cfd {
 
 namespace {
+
 constexpr int kThreads = 256;
-constexpr int kVars = 5; // density, 3x momentum, energy
 constexpr float kCfl = 0.6f;
+
+/**
+ * Synthetic unstructured mesh: ring neighbors at these mixed strides,
+ * in summation order, wrapped within each 1024-element composite.
+ * Composites are therefore independent (frozen-ghost partitioning),
+ * which permits the unsynchronized per-item pipelining the paper's
+ * implementation exhibits while keeping results schedule-
+ * independent. See DESIGN.md.
+ */
+constexpr int kStrides[4] = {1, -1, 37, -37};
+
+/** Adds one stride's flux terms of @p count elements to acc: element
+ *  l is mine[l] and its neighbour theirs[l]. */
+void
+addStrideTerms(const float* mine, const float* theirs, float* acc,
+               int count, float sgn)
+{
+    for (int l = 0; l < count; ++l) {
+        float m = mine[l];
+        float t = theirs[l];
+        // Simple upwind-style dissipative flux.
+        acc[l] += 0.5f * (t - m) - 0.1f * (t + m) * sgn;
+    }
+}
+
 } // namespace
+
+void
+computeStepFactor(const std::vector<float>& vars, std::vector<float>& sf,
+                  int e0, int e1)
+{
+    const std::size_t n = sf.size();
+    for (int e = e0; e < e1; ++e) {
+        float rho = vars[0 * n + e];
+        float mx = vars[1 * n + e];
+        float my = vars[2 * n + e];
+        float mz = vars[3 * n + e];
+        float en = vars[4 * n + e];
+        float inv_rho = 1.0f / rho;
+        float speed2 = (mx * mx + my * my + mz * mz) * inv_rho
+            * inv_rho;
+        float pressure = 0.4f * (en - 0.5f * rho * speed2);
+        float sound = std::sqrt(std::max(
+            1e-6f, 1.4f * pressure * inv_rho));
+        sf[e] = kCfl / (std::sqrt(speed2) + sound);
+    }
+}
+
+void
+computeFlux(const std::vector<float>& vars, std::vector<float>& flux,
+            int e0, int e1)
+{
+    const std::size_t n = vars.size() / kCfdVars;
+    VP_ASSERT(flux.size() == vars.size() && 0 <= e0 && e0 < e1
+                  && static_cast<std::size_t>(e1) <= n,
+              "cfd flux: [" << e0 << ", " << e1 << ") is no composite "
+                            "of a " << n << "-element state");
+    const int len = e1 - e0;
+    for (int v = 0; v < kCfdVars; ++v) {
+        const float* mine = vars.data() + v * n + e0;
+        float* acc = flux.data() + v * n + e0;
+        std::fill(acc, acc + len, 0.0f);
+        for (int k = 0; k < 4; ++k) {
+            const float sgn = k < 2 ? 1.0f : -1.0f;
+            // Local l < len - shift reads l + shift; the rest wrap
+            // around to [0, shift).
+            const int shift = (kStrides[k] % len + len) % len;
+            addStrideTerms(mine, mine + shift, acc, len - shift, sgn);
+            addStrideTerms(mine + len - shift, mine, acc + len - shift,
+                           shift, sgn);
+        }
+    }
+}
+
+void
+timeStep(std::vector<float>& vars, const std::vector<float>& sf,
+         const std::vector<float>& flux, int e0, int e1)
+{
+    const std::size_t n = sf.size();
+    for (int v = 0; v < kCfdVars; ++v) {
+        float* x = vars.data() + v * n;
+        const float* f = flux.data() + v * n;
+        for (int e = e0; e < e1; ++e)
+            x[e] += sf[e] * 0.05f * f[e];
+    }
+}
 
 CfdParams
 CfdParams::small()
@@ -47,10 +132,8 @@ StepFactorStage::cost(const CfdItem&) const
 void
 StepFactorStage::execute(ExecContext& ctx, CfdItem& item)
 {
-    int e0 = item.block * app_.params_.blockElems;
-    int e1 = std::min(app_.params_.elements,
-                      e0 + app_.params_.blockElems);
-    app_.computeStepFactor(app_.vars_, app_.stepFactor_, e0, e1);
+    auto [e0, e1] = app_.composite(item.block);
+    computeStepFactor(app_.vars_, app_.stepFactor_, e0, e1);
     ctx.enqueue<FluxStage>(CfdItem{item.block, item.outer, 1});
 }
 
@@ -77,10 +160,8 @@ FluxStage::cost(const CfdItem&) const
 void
 FluxStage::execute(ExecContext& ctx, CfdItem& item)
 {
-    int e0 = item.block * app_.params_.blockElems;
-    int e1 = std::min(app_.params_.elements,
-                      e0 + app_.params_.blockElems);
-    app_.computeFlux(app_.vars_, app_.flux_, e0, e1);
+    auto [e0, e1] = app_.composite(item.block);
+    computeFlux(app_.vars_, app_.flux_, e0, e1);
     ctx.enqueue<TimeStepStage>(item);
 }
 
@@ -108,10 +189,8 @@ TimeStepStage::cost(const CfdItem&) const
 void
 TimeStepStage::execute(ExecContext& ctx, CfdItem& item)
 {
-    int e0 = item.block * app_.params_.blockElems;
-    int e1 = std::min(app_.params_.elements,
-                      e0 + app_.params_.blockElems);
-    app_.timeStep(app_.vars_, app_.stepFactor_, app_.flux_, e0, e1);
+    auto [e0, e1] = app_.composite(item.block);
+    timeStep(app_.vars_, app_.stepFactor_, app_.flux_, e0, e1);
 
     // Composites are independent (block-local neighbors), so each
     // chains through its own loop iterations without global
@@ -150,28 +229,10 @@ CfdApp::CfdApp(CfdParams params)
     pipe_.link<TimeStepStage, StepFactorStage>(); // outer loop
     pipe_.setStructure(PipelineStructure::Loop);
 
-    int n = params_.elements;
-    // Synthetic unstructured mesh: ring neighbors at mixed strides,
-    // wrapped within each 1024-element composite. Composites are
-    // therefore independent (frozen-ghost partitioning), which
-    // permits the unsynchronized per-item pipelining the paper's
-    // implementation exhibits while keeping results schedule-
-    // independent. See DESIGN.md.
-    neighbors_.resize(static_cast<std::size_t>(n) * 4);
-    int strides[4] = {1, -1, 37, -37};
-    int be = params_.blockElems;
-    for (int e = 0; e < n; ++e) {
-        int base = (e / be) * be;
-        int local = e - base;
-        for (int k = 0; k < 4; ++k) {
-            int nb = base + ((local + strides[k]) % be + be) % be;
-            neighbors_[static_cast<std::size_t>(e) * 4 + k] = nb;
-        }
-    }
-
     // Free-stream-ish initial conditions with a perturbation.
+    int n = params_.elements;
     Rng rng(params_.seed);
-    initialVars_.resize(static_cast<std::size_t>(n) * kVars);
+    initialVars_.resize(static_cast<std::size_t>(n) * kCfdVars);
     for (int e = 0; e < n; ++e) {
         float bump = 0.05f * float(rng.nextDouble());
         initialVars_[0 * n + e] = 1.0f + bump;            // density
@@ -189,65 +250,13 @@ CfdApp::blocks() const
     return params_.elements / params_.blockElems;
 }
 
-void
-CfdApp::computeStepFactor(std::vector<float>& vars,
-                          std::vector<float>& sf, int e0, int e1)
-    const
+std::pair<int, int>
+CfdApp::composite(int block) const
 {
-    int n = params_.elements;
-    for (int e = e0; e < e1; ++e) {
-        float rho = vars[0 * n + e];
-        float mx = vars[1 * n + e];
-        float my = vars[2 * n + e];
-        float mz = vars[3 * n + e];
-        float en = vars[4 * n + e];
-        float inv_rho = 1.0f / rho;
-        float speed2 = (mx * mx + my * my + mz * mz) * inv_rho
-            * inv_rho;
-        float pressure = 0.4f * (en - 0.5f * rho * speed2);
-        float sound = std::sqrt(std::max(
-            1e-6f, 1.4f * pressure * inv_rho));
-        sf[e] = kCfl / (std::sqrt(speed2) + sound);
-    }
-}
-
-void
-CfdApp::computeFlux(const std::vector<float>& vars,
-                    std::vector<float>& flux, int e0, int e1) const
-{
-    int n = params_.elements;
-    for (int e = e0; e < e1; ++e) {
-        float acc[kVars] = {0, 0, 0, 0, 0};
-        for (int k = 0; k < 4; ++k) {
-            int nb = neighbors_[static_cast<std::size_t>(e) * 4 + k];
-            for (int v = 0; v < kVars; ++v) {
-                float mine = vars[v * n + e];
-                float theirs = vars[v * n + nb];
-                // Simple upwind-style dissipative flux.
-                acc[v] += 0.5f * (theirs - mine)
-                    - 0.1f * (theirs + mine)
-                          * (k < 2 ? 1.0f : -1.0f);
-            }
-        }
-        for (int v = 0; v < kVars; ++v)
-            flux[static_cast<std::size_t>(v) * n + e] = acc[v];
-    }
-}
-
-void
-CfdApp::timeStep(std::vector<float>& vars,
-                 const std::vector<float>& sf,
-                 const std::vector<float>& flux, int e0, int e1)
-    const
-{
-    int n = params_.elements;
-    for (int e = e0; e < e1; ++e) {
-        float factor = sf[e] * 0.05f;
-        for (int v = 0; v < kVars; ++v) {
-            vars[static_cast<std::size_t>(v) * n + e] +=
-                factor * flux[static_cast<std::size_t>(v) * n + e];
-        }
-    }
+    VP_ASSERT(block >= 0 && block < blocks(),
+              "cfd: no composite " << block << " of " << blocks());
+    int e0 = block * params_.blockElems;
+    return {e0, e0 + params_.blockElems};
 }
 
 void
@@ -255,11 +264,14 @@ CfdApp::refRun(std::vector<float>& vars) const
 {
     int n = params_.elements;
     std::vector<float> sf(n);
-    std::vector<float> flux(static_cast<std::size_t>(n) * kVars);
+    std::vector<float> flux(static_cast<std::size_t>(n) * kCfdVars);
     for (int outer = 0; outer < params_.outerIters; ++outer) {
         computeStepFactor(vars, sf, 0, n);
         for (int inner = 0; inner < params_.innerIters; ++inner) {
-            computeFlux(vars, flux, 0, n);
+            for (int b = 0; b < blocks(); ++b) {
+                auto [e0, e1] = composite(b);
+                computeFlux(vars, flux, e0, e1);
+            }
             timeStep(vars, sf, flux, 0, n);
         }
     }
@@ -270,7 +282,7 @@ CfdApp::reset()
 {
     vars_ = initialVars_;
     stepFactor_.assign(params_.elements, 0.0f);
-    flux_.assign(static_cast<std::size_t>(params_.elements) * kVars,
+    flux_.assign(static_cast<std::size_t>(params_.elements) * kCfdVars,
                  0.0f);
 }
 

@@ -11,6 +11,7 @@
 #define VP_APPS_CFD_CFD_APP_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/versapipe.hh"
@@ -43,6 +44,36 @@ struct CfdItem
     std::int32_t inner;
 };
 static_assert(sizeof(CfdItem) == 12, "paper reports 12-byte items");
+
+/** Conserved variables per element: density, 3 x momentum, energy.
+ *  A state holds them as planes: variable v of element e is at
+ *  v * n + e for an n-element mesh. */
+inline constexpr int kCfdVars = 5;
+
+// The kernels below read the mesh size n from their arguments: a
+// state or flux vector holds kCfdVars * n floats, a step-factor
+// vector n.
+
+/** Local time-step factor of elements [e0, e1). */
+void computeStepFactor(const std::vector<float>& vars,
+                       std::vector<float>& sf, int e0, int e1);
+
+/**
+ * Flux of one composite, elements [e0, e1). The composite is a ring:
+ * local element l has the neighbours (l + s) mod (e1 - e0) for the
+ * strides s = +1, -1, +37, -37, in that order. Each of an element's
+ * kCfdVars sums starts at +0.0f and adds one upwind-style term per
+ * neighbour, the last two with the opposite sign. A stride shifts
+ * the ring, so the kernel walks each one as two contiguous segments,
+ * variable by variable.
+ */
+void computeFlux(const std::vector<float>& vars,
+                 std::vector<float>& flux, int e0, int e1);
+
+/** Explicit Euler update of elements [e0, e1), variable by variable:
+ *  vars += sf * 0.05f * flux. */
+void timeStep(std::vector<float>& vars, const std::vector<float>& sf,
+              const std::vector<float>& flux, int e0, int e1);
 
 class CfdApp;
 
@@ -106,24 +137,24 @@ class CfdApp : public AppDriver
     /** FNV checksum of the density field. */
     std::uint64_t densityChecksum() const;
 
+    /** The state every run starts from (kCfdVars planes). */
+    const std::vector<float>& initialState() const
+    {
+        return initialVars_;
+    }
+
   private:
     friend class StepFactorStage;
     friend class FluxStage;
     friend class TimeStepStage;
 
-    /** One simulation step set over a state vector (shared by the
-     * pipeline stages and the sequential reference). */
-    void refRun(std::vector<float>& vars) const;
+    /** Elements [first, second) of composite @p block: the range
+     *  every kernel call covers, and the flux kernel's ring. */
+    std::pair<int, int> composite(int block) const;
 
-    void computeStepFactor(std::vector<float>& vars,
-                           std::vector<float>& sf, int e0,
-                           int e1) const;
-    void computeFlux(const std::vector<float>& vars,
-                     std::vector<float>& flux, int e0, int e1) const;
-    void timeStep(std::vector<float>& vars,
-                  const std::vector<float>& sf,
-                  const std::vector<float>& flux, int e0,
-                  int e1) const;
+    /** The whole iteration over a state vector, sequentially, with
+     *  the kernels the pipeline stages call. */
+    void refRun(std::vector<float>& vars) const;
 
     CfdParams params_;
     Pipeline pipe_;
@@ -133,8 +164,6 @@ class CfdApp : public AppDriver
     std::vector<float> initialVars_;
     std::vector<float> stepFactor_;
     std::vector<float> flux_;
-    /** 4 neighbors per element. */
-    std::vector<std::int32_t> neighbors_;
 
     std::uint64_t refChecksum_ = 0;
     bool refBuilt_ = false;

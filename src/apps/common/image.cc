@@ -40,16 +40,20 @@ makeTestImage(int w, int h, std::uint64_t seed,
     // Low-frequency phase offsets make every image distinct.
     double px = rng.nextRange(0.0, 6.28);
     double py = rng.nextRange(0.0, 6.28);
+    std::vector<double> gxs(w);
+    for (int x = 0; x < w; ++x)
+        gxs[x] = 0.5 + 0.5 * std::sin(px + x * 0.013);
     for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            double gx = 0.5 + 0.5 * std::sin(px + x * 0.013);
-            double gy = 0.5 + 0.5 * std::cos(py + y * 0.017);
+        const double gy = 0.5 + 0.5 * std::cos(py + y * 0.017);
+        std::uint8_t* out = img.row(y);
+        for (int x = 0; x < w; ++x, out += 3) {
+            const double gx = gxs[x];
             int noise = static_cast<int>(rng.nextBelow(32));
-            img.at(x, y, 0) = static_cast<std::uint8_t>(
+            out[0] = static_cast<std::uint8_t>(
                 std::min(255.0, gx * 180 + noise));
-            img.at(x, y, 1) = static_cast<std::uint8_t>(
+            out[1] = static_cast<std::uint8_t>(
                 std::min(255.0, gy * 160 + noise));
-            img.at(x, y, 2) = static_cast<std::uint8_t>(
+            out[2] = static_cast<std::uint8_t>(
                 std::min(255.0, (gx + gy) * 90 + noise));
         }
     }

@@ -96,6 +96,12 @@ class RgbImage
     }
 
     /** First byte of row y: width() interleaved R, G, B triples. */
+    std::uint8_t*
+    row(int y)
+    {
+        return pixels_.data() + static_cast<std::size_t>(y) * width_ * 3;
+    }
+
     const std::uint8_t*
     row(int y) const
     {
@@ -120,7 +126,9 @@ class RgbImage
 /**
  * Deterministic procedural RGB test image: low-frequency gradients
  * plus texture noise, with optional bright square "face" markers at
- * the given centers (used by Face Detection's ground truth).
+ * the given centers (used by Face Detection's ground truth). The
+ * gradients are separable, so sin() runs once per column and cos()
+ * once per row; the noise draws one value per pixel, row by row.
  */
 RgbImage makeTestImage(int w, int h, std::uint64_t seed,
                        const std::vector<std::pair<int, int>>& faces

@@ -34,6 +34,94 @@ RasterParams::small()
     return p;
 }
 
+void
+shadeTriTile(const ScreenTri& t, std::int32_t tri, int tx, int ty,
+             const RasterParams& p, std::vector<std::uint64_t>& fb)
+{
+    double x0 = t.x[0], y0 = t.y[0];
+    double x1 = t.x[1], y1 = t.y[1];
+    double x2 = t.x[2], y2 = t.y[2];
+    double area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0);
+    if (area <= 0.0)
+        return;
+
+    int px0 = tx * p.tile;
+    int py0 = ty * p.tile;
+    int px1 = std::min(p.width, px0 + p.tile);
+    int py1 = std::min(p.height, py0 + p.tile);
+
+    // Row spans. Along a row, the exact function of edge (a, b) is
+    // linear in cx with slope ya - yb. Rounded to doubles, its value
+    // at any centre of this tile is off by at most about 8u * reach_x
+    // * reach_y (u = 2^-53). margin is twice the error of two such
+    // values, so wherever the line through the value at the row's
+    // first centre lies below -margin, the pixel test rounds below
+    // zero: `cross` columns on. Where it matters `cross` is off by
+    // less than half a pixel, and the span keeps one more pixel on
+    // each side. A crossing that is not finite (a horizontal edge, a
+    // non-finite vertex) bounds nothing.
+    const double cx_first = px0 + 0.5, cx_last = px1 - 0.5;
+    const double cy_first = py0 + 0.5, cy_last = py1 - 0.5;
+    double reach_x = 0.0, reach_y = 0.0;
+    for (int v = 0; v < 3; ++v) {
+        reach_x = std::max({reach_x, std::fabs(t.x[v] - cx_first),
+                            std::fabs(t.x[v] - cx_last)});
+        reach_y = std::max({reach_y, std::fabs(t.y[v] - cy_first),
+                            std::fabs(t.y[v] - cy_last)});
+    }
+    const double margin = 0x1p-48 * reach_x * reach_y;
+    const double cols = px1 - px0;
+    // Edge (a, b) with xa and xb relative to the first centre, and
+    // the reciprocal of its slope.
+    struct RowEdge
+    {
+        double ax, ay, bx, by, invSlope;
+    };
+    const RowEdge edges[3] = {
+        {x1 - cx_first, y1, x2 - cx_first, y2, 1.0 / (y1 - y2)},
+        {x2 - cx_first, y2, x0 - cx_first, y0, 1.0 / (y2 - y0)},
+        {x0 - cx_first, y0, x1 - cx_first, y1, 1.0 / (y0 - y1)},
+    };
+
+    for (int y = py0; y < py1; ++y) {
+        double cy = y + 0.5;
+        int lo = px0, hi = px1;
+        for (const RowEdge& e : edges) {
+            double w = e.ax * (e.by - cy) - e.bx * (e.ay - cy);
+            double cross = (-margin - w) * e.invSlope;
+            if (!std::isfinite(cross))
+                continue;
+            // Clamped before the conversion, which truncates.
+            if (e.invSlope > 0) {
+                lo = std::max(lo, px0 + static_cast<int>(std::clamp(
+                                      cross - 1, 0.0, cols)));
+            } else {
+                hi = std::min(hi, px0 + static_cast<int>(std::clamp(
+                                      cross + 2, 0.0, cols)));
+            }
+        }
+        for (int x = lo; x < hi; ++x) {
+            double cx = x + 0.5;
+            double w0 = (x1 - cx) * (y2 - cy) - (x2 - cx) * (y1 - cy);
+            double w1 = (x2 - cx) * (y0 - cy) - (x0 - cx) * (y2 - cy);
+            double w2 = (x0 - cx) * (y1 - cy) - (x1 - cx) * (y0 - cy);
+            if (w0 < 0 || w1 < 0 || w2 < 0)
+                continue;
+            double z = (w0 * t.z[0] + w1 * t.z[1] + w2 * t.z[2])
+                / area;
+            // Depth-major packing with the triangle id as a unique,
+            // deterministic tiebreaker: min() = nearest wins.
+            std::uint64_t zq = static_cast<std::uint64_t>(
+                std::min(1e9, z * 1e4));
+            std::uint64_t packed = (zq << 24)
+                | static_cast<std::uint64_t>(tri);
+            std::uint64_t& cell =
+                fb[static_cast<std::size_t>(y) * p.width + x];
+            cell = std::min(cell, packed);
+        }
+    }
+}
+
 // ------------------------------ stages -------------------------- //
 
 ClipStage::ClipStage(RasterApp& app)
@@ -58,8 +146,9 @@ ClipStage::cost(const RasterItem&) const
 void
 ClipStage::execute(ExecContext& ctx, RasterItem& item)
 {
-    app_.clipTri(item.id);
-    if (!app_.screen_[item.id].culled) {
+    ScreenTri& t = app_.screen_[item.id];
+    t = app_.screenTri(item.id);
+    if (!t.culled) {
         ++app_.drawn_;
         ctx.enqueue<InterpolateStage>(item);
     }
@@ -78,7 +167,7 @@ InterpolateStage::InterpolateStage(RasterApp& app)
 TaskCost
 InterpolateStage::cost(const RasterItem& item) const
 {
-    int tiles = app_.tilesTouched(item.id, nullptr);
+    int tiles = app_.tilesTouched(app_.screen_[item.id], nullptr);
     TaskCost c;
     c.computeInsts = 40.0 + 16.0 * tiles; // edge setup + bbox walk
     c.memInsts = 12.0 + 3.0 * tiles;
@@ -90,7 +179,7 @@ void
 InterpolateStage::execute(ExecContext& ctx, RasterItem& item)
 {
     std::vector<int> tiles;
-    app_.tilesTouched(item.id, &tiles);
+    app_.tilesTouched(app_.screen_[item.id], &tiles);
     int stride = app_.tilesX() * app_.tilesY();
     for (int t : tiles)
         ctx.enqueue<RShadeStage>(RasterItem{item.id * stride + t});
@@ -123,8 +212,8 @@ RShadeStage::execute(ExecContext&, RasterItem& item)
     int stride = app_.tilesX() * app_.tilesY();
     int tri = item.id / stride;
     int tile = item.id % stride;
-    app_.shadeTriTile(tri, tile % app_.tilesX(), tile / app_.tilesX(),
-                      app_.fb_);
+    shadeTriTile(app_.screen_[tri], tri, tile % app_.tilesX(),
+                 tile / app_.tilesX(), app_.params_, app_.fb_);
 }
 
 // ------------------------------ driver -------------------------- //
@@ -182,11 +271,11 @@ RasterApp::tilesY() const
     return (params_.height + params_.tile - 1) / params_.tile;
 }
 
-void
-RasterApp::clipTri(int id)
+ScreenTri
+RasterApp::screenTri(int id) const
 {
     const SourceTri& src = source_[id];
-    Tri out;
+    ScreenTri out;
     double f = params_.height * 0.9;
     bool behind = false;
     for (int v = 0; v < 3; ++v) {
@@ -208,13 +297,12 @@ RasterApp::clipTri(int id)
             off = false;
     }
     out.culled = behind || off || area <= 0.0;
-    screen_[id] = out;
+    return out;
 }
 
 int
-RasterApp::tilesTouched(int tri, std::vector<int>* out) const
+RasterApp::tilesTouched(const ScreenTri& t, std::vector<int>* out) const
 {
-    const Tri& t = screen_[tri];
     int min_x = std::clamp(
         int(std::floor(std::min({t.x[0], t.x[1], t.x[2]})))
             / params_.tile, 0, tilesX() - 1);
@@ -239,48 +327,9 @@ RasterApp::tilesTouched(int tri, std::vector<int>* out) const
 }
 
 void
-RasterApp::shadeTriTile(int tri, int tx, int ty,
-                        std::vector<std::uint64_t>& fb) const
-{
-    const Tri& t = screen_[tri];
-    double x0 = t.x[0], y0 = t.y[0];
-    double x1 = t.x[1], y1 = t.y[1];
-    double x2 = t.x[2], y2 = t.y[2];
-    double area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0);
-    if (area <= 0.0)
-        return;
-
-    int px0 = tx * params_.tile;
-    int py0 = ty * params_.tile;
-    int px1 = std::min(params_.width, px0 + params_.tile);
-    int py1 = std::min(params_.height, py0 + params_.tile);
-    for (int y = py0; y < py1; ++y) {
-        for (int x = px0; x < px1; ++x) {
-            double cx = x + 0.5, cy = y + 0.5;
-            double w0 = (x1 - cx) * (y2 - cy) - (x2 - cx) * (y1 - cy);
-            double w1 = (x2 - cx) * (y0 - cy) - (x0 - cx) * (y2 - cy);
-            double w2 = (x0 - cx) * (y1 - cy) - (x1 - cx) * (y0 - cy);
-            if (w0 < 0 || w1 < 0 || w2 < 0)
-                continue;
-            double z = (w0 * t.z[0] + w1 * t.z[1] + w2 * t.z[2])
-                / area;
-            // Depth-major packing with the triangle id as a unique,
-            // deterministic tiebreaker: min() = nearest wins.
-            std::uint64_t zq = static_cast<std::uint64_t>(
-                std::min(1e9, z * 1e4));
-            std::uint64_t packed = (zq << 24)
-                | static_cast<std::uint64_t>(tri);
-            std::uint64_t& cell =
-                fb[static_cast<std::size_t>(y) * params_.width + x];
-            cell = std::min(cell, packed);
-        }
-    }
-}
-
-void
 RasterApp::reset()
 {
-    screen_.assign(triangles(), Tri{});
+    screen_.assign(triangles(), ScreenTri{});
     fb_.assign(static_cast<std::size_t>(params_.width)
                * params_.height, ~std::uint64_t(0));
     drawn_ = 0;
@@ -303,19 +352,18 @@ RasterApp::verify()
         std::vector<std::uint64_t> fb(
             static_cast<std::size_t>(params_.width) * params_.height,
             ~std::uint64_t(0));
-        std::vector<Tri> saved_screen = screen_;
-        int saved_drawn = drawn_;
+        std::vector<int> tiles;
         for (int id = 0; id < triangles(); ++id) {
-            clipTri(id);
-            if (screen_[id].culled)
+            ScreenTri t = screenTri(id);
+            if (t.culled)
                 continue;
-            std::vector<int> tiles;
-            tilesTouched(id, &tiles);
-            for (int t : tiles)
-                shadeTriTile(id, t % tilesX(), t / tilesX(), fb);
+            tiles.clear();
+            tilesTouched(t, &tiles);
+            for (int tile : tiles) {
+                shadeTriTile(t, id, tile % tilesX(), tile / tilesX(),
+                             params_, fb);
+            }
         }
-        screen_ = std::move(saved_screen);
-        drawn_ = saved_drawn;
         std::uint64_t h = 1469598103934665603ULL;
         for (std::uint64_t v : fb) {
             h ^= v;

@@ -36,6 +36,26 @@ struct RasterItem
 };
 static_assert(sizeof(RasterItem) == 4, "paper reports 4-byte items");
 
+/** A screen-space triangle, as the Clip stage leaves it. */
+struct ScreenTri
+{
+    float x[3], y[3], z[3];
+    bool culled = false;
+};
+
+/**
+ * Shade kernel: min-combines the depth-packed pixels of triangle
+ * @p tri (screen-space @p t) that cover tile (tx, ty) into @p fb, the
+ * p.width x p.height framebuffer. A pixel is covered when the three
+ * double edge functions at its centre are all >= 0. Each row
+ * evaluates them only inside a span, bounded by where each edge
+ * crosses the row, widened by a rounding margin and a pixel each
+ * side. Every pixel outside the span has an edge function that
+ * rounds below zero, so the result is the whole tile's.
+ */
+void shadeTriTile(const ScreenTri& t, std::int32_t tri, int tx, int ty,
+                  const RasterParams& p, std::vector<std::uint64_t>& fb);
+
 class RasterApp;
 
 /** Transform + frustum cull one triangle. */
@@ -108,17 +128,14 @@ class RasterApp : public AppDriver
     int tilesX() const;
     int tilesY() const;
 
+    /** Triangle @p id projected and culled, as the Clip stage
+     *  computes it. */
+    ScreenTri screenTri(int id) const;
+
   private:
     friend class ClipStage;
     friend class InterpolateStage;
     friend class RShadeStage;
-
-    /** A screen-space triangle. */
-    struct Tri
-    {
-        float x[3], y[3], z[3];
-        bool culled = false;
-    };
 
     /** Object-space triangle corners (set up in the constructor). */
     struct SourceTri
@@ -126,16 +143,13 @@ class RasterApp : public AppDriver
         float v[3][3];
     };
 
-    void clipTri(int id);
-    void shadeTriTile(int tri, int tx, int ty,
-                      std::vector<std::uint64_t>& fb) const;
-    int tilesTouched(int tri, std::vector<int>* out) const;
+    int tilesTouched(const ScreenTri& t, std::vector<int>* out) const;
 
     RasterParams params_;
     Pipeline pipe_;
 
     std::vector<SourceTri> source_;
-    std::vector<Tri> screen_;
+    std::vector<ScreenTri> screen_;
     std::vector<std::uint64_t> fb_;
     int drawn_ = 0;
 

@@ -40,6 +40,64 @@ evalCubic(const float* p, int stride, float t)
 
 } // namespace
 
+std::pair<PatchItem, PatchItem>
+splitPatch(const PatchItem& patch)
+{
+    // Split all 4 rows (or columns) of control points at t = 0.5.
+    PatchItem a = patch, b = patch;
+    a.depth = b.depth = patch.depth + 1;
+    a.axis = b.axis = 1 - patch.axis;
+    for (int c = 0; c < 3; ++c) {
+        for (int row = 0; row < 4; ++row) {
+            float in[4], lo[4], hi[4];
+            for (int col = 0; col < 4; ++col) {
+                int idx = patch.axis == 0 ? row * 4 + col
+                                          : col * 4 + row;
+                in[col] = patch.cp[idx][c];
+            }
+            splitCubic(in, lo, hi);
+            for (int col = 0; col < 4; ++col) {
+                int idx = patch.axis == 0 ? row * 4 + col
+                                          : col * 4 + row;
+                a.cp[idx][c] = lo[col];
+                b.cp[idx][c] = hi[col];
+            }
+        }
+    }
+    return {a, b};
+}
+
+std::vector<float>
+dicePatch(const PatchItem& patch, int grid)
+{
+    const int g = grid + 1;
+    std::vector<float> pts(static_cast<std::size_t>(g) * g * 3);
+    for (int i = 0; i < g; ++i) {
+        float u = float(i) / (g - 1);
+        // Evaluate the rows in u, once for the whole column ...
+        float col[3][4];
+        for (int c = 0; c < 3; ++c) {
+            for (int row = 0; row < 4; ++row) {
+                float rowpts[4] = {
+                    patch.cp[row * 4 + 0][c],
+                    patch.cp[row * 4 + 1][c],
+                    patch.cp[row * 4 + 2][c],
+                    patch.cp[row * 4 + 3][c],
+                };
+                col[c][row] = evalCubic(rowpts, 1, u);
+            }
+        }
+        // ... then the column in v at each of its points.
+        for (int j = 0; j < g; ++j) {
+            float v = float(j) / (g - 1);
+            float* pt = &pts[(static_cast<std::size_t>(j) * g + i) * 3];
+            for (int c = 0; c < 3; ++c)
+                pt[c] = evalCubic(col[c], 1, v);
+        }
+    }
+    return pts;
+}
+
 ReyesParams
 ReyesParams::small()
 {
@@ -76,32 +134,11 @@ SplitStage::cost(const PatchItem&) const
 void
 SplitStage::execute(ExecContext& ctx, PatchItem& item)
 {
-    if (item.depth >= app_.params_.maxDepth
-        || app_.boundSize(item) <= app_.params_.diceBound) {
+    if (app_.diceable(item)) {
         ctx.enqueue<DiceStage>(item);
         return;
     }
-    // Split all 4 rows (or columns) of control points at t = 0.5.
-    PatchItem a = item, b = item;
-    a.depth = b.depth = item.depth + 1;
-    a.axis = b.axis = 1 - item.axis;
-    for (int c = 0; c < 3; ++c) {
-        for (int row = 0; row < 4; ++row) {
-            float in[4], lo[4], hi[4];
-            for (int col = 0; col < 4; ++col) {
-                int idx = item.axis == 0 ? row * 4 + col
-                                         : col * 4 + row;
-                in[col] = item.cp[idx][c];
-            }
-            splitCubic(in, lo, hi);
-            for (int col = 0; col < 4; ++col) {
-                int idx = item.axis == 0 ? row * 4 + col
-                                         : col * 4 + row;
-                a.cp[idx][c] = lo[col];
-                b.cp[idx][c] = hi[col];
-            }
-        }
-    }
+    auto [a, b] = splitPatch(item);
     ctx.enqueue<SplitStage>(a);
     ctx.enqueue<SplitStage>(b);
 }
@@ -131,32 +168,9 @@ DiceStage::cost(const PatchItem&) const
 void
 DiceStage::execute(ExecContext& ctx, PatchItem& item)
 {
-    int g = app_.params_.grid + 1;
-    ReyesApp::Grid grid;
-    grid.pts.resize(static_cast<std::size_t>(g) * g * 3);
-    for (int j = 0; j < g; ++j) {
-        float v = float(j) / (g - 1);
-        for (int i = 0; i < g; ++i) {
-            float u = float(i) / (g - 1);
-            for (int c = 0; c < 3; ++c) {
-                // Evaluate rows in u, then the column in v.
-                float col[4];
-                for (int row = 0; row < 4; ++row) {
-                    float rowpts[4] = {
-                        item.cp[row * 4 + 0][c],
-                        item.cp[row * 4 + 1][c],
-                        item.cp[row * 4 + 2][c],
-                        item.cp[row * 4 + 3][c],
-                    };
-                    col[row] = evalCubic(rowpts, 1, u);
-                }
-                grid.pts[(static_cast<std::size_t>(j) * g + i) * 3
-                         + c] = evalCubic(col, 1, v);
-            }
-        }
-    }
     int grid_id = static_cast<int>(app_.grids_.size());
-    app_.grids_.push_back(std::move(grid));
+    app_.grids_.push_back(
+        ReyesApp::Grid{dicePatch(item, app_.params_.grid)});
     ctx.enqueue<ShadeStage>(GridItem{grid_id, item.id});
 }
 
@@ -258,6 +272,13 @@ ReyesApp::boundSize(const PatchItem& p) const
     return std::max(max_x - min_x, max_y - min_y);
 }
 
+bool
+ReyesApp::diceable(const PatchItem& p) const
+{
+    return p.depth >= params_.maxDepth
+        || boundSize(p) <= params_.diceBound;
+}
+
 void
 ReyesApp::shadeGrid(const Grid& g, std::vector<std::uint32_t>& fb)
     const
@@ -314,41 +335,17 @@ ReyesApp::renderReference() const
 {
     std::vector<std::uint32_t> fb(
         static_cast<std::size_t>(params_.width) * params_.height, 0);
-    std::vector<Grid> scratch;
-    // Depth-first sequential pipeline with the same stage math.
-    ReyesApp& self = const_cast<ReyesApp&>(*this);
+    // Depth-first and sequential, with the stages' kernels.
     std::vector<PatchItem> stack = initial_;
     while (!stack.empty()) {
         PatchItem item = stack.back();
         stack.pop_back();
-        if (item.depth >= params_.maxDepth
-            || boundSize(item) <= params_.diceBound) {
-            // Inline dice (same code path as DiceStage::execute).
-            std::vector<Grid> saved_grids;
-            saved_grids.swap(self.grids_);
-            ExecContext dummy_ctx(self.pipe_, 0, -1);
-            DiceStage dicer(self);
-            dummy_ctx.beginTask(TaskCost{});
-            dicer.execute(dummy_ctx, item);
-            Grid g = std::move(self.grids_.back());
-            self.grids_ = std::move(saved_grids);
-            shadeGrid(g, fb);
+        if (diceable(item)) {
+            shadeGrid(Grid{dicePatch(item, params_.grid)}, fb);
         } else {
-            ExecContext dummy_ctx(self.pipe_, 0, -1);
-            SplitStage splitter(self);
-            dummy_ctx.beginTask(TaskCost{});
-            std::vector<Grid> saved_grids;
-            saved_grids.swap(self.grids_);
-            splitter.execute(dummy_ctx, item);
-            self.grids_ = std::move(saved_grids);
-            // Recover the two children from the buffered outputs.
-            for (StagedOutput& out : dummy_ctx.outputs()) {
-                WorkQueue<PatchItem> tmp("tmp");
-                out.push(tmp);
-                PatchItem child{};
-                tmp.pop(child);
-                stack.push_back(child);
-            }
+            auto [a, b] = splitPatch(item);
+            stack.push_back(a);
+            stack.push_back(b);
         }
     }
     return fb;

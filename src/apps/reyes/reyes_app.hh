@@ -13,6 +13,7 @@
 #define VP_APPS_REYES_REYES_APP_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/versapipe.hh"
@@ -44,6 +45,19 @@ struct PatchItem
 };
 static_assert(sizeof(PatchItem) == 272,
               "paper reports 272-byte Reyes items");
+
+/** Split kernel: the two halves of @p patch at t = 0.5 along its
+ *  axis, one level deeper, to be split along the other axis next. */
+std::pair<PatchItem, PatchItem> splitPatch(const PatchItem& patch);
+
+/**
+ * Dice kernel: the (grid + 1)^2 surface points of @p patch at
+ * u = i / grid and v = j / grid, point (i, j) as the xyz triplet at
+ * (j * (grid + 1) + i) * 3. A point is the cubic in v through the
+ * four control rows' cubics at u. Those depend on u alone, so they
+ * are evaluated once per grid column, not once per point.
+ */
+std::vector<float> dicePatch(const PatchItem& patch, int grid);
 
 /** A diced grid handed to Shade (references app-held grid data). */
 struct GridItem
@@ -113,6 +127,12 @@ class ReyesApp : public AppDriver
     /** Patches diced during the last run. */
     int dicedPatches() const { return static_cast<int>(grids_.size()); }
 
+    /** The patches every run starts from. */
+    const std::vector<PatchItem>& initialPatches() const
+    {
+        return initial_;
+    }
+
   private:
     friend class SplitStage;
     friend class DiceStage;
@@ -126,6 +146,9 @@ class ReyesApp : public AppDriver
 
     /** Screen-space bounding box size of a patch. */
     double boundSize(const PatchItem& p) const;
+
+    /** Whether Split hands @p p to Dice instead of splitting it. */
+    bool diceable(const PatchItem& p) const;
 
     /** Project a camera-space point to pixels. */
     void project(const float* xyz, double& sx, double& sy) const;

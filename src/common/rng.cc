@@ -10,31 +10,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t seq)
     nextU32();
 }
 
-std::uint32_t
-Rng::nextU32()
-{
-    std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
-    std::uint32_t xorshifted =
-        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-    std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
-}
-
-std::uint32_t
-Rng::nextBelow(std::uint32_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // Rejection sampling to avoid modulo bias.
-    std::uint32_t threshold = (-bound) % bound;
-    for (;;) {
-        std::uint32_t r = nextU32();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
 double
 Rng::nextDouble()
 {

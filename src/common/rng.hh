@@ -27,10 +27,34 @@ class Rng
                  std::uint64_t seq = 0xda3e39cb94b95bdbULL);
 
     /** Next uniformly distributed 32-bit value. */
-    std::uint32_t nextU32();
+    std::uint32_t
+    nextU32()
+    {
+        std::uint64_t old = state_;
+        state_ = old * 6364136223846793005ULL + inc_;
+        std::uint32_t xorshifted =
+            static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+        std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
+        return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
+    }
 
-    /** Uniform integer in [0, bound), bias-free via rejection. */
-    std::uint32_t nextBelow(std::uint32_t bound);
+    /**
+     * Uniform integer in [0, bound), bias-free via rejection. Inline,
+     * so that a constant bound folds both divisions.
+     */
+    std::uint32_t
+    nextBelow(std::uint32_t bound)
+    {
+        if (bound == 0)
+            return 0;
+        // Rejection sampling to avoid modulo bias.
+        std::uint32_t threshold = (-bound) % bound;
+        for (;;) {
+            std::uint32_t r = nextU32();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform double in [0, 1). */
     double nextDouble();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "apps/common/image.hh"
 
@@ -174,7 +175,89 @@ histEqPerPixel(const GrayImage& src)
     return out;
 }
 
+/** The procedural test image with sin() and cos() at every pixel. */
+RgbImage
+testImagePerPixel(int w, int h, std::uint64_t seed,
+                  const std::vector<std::pair<int, int>>& faces)
+{
+    RgbImage img(w, h);
+    Rng rng(seed);
+    double px = rng.nextRange(0.0, 6.28);
+    double py = rng.nextRange(0.0, 6.28);
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            double gx = 0.5 + 0.5 * std::sin(px + x * 0.013);
+            double gy = 0.5 + 0.5 * std::cos(py + y * 0.017);
+            int noise = static_cast<int>(rng.nextBelow(32));
+            img.at(x, y, 0) = static_cast<std::uint8_t>(
+                std::min(255.0, gx * 180 + noise));
+            img.at(x, y, 1) = static_cast<std::uint8_t>(
+                std::min(255.0, gy * 160 + noise));
+            img.at(x, y, 2) = static_cast<std::uint8_t>(
+                std::min(255.0, (gx + gy) * 90 + noise));
+        }
+    }
+    for (const auto& [cx, cy] : faces) {
+        for (int dy = -12; dy < 12; ++dy) {
+            for (int dx = -12; dx < 12; ++dx) {
+                int x = cx + dx, y = cy + dy;
+                if (x < 0 || y < 0 || x >= w || y >= h)
+                    continue;
+                bool frame = std::abs(dx) > 8 || std::abs(dy) > 8;
+                std::uint8_t v = frame ? 240 : 60;
+                img.at(x, y, 0) = v;
+                img.at(x, y, 1) = v;
+                img.at(x, y, 2) = v;
+            }
+        }
+    }
+    return img;
+}
+
+bool
+sameImage(const RgbImage& a, const RgbImage& b)
+{
+    if (a.width() != b.width() || a.height() != b.height())
+        return false;
+    for (int y = 0; y < a.height(); ++y) {
+        if (!std::equal(a.row(y), a.row(y) + a.width() * 3, b.row(y)))
+            return false;
+    }
+    return true;
+}
+
 } // namespace
+
+TEST(ImageKernels, TestImageMatchesPerPixelTrig)
+{
+    // The degenerate sizes, with markers on and across the borders.
+    for (auto [w, h] : kSizes) {
+        std::vector<std::pair<int, int>> faces = {
+            {0, 0}, {w - 1, h / 2}, {w / 2, h + 3}};
+        for (std::uint64_t seed : {1u, 99u}) {
+            EXPECT_TRUE(sameImage(makeTestImage(w, h, seed),
+                                  testImagePerPixel(w, h, seed, {})))
+                << w << "x" << h << " seed " << seed;
+            EXPECT_TRUE(sameImage(makeTestImage(w, h, seed, faces),
+                                  testImagePerPixel(w, h, seed, faces)))
+                << w << "x" << h << " seed " << seed << " with markers";
+        }
+    }
+    // The first full-scale input of pyramid and of facedetect at
+    // workload seeds 0 and 7 (perfbench moves each app's default
+    // seed by n * 0x9E3779B97F4A7C15).
+    for (std::uint64_t base : {20170101ULL, 20170202ULL}) {
+        for (std::uint64_t n : {0u, 7u}) {
+            std::uint64_t seed = base + n * 0x9E3779B97F4A7C15ULL;
+            std::vector<std::pair<int, int>> faces = {{300, 200},
+                                                      {1000, 500}};
+            EXPECT_TRUE(sameImage(makeTestImage(1280, 720, seed, faces),
+                                  testImagePerPixel(1280, 720, seed,
+                                                    faces)))
+                << "seed " << seed;
+        }
+    }
+}
 
 TEST(ImageKernels, GrayscaleRowsMatchPerPixelLuma)
 {
