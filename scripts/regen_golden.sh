@@ -8,9 +8,12 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 cmake --preset default
-cmake --build build -j"$jobs" --target test_golden --target test_serving
+cmake --build build -j"$jobs" --target test_golden --target test_serving \
+    --target test_failover
 GOLDEN_REGEN=1 ./build/tests/test_golden
 GOLDEN_REGEN=1 ./build/tests/test_serving \
     --gtest_filter='Serving.GoldenStreamingReport'
+GOLDEN_REGEN=1 ./build/tests/test_failover \
+    --gtest_filter='Failover.MatchesGolden'
 
 git --no-pager diff --stat -- tests/golden || true

@@ -6,9 +6,22 @@
  * conservation, eager target validation, outcome semantics
  * (Degraded), and bit-identical rerun determinism of every failover
  * scenario.
+ *
+ * Failover.MatchesGolden pins eight failover scenarios byte for byte
+ * against tests/golden/failover.json: outcome, clock, event and poll
+ * counts, per-stage items and dead letters, every failover counter,
+ * interconnect traffic, per-device failover state and redeliveries.
+ * Regenerate it with scripts/regen_golden.sh (GOLDEN_REGEN=1) after
+ * an intentional change and review the diff. GOLDEN_DIR is the
+ * in-tree corpus, injected by the build.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "apps/registry.hh"
 #include "core/engine.hh"
@@ -349,4 +362,204 @@ TEST(Failover, EmptyPlanLeavesShardedRunIdenticalToNoPlan)
     EXPECT_EQ(stageItems(r0), stageItems(r1));
     EXPECT_EQ(r0.cycles, r1.cycles);
     EXPECT_EQ(r0.simEvents, r1.simEvents);
+}
+
+namespace {
+
+std::string
+num(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/** One scenario's entry of the failover golden document. */
+void
+appendScenario(std::ostream& out, const std::string& label,
+               const RunResult& r, bool last)
+{
+    const FaultRecoveryStats& f = r.faults;
+    out << "    \"" << label << "\": {\n"
+        << "      \"outcome\": \"" << runOutcomeName(r.outcome)
+        << "\",\n"
+        << "      \"cycles\": " << num(r.cycles) << ",\n"
+        << "      \"sim_events\": " << r.simEvents << ",\n"
+        << "      \"dispatched_events\": " << r.dispatchedEvents
+        << ",\n"
+        << "      \"polls\": " << r.polls << ",\n"
+        << "      \"stages\": {";
+    for (std::size_t i = 0; i < r.stages.size(); ++i) {
+        const StageRunStats& s = r.stages[i];
+        out << (i ? ", " : "") << "\"" << s.name << "\": [" << s.items
+            << ", " << s.deadLettered << "]";
+    }
+    out << "},\n"
+        << "      \"faults\": {\"devices_failed\": " << f.devicesFailed
+        << ", \"links_failed\": " << f.linksFailed
+        << ", \"links_degraded\": " << f.linksDegraded
+        << ", \"stages_rehomed\": " << f.stagesRehomed
+        << ", \"transfers_redelivered\": " << f.transfersRedelivered
+        << ", \"items_evacuated\": " << f.itemsEvacuated
+        << ", \"dead_lettered\": " << f.deadLettered
+        << ", \"tasks_retried\": " << f.tasksRetried
+        << ", \"blocks_evicted\": " << f.blocksEvicted
+        << ", \"sms_failed\": " << f.smsFailed
+        << ", \"backpressure_waits\": " << f.backpressureWaits
+        << "},\n"
+        << "      \"interconnect\": {\"transfers\": "
+        << r.interconnect.transfers
+        << ", \"wait_cycles\": " << num(r.interconnect.waitCycles)
+        << "},\n"
+        << "      \"devices\": [";
+    for (std::size_t i = 0; i < r.shardDevices.size(); ++i) {
+        const ShardDeviceStats& d = r.shardDevices[i];
+        out << (i ? ", " : "") << "{\"failed\": "
+            << (d.failed ? "true" : "false")
+            << ", \"evacuated\": " << d.itemsEvacuated
+            << ", \"rehomed_in\": " << d.stagesRehomedIn << "}";
+    }
+    out << "],\n"
+        << "      \"redeliveries\": "
+        << num(r.extra.get("redeliveries")) << "\n"
+        << "    }" << (last ? "\n" : ",\n");
+}
+
+/** Raster, coarse config pinned round-robin over @p n GTX 1080s. */
+RunResult
+runRasterPinned(int n, const FaultPlan& fp, bool recover,
+                std::size_t bound = 0)
+{
+    auto app = makeApp("raster", AppScale::Small);
+    Pipeline& pipe = app->pipeline();
+    PipelineConfig cfg =
+        makeCoarseConfig(pipe, DeviceConfig::byName("gtx1080"));
+    if (bound > 0) {
+        // Small blocks commit in small batches, so the bound of the
+        // stages homed on device 1 and on device 0 actually holds
+        // producers back, across the interconnect and after the
+        // kill re-homes device 1's stage.
+        cfg.threadsPerBlock = 32;
+        pipe.stage(1).queueCapacity = bound;
+        pipe.stage(2).queueCapacity = bound;
+    }
+    ShardPlan plan = ShardPlan::pinnedRoundRobin(cfg, pipe, n);
+    Engine group(groupOf(n));
+    group.setFaultPlan(fp);
+    if (recover)
+        group.setRecovery(RecoveryConfig{});
+    return group.runSharded(*app, cfg, plan);
+}
+
+FaultPlan
+linkEventAt0(LinkFaultEvent::Kind kind, double factor)
+{
+    FaultPlan fp;
+    LinkFaultEvent lf;
+    lf.time = 0.0;
+    lf.src = 0;
+    lf.dst = 1;
+    lf.kind = kind;
+    lf.factor = factor;
+    fp.linkEvents.push_back(lf);
+    return fp;
+}
+
+/** Raster megakernel replicated over two GTX 1080s with SM 0 of
+ *  device 1 killed at 25000 cycles. */
+RunResult
+runSmKill()
+{
+    auto app = makeApp("raster", AppScale::Small);
+    PipelineConfig cfg = makeMegakernelConfig(app->pipeline());
+    FaultPlan fp;
+    SmFaultEvent kill;
+    kill.time = 25000.0;
+    kill.sm = 0;
+    kill.kind = SmFaultEvent::Kind::Kill;
+    kill.device = 1;
+    fp.smEvents.push_back(kill);
+    Engine group(groupOf(2));
+    group.setFaultPlan(fp);
+    group.setRecovery(RecoveryConfig{});
+    return group.runSharded(*app, cfg,
+                            ShardPlan::replicateAll(app->pipeline()));
+}
+
+/** Pyramid megakernel replicated over two GTX 1080s, device 0
+ *  killed at 20000 cycles. */
+RunResult
+runReplicatedKill()
+{
+    auto app = makeApp("pyramid", AppScale::Small);
+    PipelineConfig cfg = makeMegakernelConfig(app->pipeline());
+    Engine group(groupOf(2));
+    group.setFaultPlan(killDeviceAt(0, 20000.0));
+    group.setRecovery(RecoveryConfig{});
+    return group.runSharded(*app, cfg,
+                            ShardPlan::replicateAll(app->pipeline()));
+}
+
+/** The failover golden document. */
+std::string
+failoverGolden()
+{
+    std::ostringstream out;
+    out << "{\n  \"device\": \""
+        << DeviceConfig::byName("gtx1080").name << "\",\n"
+        << "  \"scenarios\": {\n";
+    appendScenario(out, "raster-rr2-kill-d1-24000",
+                   runRasterPinned(2, killDeviceAt(1, 24000.0), true),
+                   false);
+    appendScenario(out, "raster-rr2-kill-d1-23500",
+                   runRasterPinned(2, killDeviceAt(1, 23500.0), true),
+                   false);
+    appendScenario(
+        out, "raster-rr2-link-0-1-failed",
+        runRasterPinned(2, linkEventAt0(LinkFaultEvent::Kind::Fail, 1.0),
+                        true),
+        false);
+    appendScenario(
+        out, "raster-rr2-link-0-1-degraded",
+        runRasterPinned(
+            2, linkEventAt0(LinkFaultEvent::Kind::Degrade, 0.25), false),
+        false);
+    appendScenario(out, "pyramid-replicated-kill-d0-20000",
+                   runReplicatedKill(), false);
+    appendScenario(out, "raster-rr3-kill-d1-40000",
+                   runRasterPinned(3, killDeviceAt(1, 40000.0), true),
+                   false);
+    appendScenario(out, "raster-replicated-kill-d1-sm0-25000",
+                   runSmKill(), false);
+    appendScenario(
+        out, "raster-rr2-bounded4-kill-d1-24000",
+        runRasterPinned(2, killDeviceAt(1, 24000.0), true, 4), true);
+    out << "  }\n}\n";
+    return out.str();
+}
+
+} // namespace
+
+TEST(Failover, MatchesGolden)
+{
+    const std::string got = failoverGolden();
+    const std::string path = std::string(GOLDEN_DIR) + "/failover.json";
+
+    if (std::getenv("GOLDEN_REGEN")) {
+        std::ofstream out(path);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        out << got;
+        SUCCEED() << "regenerated " << path;
+        return;
+    }
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good())
+        << path << " is missing; run scripts/regen_golden.sh";
+    std::ostringstream want;
+    want << in.rdbuf();
+    EXPECT_EQ(got, want.str())
+        << "a failover scenario diverged from tests/golden/failover.json."
+        << " If the change is intentional, run scripts/regen_golden.sh "
+        << "and commit the diff.";
 }
