@@ -1,7 +1,10 @@
 /**
  * @file
- * Engine: builds a fresh simulated device per run and executes a
- * pipeline application under a given configuration.
+ * Engine: builds a fresh simulated device group per run and executes
+ * a pipeline application under a given configuration. Every entry
+ * point is one run set-up (runGroup): a GroupCoordinator over one
+ * runner per device (core/runtime.hh), driven by the Supervisor
+ * (core/supervisor.hh).
  */
 
 #ifndef VP_CORE_ENGINE_HH
@@ -241,10 +244,13 @@ class Engine
                           const TaskGraph& graph) const;
 
     /**
-     * The one run set-up behind every entry point. With @p shardPlan
-     * the run spans the engine's group; without one it runs on the
-     * one-device group of the first device under a replicate-all
-     * plan. At most one of @p capture and @p replay is set.
+     * The one run set-up behind every entry point: validate, build
+     * the simulator, devices, fault injector and observability, then
+     * the run's GroupCoordinator, and hand it to the Supervisor. With
+     * @p shardPlan the run spans the engine's group; without one it
+     * runs on the one-device group of the first device under a
+     * replicate-all plan. At most one of @p capture and @p replay is
+     * set.
      */
     std::optional<RunResult>
     runGroup(AppDriver& driver, const PipelineConfig& config,

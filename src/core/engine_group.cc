@@ -5,13 +5,10 @@
  * A plain run is the one-device group of the engine's first device
  * under a replicate-all plan.
  *
- * Each device gets its own runner over the shared simulator; the
- * group coordinator routes seed items to their devices, forwards
- * cross-device pushes through the interconnect, and answers the
- * remote-work queries behind block-exit decisions. One shared
- * PendingCounter covers queued, in-flight and in-transit work, so
- * group-wide termination detection needs no extra protocol: the run
- * drains exactly when the counter does.
+ * Engine::runGroup validates the run, builds the simulator, the
+ * device group, the fault injector and the observability bundle,
+ * and hands the rest to one GroupCoordinator (core/runtime.hh) and
+ * the Supervisor. The coordinator's members are defined here too.
  */
 
 #include "core/engine.hh"
@@ -23,7 +20,6 @@
 #include <vector>
 
 #include "core/supervisor.hh"
-#include "gpu/device_group.hh"
 
 namespace vp {
 
@@ -34,112 +30,417 @@ Engine::Engine(DeviceGroupConfig group)
     group_ = std::move(group);
 }
 
-/**
- * Friend of Seeder: builds the routed seeders of every Groups run.
- * Pinned stages seed straight to their home device; replicated
- * stages hash each item over the group (shardSeedDevice), which is
- * the only point where replicated work is distributed — intermediate
- * outputs stay on the producing device for locality.
- */
-class GroupCoordinator
+GroupCoordinator::GroupCoordinator(Simulator& sim, DeviceGroup& group,
+                                   Pipeline& pipe,
+                                   const PipelineConfig& cfg,
+                                   const ShardPlan& plan, bool sharded,
+                                   RunnerContext rc)
+    : sim_(sim), group_(group), icx_(group.interconnect()), pipe_(pipe),
+      cfg_(cfg), plan_(plan), sharded_(sharded), obs_(rc.obs),
+      tracer_(obs_ ? obs_->tracerPtr() : nullptr),
+      prov_(obs_ ? obs_->provenancePtr() : nullptr)
 {
-  public:
-    /**
-     * A seeder that routes each item by (stage, ordinal) and counts
-     * it on the group's @p pending counter. The ordinal rolls for as
-     * long as the seeder lives.
-     */
-    static Seeder
-    routedSeeder(Pipeline& pipe,
-                 std::vector<std::unique_ptr<RunnerBase>>& runners,
-                 const ShardPlan& plan, PendingCounter& pending,
-                 ProvenanceTracker* prov)
-    {
-        int n = static_cast<int>(runners.size());
-        Seeder seeder;
-        seeder.pipe_ = &pipe;
-        seeder.prov_ = prov;
-        seeder.pending_ = &pending;
-        seeder.route_ = [&runners, &plan,
-                         n](int stage, int ordinal) -> QueueBase& {
-            int home = plan.homeDevice(stage);
-            int dev = home >= 0 ? home
-                                : shardSeedDevice(stage, ordinal, n);
-            return runners[static_cast<std::size_t>(dev)]
-                ->deliveryQueue(stage,
-                                static_cast<std::uint64_t>(ordinal));
-        };
-        return seeder;
+    auto n = static_cast<std::size_t>(group.size());
+    auto stages = static_cast<std::size_t>(pipe.stageCount());
+    inTransit_.assign(stages, 0);
+    alive_.assign(n, 1);
+    homeOverride_.assign(stages, -1);
+    evacuated_.assign(n, 0);
+    rehomedIn_.assign(n, 0);
+    linkDeadLettered_.assign(stages, 0);
+
+    rc.group = this;
+    for (int i = 0; i < group.size(); ++i) {
+        rc.device = i;
+        runners_.push_back(makeRunner(sim, group.device(i), group.host(i),
+                                      pipe, cfg, rc));
     }
-};
-
-namespace {
-
-/** Fold runner @p ri's collected stats into @p merged. */
-void
-mergeRunnerResult(RunResult& merged, const RunResult& ri)
-{
-    for (std::size_t s = 0; s < merged.stages.size(); ++s)
-        merged.stages[s] += ri.stages[s];
-    merged.polls += ri.polls;
-    merged.retreats += ri.retreats;
-    merged.refills += ri.refills;
-    merged.faults += ri.faults;
-    merged.extra.merge(ri.extra);
 }
 
-/**
- * Coordinator-side failover bookkeeping of one sharded run. Armed
- * only when the fault plan scripts device or link events; when
- * disarmed every consulting site takes its pre-failover path, so
- * runs without such plans stay event-for-event identical.
- */
-struct FailoverState
+void
+GroupCoordinator::scheduleFaults(const FaultPlan& plan)
 {
-    bool armed = false;
-    /** Per device: still accepting work. */
-    std::vector<char> alive;
-    /** Per stage: re-homed device, or -1 for the plan's home. */
-    std::vector<int> homeOverride;
-    /** Per device: items drained off it when it died. */
-    std::vector<std::uint64_t> evacuated;
-    /** Per device: stages this survivor adopted. */
-    std::vector<int> rehomedIn;
-    /** Per stage: items dead-lettered at failed-link push sites. */
-    std::vector<std::uint64_t> linkDeadLettered;
-    int devicesFailed = 0;
-    int linksFailed = 0;
-    int linksDegraded = 0;
-    int stagesRehomed = 0;
-    std::uint64_t transfersRedelivered = 0;
+    for (const SmFaultEvent& e : plan.smEvents) {
+        Device& dev = group_.device(e.device);
+        faultEvents_.push_back(sim_.at(e.time, [&dev, e] {
+            if (dev.sm(e.sm).offline())
+                return;
+            if (e.kind == SmFaultEvent::Kind::Kill)
+                dev.failSm(e.sm);
+            else
+                dev.degradeSm(e.sm, e.factor);
+        }));
+    }
+    for (const DeviceFaultEvent& e : plan.deviceEvents)
+        faultEvents_.push_back(
+            sim_.at(e.time, [this, d = e.device] { killDevice(d); }));
+    for (const LinkFaultEvent& e : plan.linkEvents)
+        faultEvents_.push_back(
+            sim_.at(e.time, [this, e] { linkEvent(e); }));
+    if (!faultEvents_.empty())
+        pending_.notifyOnDrain([this] {
+            for (EventHandle h : faultEvents_)
+                sim_.cancel(h);
+        });
+}
 
-    int
-    curHome(int stage, const ShardPlan& plan) const
-    {
-        int o = homeOverride[static_cast<std::size_t>(stage)];
-        return o >= 0 ? o : plan.homeDevice(stage);
+void
+GroupCoordinator::registerProbes(Sampler& sampler)
+{
+    for (auto& r : runners_)
+        r->registerProbes(sampler);
+    if (sharded_)
+        sampler.addSeries("interconnect_in_flight", [this] {
+            return static_cast<double>(icx_.inFlight());
+        });
+}
+
+bool
+GroupCoordinator::armAdaptive(const AdaptiveConfig& ac)
+{
+    bool any = false;
+    for (auto& r : runners_)
+        any = r->armAdaptive(ac) || any;
+    return any;
+}
+
+void
+GroupCoordinator::start(AppDriver& driver)
+{
+    if (cfg_.top != PipelineConfig::Top::Kbk
+        && cfg_.top != PipelineConfig::Top::KbkStream) {
+        for (int f = 0; f < driver.flowCount(); ++f) {
+            Seeder s = seeder();
+            driver.seedFlow(s, f);
+        }
+    }
+    for (auto& r : runners_)
+        r->start(driver);
+}
+
+Seeder
+GroupCoordinator::seeder()
+{
+    Seeder s;
+    s.pipe_ = &pipe_;
+    s.prov_ = prov_;
+    s.pending_ = &pending_;
+    s.route_ = [this](int stage, int ordinal) -> QueueBase& {
+        int home = plan_.homeDevice(stage);
+        int dev = home >= 0 ? home
+                            : shardSeedDevice(stage, ordinal, size());
+        return runners_[static_cast<std::size_t>(dev)]->deliveryQueue(
+            stage, static_cast<std::uint64_t>(ordinal));
+    };
+    return s;
+}
+
+int
+GroupCoordinator::curHome(int stage) const
+{
+    int o = homeOverride_[static_cast<std::size_t>(stage)];
+    return o >= 0 ? o : plan_.homeDevice(stage);
+}
+
+int
+GroupCoordinator::liveTarget(int stage) const
+{
+    // Pinned homes are always live outside killDevice itself: death
+    // re-homes them at once.
+    int home = curHome(stage);
+    if (home >= 0)
+        return home;
+    for (std::size_t d = 0; d < alive_.size(); ++d)
+        if (alive_[d])
+            return static_cast<int>(d);
+    return 0;
+}
+
+void
+GroupCoordinator::forward(int from, int stage, int bytes,
+                          std::uint64_t provId,
+                          std::function<void(QueueBase&)> deliver)
+{
+    int home = curHome(stage);
+    VP_ASSERT(home >= 0, "remote forward of an unpinned stage");
+    if (!icx_.pathUsable(from, home)) {
+        // Both endpoints alive but the link between them failed: the
+        // item is lost in a structured way. Ledger it (conservation)
+        // and release its pending unit so the group can still drain.
+        ++linkDeadLettered_[static_cast<std::size_t>(stage)];
+        ++failover_.deadLettered;
+        pending_.sub(1);
+        if (prov_ && provId)
+            prov_->noteDeadLetter(provId, sim_.now());
+        if (tracer_)
+            tracer_->instant(TraceKind::DeadLetter, 0, sim_.now(), stage,
+                             1);
+        return;
+    }
+    if (prov_ && provId)
+        prov_->noteForward(provId, stage, from, home, sim_.now());
+    ++inTransit_[static_cast<std::size_t>(stage)];
+    icx_.transfer(from, home, static_cast<double>(bytes),
+                  [this, home, stage,
+                   deliver = std::move(deliver)]() mutable {
+                      arrive(home, stage, std::move(deliver));
+                  });
+}
+
+void
+GroupCoordinator::arrive(int home, int stage,
+                         std::function<void(QueueBase&)> deliver)
+{
+    --inTransit_[static_cast<std::size_t>(stage)];
+    if (!alive_[static_cast<std::size_t>(home)]) {
+        // The destination died while the payload was in flight:
+        // redeliver through the new home's recovery buffer. The
+        // pending unit stays charged, so termination waits for it.
+        int nh = liveTarget(stage);
+        ++failover_.transfersRedelivered;
+        if (tracer_)
+            tracer_->instant(TraceKind::TransferRedeliver, 0, sim_.now(),
+                             stage, nh);
+        runners_[static_cast<std::size_t>(nh)]->redeliverForeign(
+            stage, deliverySeq_++, std::move(deliver));
+        return;
+    }
+    deliver(runners_[static_cast<std::size_t>(home)]->deliveryQueue(
+        stage, deliverySeq_++));
+}
+
+bool
+GroupCoordinator::remoteFull(int from, int stage) const
+{
+    std::size_t cap = pipe_.stage(stage).queueCapacity;
+    if (cap == 0)
+        return false;
+    int home = curHome(stage);
+    if (home < 0 || !icx_.pathUsable(from, home))
+        return false;
+    std::size_t charged =
+        runners_[static_cast<std::size_t>(home)]->queuedFor(stage)
+        + static_cast<std::size_t>(
+            inTransit_[static_cast<std::size_t>(stage)]);
+    return charged >= cap;
+}
+
+bool
+GroupCoordinator::remoteWork(int from, StageMask relevant) const
+{
+    if (icx_.inFlight() > 0)
+        return true;
+    for (std::size_t j = 0; j < runners_.size(); ++j)
+        if (static_cast<int>(j) != from
+            && runners_[j]->localWork(relevant))
+            return true;
+    return false;
+}
+
+QueueBase*
+GroupCoordinator::redirect(int device, int stage)
+{
+    if (alive_[static_cast<std::size_t>(device)])
+        return nullptr;
+    int nh = liveTarget(stage);
+    return &runners_[static_cast<std::size_t>(nh)]->deliveryQueue(
+        stage, deliverySeq_++);
+}
+
+void
+GroupCoordinator::killDevice(int d)
+{
+    if (!alive_[static_cast<std::size_t>(d)])
+        return;
+    alive_[static_cast<std::size_t>(d)] = 0;
+    ++failover_.devicesFailed;
+    if (tracer_)
+        tracer_->instant(TraceKind::DeviceKill, 0, sim_.now(), d);
+    if (obs_)
+        obs_->metrics.counter("failover/device_kills").add();
+    // Order matters. (1) Sever the interconnect so no new transfers
+    // target the corpse. (2) Take every SM offline and evict resident
+    // blocks — aborted batches buffer on the dead runner's recovery
+    // manager, whose redirect now reroutes them. (3) Re-home pinned
+    // stages onto survivors BEFORE evacuating queues, so evacuated
+    // items land in queues that are already local at their new home.
+    icx_.failDevice(d);
+    group_.device(d).failDevice();
+
+    int n = size();
+    std::vector<std::int64_t> loads(static_cast<std::size_t>(n), 0);
+    for (int j = 0; j < n; ++j) {
+        if (!alive_[static_cast<std::size_t>(j)])
+            continue;
+        for (int s = 0; s < pipe_.stageCount(); ++s)
+            loads[static_cast<std::size_t>(j)] +=
+                static_cast<std::int64_t>(
+                    runners_[static_cast<std::size_t>(j)]->queuedFor(s));
+    }
+    // Placement is uniform per stage group, so re-homing moves whole
+    // groups; stages outside any group (non-Groups tops never shard,
+    // but stay defensive) move singly.
+    std::vector<std::vector<int>> units;
+    std::vector<char> inGroup(static_cast<std::size_t>(pipe_.stageCount()),
+                              0);
+    for (const StageGroup& grp : cfg_.groups) {
+        for (int s : grp.stages)
+            inGroup[static_cast<std::size_t>(s)] = 1;
+        units.push_back(grp.stages);
+    }
+    for (int s = 0; s < pipe_.stageCount(); ++s)
+        if (!inGroup[static_cast<std::size_t>(s)])
+            units.push_back({s});
+    std::vector<std::vector<int>> adopted(static_cast<std::size_t>(n));
+    for (const std::vector<int>& unit : units) {
+        if (unit.empty() || curHome(unit.front()) != d)
+            continue;
+        int nh = FailoverPolicy::rehome(unit.front(), loads, alive_);
+        for (int s : unit) {
+            homeOverride_[static_cast<std::size_t>(s)] = nh;
+            ++failover_.stagesRehomed;
+            ++rehomedIn_[static_cast<std::size_t>(nh)];
+            runners_[static_cast<std::size_t>(nh)]->takeOverStage(
+                s, pipe_.stage(s).queueCapacity);
+            adopted[static_cast<std::size_t>(nh)].push_back(s);
+            if (tracer_)
+                tracer_->instant(TraceKind::StageRehome, 0, sim_.now(), s,
+                                 nh);
+            if (obs_)
+                obs_->metrics.counter("failover/stage_rehomes").add();
+        }
     }
 
-    /**
-     * Live landing device for @p stage: the (possibly re-homed)
-     * pinned home, or for replicated stages the lowest-index
-     * survivor. Pinned homes are always live outside the kill
-     * handler itself — death immediately re-homes them.
-     */
-    int
-    liveTarget(int stage, const ShardPlan& plan) const
-    {
-        int home = curHome(stage, plan);
-        if (home >= 0)
-            return home;
-        for (std::size_t d = 0; d < alive.size(); ++d)
-            if (alive[d])
-                return static_cast<int>(d);
-        return 0;
+    // Capture the corpse's resident queue contents onto each stage's
+    // live target.
+    RunnerBase& dead = *runners_[static_cast<std::size_t>(d)];
+    for (int s = 0; s < pipe_.stageCount(); ++s) {
+        if (dead.queuedFor(s) == 0)
+            continue;
+        int t = liveTarget(s);
+        std::size_t moved = dead.evacuateStage(
+            s, runners_[static_cast<std::size_t>(t)]->deliveryQueue(
+                   s, deliverySeq_++));
+        evacuated_[static_cast<std::size_t>(d)] += moved;
+        failover_.itemsEvacuated += moved;
     }
-};
+    // Launch kernels for adopted stage groups last, so their first
+    // dispatch sees the evacuated work.
+    for (int j = 0; j < n; ++j)
+        if (!adopted[static_cast<std::size_t>(j)].empty())
+            runners_[static_cast<std::size_t>(j)]->adoptStages(
+                adopted[static_cast<std::size_t>(j)]);
+}
 
-} // namespace
+void
+GroupCoordinator::linkEvent(const LinkFaultEvent& e)
+{
+    if (e.kind == LinkFaultEvent::Kind::Fail) {
+        if (!icx_.pathUsable(e.src, e.dst))
+            return;
+        icx_.failLink(e.src, e.dst);
+        ++failover_.linksFailed;
+        if (tracer_)
+            tracer_->instant(TraceKind::LinkFail, 0, sim_.now(), e.src,
+                             e.dst);
+        if (obs_)
+            obs_->metrics.counter("failover/link_fails").add();
+    } else {
+        icx_.degradeLink(e.src, e.dst, e.factor);
+        ++failover_.linksDegraded;
+        if (tracer_)
+            tracer_->instant(TraceKind::LinkDegrade, 0, sim_.now(), e.src,
+                             e.dst);
+        if (obs_)
+            obs_->metrics.counter("failover/link_degrades").add();
+    }
+}
+
+std::uint64_t
+GroupCoordinator::progress() const
+{
+    std::uint64_t p = icx_.stats().delivered;
+    for (const auto& r : runners_)
+        p += r->drainProgress();
+    return p;
+}
+
+std::string
+GroupCoordinator::diagnose() const
+{
+    if (!sharded_)
+        return runners_[0]->diagnoseStall();
+    std::ostringstream os;
+    os << "interconnect: inFlight=" << icx_.inFlight() << "\n";
+    for (std::size_t i = 0; i < runners_.size(); ++i)
+        os << "device " << i << ":\n" << runners_[i]->diagnoseStall();
+    return os.str();
+}
+
+void
+GroupCoordinator::adaptEpoch()
+{
+    for (auto& r : runners_)
+        r->adaptEpoch();
+}
+
+void
+GroupCoordinator::serveWake()
+{
+    for (auto& r : runners_)
+        r->serveWake();
+}
+
+RunResult
+GroupCoordinator::collect()
+{
+    RunResult merged = runners_[0]->collect();
+    if (!sharded_)
+        return merged;
+    const DeviceGroupConfig& gcfg = group_.config();
+    double issue = 0.0;
+    for (int i = 0; i < size(); ++i) {
+        auto di = static_cast<std::size_t>(i);
+        RunResult ri = i == 0 ? merged : runners_[di]->collect();
+        if (i > 0) {
+            for (std::size_t s = 0; s < merged.stages.size(); ++s)
+                merged.stages[s] += ri.stages[s];
+            merged.polls += ri.polls;
+            merged.retreats += ri.retreats;
+            merged.refills += ri.refills;
+            merged.faults += ri.faults;
+            merged.extra.merge(ri.extra);
+        }
+        ShardDeviceStats sd;
+        sd.deviceName = gcfg.devices[di].name;
+        sd.device = ri.device;
+        sd.host = ri.host;
+        sd.smUtilization = ri.smUtilization;
+        sd.failed = !alive_[di];
+        sd.itemsEvacuated = evacuated_[di];
+        sd.stagesRehomedIn = rehomedIn_[di];
+        merged.shardDevices.push_back(std::move(sd));
+        for (int s = 0; s < group_.device(i).numSms(); ++s)
+            issue += group_.device(i).sm(s).stats().issueCycles;
+    }
+
+    merged.cycles = sim_.now();
+    merged.ms = gcfg.devices[0].cyclesToMs(merged.cycles);
+    merged.simEvents = sim_.eventsRun();
+    merged.dispatchedEvents = sim_.dispatched();
+    merged.deviceName = gcfg.describe();
+    merged.configName =
+        cfg_.describe(pipe_) + " shard=" + plan_.describe();
+    merged.interconnect = icx_.stats();
+    // Runners keep no failover counters: the group's are the run's.
+    merged.faults += failover_;
+    for (std::size_t s = 0; s < merged.stages.size(); ++s)
+        merged.stages[s].deadLettered += linkDeadLettered_[s];
+    if (merged.cycles > 0.0 && group_.totalSms() > 0)
+        merged.smUtilization =
+            issue / (merged.cycles * group_.totalSms());
+    return merged;
+}
 
 std::optional<RunResult>
 Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
@@ -197,7 +498,6 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
         }
     }
     Tracer* tracer = obs ? obs->tracerPtr() : nullptr;
-    ProvenanceTracker* prov = obs ? obs->provenancePtr() : nullptr;
     if (tracer) {
         icx.setTraceHook([tracer](int src, int dst, double bytes,
                                   Tick submit, Tick arrival) {
@@ -232,342 +532,20 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
         rc = *recovery_;
     }
 
-    // Group-wide termination: one counter spans queued items,
-    // in-flight batches and in-transit transfers on every device
-    // (producers commit outputs with add() before sub()bing their
-    // inputs, so the counter never dips to zero while work exists).
-    PendingCounter pending;
-    JoinCounters joins;
-
-    // Contexts must outlive the runners that point at them; the
-    // callback members are filled in after the runners exist.
-    std::vector<ShardContext> shardCtxs(static_cast<std::size_t>(n));
-    std::vector<std::unique_ptr<RunnerBase>> runners;
-    for (int i = 0; i < n; ++i) {
-        ShardContext& sc = shardCtxs[static_cast<std::size_t>(i)];
-        sc.deviceIndex = i;
-        sc.numDevices = n;
-        sc.smTrackBase = group.smTrackBase(i);
-        sc.plan = &plan;
-        sc.sharedPending = &pending;
-        sc.sharedJoins = &joins;
-
-        FaultContext fc;
-        fc.shard = &sc;
-        if (injector)
-            fc.injector = &*injector;
-        if (recovery_)
-            fc.recovery = &*recovery_;
-        if (obs)
-            fc.obs = obs.get();
-        fc.capture = capture;
-        fc.replay = replay;
-        runners.push_back(makeRunner(sim, group.device(i),
-                                     group.host(i), pipe, config,
-                                     fc));
-    }
-
-    // Cross-device forwarding: a push into a remote stub on device i
-    // rides the interconnect to the stage's home device and lands in
-    // that runner's delivery queue at arrival time. The rolling
-    // sequence spreads deliveries over queue sets deterministically.
-    //
-    // Bounded stages keep backpressure across devices via a credit
-    // scheme: per-stage counters charge every in-flight transfer
-    // against the home queue's capacity, and the remote stubs'
-    // full() consults them (remoteFull below). Without the in-flight
-    // term a burst of transfers could overshoot the bound arbitrarily
-    // between submission and delivery.
-    auto deliverySeq =
-        std::make_shared<std::uint64_t>(0);
-    auto inTransit = std::make_shared<std::vector<std::int64_t>>(
-        static_cast<std::size_t>(pipe.stageCount()), 0);
-
-    // Failover state: armed only for plans with device/link events.
-    // Every fo-consulting branch below is behind fo->armed, so runs
-    // without such plans take exactly the pre-failover event path.
-    auto fo = std::make_shared<FailoverState>();
-    bool failoverOn = plan_
-        && (plan_->anyDeviceFaults() || plan_->anyLinkFaults());
-    if (failoverOn) {
-        fo->armed = true;
-        fo->alive.assign(static_cast<std::size_t>(n), 1);
-        fo->homeOverride.assign(
-            static_cast<std::size_t>(pipe.stageCount()), -1);
-        fo->evacuated.assign(static_cast<std::size_t>(n), 0);
-        fo->rehomedIn.assign(static_cast<std::size_t>(n), 0);
-        fo->linkDeadLettered.assign(
-            static_cast<std::size_t>(pipe.stageCount()), 0);
-    }
-
-    // Only a group of two or more installs these: a one-device run
-    // has no peer, so its idle polls skip the remote-work check.
-    for (int i = 0; n > 1 && i < n; ++i) {
-        ShardContext& sc = shardCtxs[static_cast<std::size_t>(i)];
-        sc.forward = [&icx, &runners, &plan, &pending, &sim, i,
-                      deliverySeq, inTransit, fo, tracer,
-                      prov](int stage, int bytes, std::uint64_t provId,
-                            std::function<void(QueueBase&)>
-                                deliver) {
-            int home = fo->armed ? fo->curHome(stage, plan)
-                                 : plan.homeDevice(stage);
-            VP_ASSERT(home >= 0, "remote forward of an unpinned stage");
-            if (fo->armed && !icx.pathUsable(i, home)) {
-                // Both endpoints alive but the link between them
-                // failed: the item is lost in a structured way.
-                // Ledger it (conservation) and release its pending
-                // unit so the group can still drain.
-                ++fo->linkDeadLettered[
-                    static_cast<std::size_t>(stage)];
-                pending.sub(1);
-                if (prov && provId)
-                    prov->noteDeadLetter(provId, sim.now());
-                if (tracer)
-                    tracer->instant(TraceKind::DeadLetter, 0,
-                                    sim.now(), stage, 1);
-                return;
-            }
-            if (prov && provId)
-                prov->noteForward(provId, stage, i, home, sim.now());
-            ++(*inTransit)[static_cast<std::size_t>(stage)];
-            icx.transfer(
-                i, home, static_cast<double>(bytes),
-                [&runners, &plan, &sim, home, stage, deliverySeq,
-                 inTransit, fo, tracer,
-                 deliver = std::move(deliver)]() mutable {
-                    --(*inTransit)[static_cast<std::size_t>(stage)];
-                    if (fo->armed
-                        && !fo->alive[static_cast<std::size_t>(home)]) {
-                        // Destination died while the payload was in
-                        // flight: redeliver through the new home's
-                        // recovery buffer. The pending unit stays
-                        // charged, so termination waits for it.
-                        int nh = fo->liveTarget(stage, plan);
-                        ++fo->transfersRedelivered;
-                        if (tracer)
-                            tracer->instant(
-                                TraceKind::TransferRedeliver, 0,
-                                sim.now(), stage, nh);
-                        runners[static_cast<std::size_t>(nh)]
-                            ->redeliverForeign(stage,
-                                               (*deliverySeq)++,
-                                               std::move(deliver));
-                        return;
-                    }
-                    deliver(
-                        runners[static_cast<std::size_t>(home)]
-                            ->deliveryQueue(stage, (*deliverySeq)++));
-                });
-        };
-        sc.remoteFull = [&icx, &runners, &plan, &pipe, i, inTransit,
-                         fo](int stage) -> bool {
-            std::size_t cap = pipe.stage(stage).queueCapacity;
-            if (cap == 0)
-                return false;
-            int home = fo->armed ? fo->curHome(stage, plan)
-                                 : plan.homeDevice(stage);
-            if (home < 0)
-                return false;
-            // Pushes onto a failed path dead-letter immediately, so
-            // they must never backpressure-wait on home credit.
-            if (fo->armed && !icx.pathUsable(i, home))
-                return false;
-            std::size_t charged =
-                runners[static_cast<std::size_t>(home)]->queuedFor(
-                    stage)
-                + static_cast<std::size_t>(
-                    (*inTransit)[static_cast<std::size_t>(stage)]);
-            return charged >= cap;
-        };
-        sc.remoteWork = [&icx, &runners, i,
-                         n](StageMask relevant) -> bool {
-            if (icx.inFlight() > 0)
-                return true;
-            for (int j = 0; j < n; ++j)
-                if (j != i
-                    && runners[static_cast<std::size_t>(j)]->localWork(
-                        relevant))
-                    return true;
-            return false;
-        };
-    }
-
-    // In-flight redeliveries buffered on a dead device's runner are
-    // rerouted at fire time: once a device is marked dead, anything
-    // its recovery manager still holds lands on the stage's live
-    // target instead.
-    if (failoverOn) {
-        for (int i = 0; i < n; ++i) {
-            runners[static_cast<std::size_t>(i)]->setRecoveryRedirect(
-                [&runners, &plan, fo, deliverySeq,
-                 i](int stage) -> QueueBase* {
-                    if (fo->alive[static_cast<std::size_t>(i)])
-                        return nullptr;
-                    int nh = fo->liveTarget(stage, plan);
-                    return &runners[static_cast<std::size_t>(nh)]
-                                ->deliveryQueue(stage,
-                                                (*deliverySeq)++);
-                });
-        }
-    }
-
-    // Scripted SM/device/link faults, per target device; range
-    // checks already ran in validateTargets above. Outstanding
-    // events are cancelled when the group drains.
-    if (plan_
-        && (!plan_->smEvents.empty() || failoverOn)) {
-        auto handles = std::make_shared<std::vector<EventHandle>>();
-        for (const SmFaultEvent& e : plan_->smEvents) {
-            Device& dev = group.device(e.device);
-            handles->push_back(sim.at(e.time, [&dev, e] {
-                if (dev.sm(e.sm).offline())
-                    return;
-                if (e.kind == SmFaultEvent::Kind::Kill)
-                    dev.failSm(e.sm);
-                else
-                    dev.degradeSm(e.sm, e.factor);
-            }));
-        }
-        for (const DeviceFaultEvent& e : plan_->deviceEvents) {
-            handles->push_back(sim.at(e.time, [&, fo, deliverySeq] {
-                int d = e.device;
-                if (!fo->alive[static_cast<std::size_t>(d)])
-                    return;
-                fo->alive[static_cast<std::size_t>(d)] = 0;
-                ++fo->devicesFailed;
-                if (tracer)
-                    tracer->instant(TraceKind::DeviceKill, 0,
-                                    sim.now(), d);
-                if (obs)
-                    obs->metrics.counter("failover/device_kills")
-                        .add();
-                // Order matters. (1) Sever the interconnect so no
-                // new transfers target the corpse. (2) Take every SM
-                // offline and evict resident blocks — aborted
-                // batches buffer on the dead runner's recovery
-                // manager, whose redirect now reroutes them. (3)
-                // Re-home pinned stages onto survivors BEFORE
-                // evacuating queues, so evacuated items land in
-                // queues that are already local at their new home.
-                icx.failDevice(d);
-                group.device(d).failDevice();
-
-                std::vector<std::int64_t> loads(
-                    static_cast<std::size_t>(n), 0);
-                for (int j = 0; j < n; ++j) {
-                    if (!fo->alive[static_cast<std::size_t>(j)])
-                        continue;
-                    for (int s = 0; s < pipe.stageCount(); ++s)
-                        loads[static_cast<std::size_t>(j)] +=
-                            static_cast<std::int64_t>(
-                                runners[static_cast<std::size_t>(j)]
-                                    ->queuedFor(s));
-                }
-                std::vector<std::vector<int>> adopted(
-                    static_cast<std::size_t>(n));
-                auto rehomeUnit = [&](const std::vector<int>& stages) {
-                    if (stages.empty()
-                        || fo->curHome(stages.front(), plan) != d)
-                        return;
-                    int nh = FailoverPolicy::rehome(stages.front(),
-                                                    loads, fo->alive);
-                    for (int s : stages) {
-                        fo->homeOverride[
-                            static_cast<std::size_t>(s)] = nh;
-                        ++fo->stagesRehomed;
-                        ++fo->rehomedIn[static_cast<std::size_t>(nh)];
-                        runners[static_cast<std::size_t>(nh)]
-                            ->takeOverStage(
-                                s, pipe.stage(s).queueCapacity);
-                        adopted[static_cast<std::size_t>(nh)]
-                            .push_back(s);
-                        if (tracer)
-                            tracer->instant(TraceKind::StageRehome, 0,
-                                            sim.now(), s, nh);
-                        if (obs)
-                            obs->metrics
-                                .counter("failover/stage_rehomes")
-                                .add();
-                    }
-                };
-                // Placement is uniform per stage group, so re-homing
-                // moves whole groups; stages outside any group (non-
-                // Groups tops never shard, but stay defensive) move
-                // singly.
-                std::vector<char> inGroup(
-                    static_cast<std::size_t>(pipe.stageCount()), 0);
-                for (const StageGroup& grp : config.groups) {
-                    for (int s : grp.stages)
-                        inGroup[static_cast<std::size_t>(s)] = 1;
-                    rehomeUnit(grp.stages);
-                }
-                for (int s = 0; s < pipe.stageCount(); ++s)
-                    if (!inGroup[static_cast<std::size_t>(s)])
-                        rehomeUnit({s});
-
-                // Capture the corpse's resident queue contents onto
-                // each stage's live target.
-                for (int s = 0; s < pipe.stageCount(); ++s) {
-                    RunnerBase& dead =
-                        *runners[static_cast<std::size_t>(d)];
-                    if (dead.queuedFor(s) == 0)
-                        continue;
-                    int t = fo->liveTarget(s, plan);
-                    std::size_t moved = dead.evacuateStage(
-                        s,
-                        runners[static_cast<std::size_t>(t)]
-                            ->deliveryQueue(s, (*deliverySeq)++));
-                    fo->evacuated[static_cast<std::size_t>(d)] +=
-                        moved;
-                }
-                // Launch kernels for adopted stage groups last, so
-                // their first dispatch sees the evacuated work.
-                for (int j = 0; j < n; ++j)
-                    if (!adopted[static_cast<std::size_t>(j)].empty())
-                        runners[static_cast<std::size_t>(j)]
-                            ->adoptStages(
-                                adopted[static_cast<std::size_t>(j)]);
-            }));
-        }
-        for (const LinkFaultEvent& e : plan_->linkEvents) {
-            handles->push_back(sim.at(e.time, [&, fo, e] {
-                if (e.kind == LinkFaultEvent::Kind::Fail) {
-                    if (!icx.pathUsable(e.src, e.dst))
-                        return;
-                    icx.failLink(e.src, e.dst);
-                    ++fo->linksFailed;
-                    if (tracer)
-                        tracer->instant(TraceKind::LinkFail, 0,
-                                        sim.now(), e.src, e.dst);
-                    if (obs)
-                        obs->metrics.counter("failover/link_fails")
-                            .add();
-                } else {
-                    icx.degradeLink(e.src, e.dst, e.factor);
-                    ++fo->linksDegraded;
-                    if (tracer)
-                        tracer->instant(TraceKind::LinkDegrade, 0,
-                                        sim.now(), e.src, e.dst);
-                    if (obs)
-                        obs->metrics.counter("failover/link_degrades")
-                            .add();
-                }
-            }));
-        }
-        pending.notifyOnDrain([&sim, handles] {
-            for (EventHandle h : *handles)
-                sim.cancel(h);
-        });
-    }
-
-    if (obs && obs->sampler.enabled()) {
-        for (auto& r : runners)
-            r->registerProbes(obs->sampler);
-        if (shardPlan)
-            obs->sampler.addSeries("interconnect_in_flight", [&icx] {
-                return static_cast<double>(icx.inFlight());
-            });
-    }
+    RunnerContext rctx;
+    if (injector)
+        rctx.injector = &*injector;
+    if (recovery_)
+        rctx.recovery = &*recovery_;
+    rctx.obs = obs.get();
+    rctx.capture = capture;
+    rctx.replay = replay;
+    GroupCoordinator coord(sim, group, pipe, config, plan,
+                           shardPlan != nullptr, rctx);
+    if (plan_)
+        coord.scheduleFaults(*plan_);
+    if (obs && obs->sampler.enabled())
+        coord.registerProbes(obs->sampler);
 
     // Per-device controllers: each armed runner rebalances its own
     // locally homed fine group; epochs fire group-wide in device
@@ -575,22 +553,9 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
     bool adaptOn = false;
     if (adaptiveCfg_ && adaptiveCfg_->enabled) {
         adaptiveCfg_->validate();
-        for (auto& r : runners)
-            if (r->armAdaptive(*adaptiveCfg_))
-                adaptOn = true;
+        adaptOn = coord.armAdaptive(*adaptiveCfg_);
     }
-
-    // The coordinator seeds every Groups run, item by item. KBK and
-    // DP never shard: their host sequencing seeds its own flows.
-    if (config.top == PipelineConfig::Top::Groups) {
-        for (int f = 0; f < driver.flowCount(); ++f) {
-            Seeder seeder = GroupCoordinator::routedSeeder(
-                pipe, runners, plan, pending, prov);
-            driver.seedFlow(seeder, f);
-        }
-    }
-    for (auto& r : runners)
-        r->start(driver);
+    coord.start(driver);
 
     SupervisedRun sr;
     sr.driver = &driver;
@@ -601,104 +566,16 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
     sr.recovery = faulted ? &rc : nullptr;
     sr.obs = obs;
     sr.adaptive = adaptOn ? &*adaptiveCfg_ : nullptr;
-    sr.collect = [&] {
-        RunResult merged = runners[0]->collect();
-        if (!shardPlan)
-            return merged;
-        std::vector<RunResult> per;
-        per.push_back(merged);
-        for (int i = 1; i < n; ++i) {
-            per.push_back(runners[static_cast<std::size_t>(i)]
-                              ->collect());
-            mergeRunnerResult(merged, per.back());
-        }
+    sr.group = &coord;
 
-        merged.cycles = sim.now();
-        merged.ms = gcfg.devices[0].cyclesToMs(merged.cycles);
-        merged.simEvents = sim.eventsRun();
-        merged.dispatchedEvents = sim.dispatched();
-        merged.deviceName = gcfg.describe();
-        merged.configName = config.describe(pipe) + " shard="
-            + plan.describe();
-        merged.interconnect = icx.stats();
-
-        double issue = 0.0;
-        for (int i = 0; i < n; ++i) {
-            ShardDeviceStats sd;
-            sd.deviceName = gcfg.devices[static_cast<std::size_t>(i)]
-                                .name;
-            sd.device = per[static_cast<std::size_t>(i)].device;
-            sd.host = per[static_cast<std::size_t>(i)].host;
-            sd.smUtilization =
-                per[static_cast<std::size_t>(i)].smUtilization;
-            if (fo->armed) {
-                sd.failed = !fo->alive[static_cast<std::size_t>(i)];
-                sd.itemsEvacuated =
-                    fo->evacuated[static_cast<std::size_t>(i)];
-                sd.stagesRehomedIn =
-                    fo->rehomedIn[static_cast<std::size_t>(i)];
-            }
-            merged.shardDevices.push_back(std::move(sd));
-            for (int s = 0; s < group.device(i).numSms(); ++s)
-                issue += group.device(i).sm(s).stats().issueCycles;
-        }
-        if (fo->armed) {
-            merged.faults.devicesFailed = fo->devicesFailed;
-            merged.faults.linksFailed = fo->linksFailed;
-            merged.faults.linksDegraded = fo->linksDegraded;
-            merged.faults.stagesRehomed = fo->stagesRehomed;
-            merged.faults.transfersRedelivered =
-                fo->transfersRedelivered;
-            for (int i = 0; i < n; ++i)
-                merged.faults.itemsEvacuated +=
-                    fo->evacuated[static_cast<std::size_t>(i)];
-            for (int s = 0; s < pipe.stageCount(); ++s) {
-                std::uint64_t dl =
-                    fo->linkDeadLettered[static_cast<std::size_t>(s)];
-                merged.stages[static_cast<std::size_t>(s)]
-                    .deadLettered += dl;
-                merged.faults.deadLettered += dl;
-            }
-        }
-        if (merged.cycles > 0.0 && group.totalSms() > 0)
-            merged.smUtilization =
-                issue / (merged.cycles * group.totalSms());
-        return merged;
-    };
-
-    sr.pending = &pending;
-    sr.progress = [&runners, &icx] {
-        std::uint64_t p = icx.stats().delivered;
-        for (const auto& r : runners)
-            p += r->drainProgress();
-        return p;
-    };
-    sr.diagnose = [&runners, &icx, shardPlan] {
-        if (!shardPlan)
-            return runners[0]->diagnoseStall();
-        std::ostringstream os;
-        os << "interconnect: inFlight=" << icx.inFlight() << "\n";
-        for (std::size_t i = 0; i < runners.size(); ++i)
-            os << "device " << i << ":\n"
-               << runners[i]->diagnoseStall();
-        return os.str();
-    };
-    sr.adaptEpoch = [&runners] {
-        for (auto& r : runners)
-            r->adaptEpoch();
-    };
-
-    // Serving mode (core/serve_hook.hh): the session seeds admitted
-    // requests at epoch boundaries through one run-lifetime routed
-    // seeder — the same (stage, ordinal) placement as the initial
-    // seeding, with the ordinal rolling across epochs so serving
-    // placement is a pure function of the admission order.
-    Seeder serveSeeder;
+    // Serving mode (core/serve_hook.hh): the Supervisor seeds
+    // admitted requests at epoch boundaries through one run-lifetime
+    // seeder of the coordinator.
     if (serve_) {
         VP_CHECK(config.top == PipelineConfig::Top::Groups,
                  ErrorCode::Config,
                  "serving requires a Groups configuration");
-        VP_CHECK(obs && prov, ErrorCode::Config,
+        VP_CHECK(obs && obs->provenancePtr(), ErrorCode::Config,
                  "serving requires an armed provenance tracker "
                  "(ServingEngine arms it; request roots are "
                  "force-tracked regardless of the sampling stride)");
@@ -711,15 +588,8 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
                  "(their drain-cancellation trigger assumes the "
                  "one-shot drain)");
         // Requests may re-seed a flow, so its joins' keys repeat.
-        joins.dropLateArrivals();
-        serveSeeder = GroupCoordinator::routedSeeder(pipe, runners, plan,
-                                                     pending, prov);
+        coord.joins().dropLateArrivals();
         sr.serve = serve_;
-        sr.serveSeeder = &serveSeeder;
-        sr.serveWake = [&runners] {
-            for (auto& r : runners)
-                r->serveWake();
-        };
     }
     return supervisor.run(sr);
 }

@@ -118,7 +118,7 @@ struct Join
 
 /**
  * The arrival counts of one run's joins: fresh per run, and one set
- * for all devices of a sharded run (ShardContext::sharedJoins).
+ * for all devices of a run (GroupCoordinator::joins).
  */
 class JoinCounters
 {

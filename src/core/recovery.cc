@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/error.hh"
-#include "core/run_result.hh"
+#include "core/runtime.hh"
 
 namespace vp {
 
@@ -53,10 +53,12 @@ RecoveryConfig::validate() const
 
 void
 RecoveryManager::init(Simulator* sim, const RecoveryConfig* cfg,
-                      int stageCount)
+                      int stageCount, GroupCoordinator* group, int device)
 {
     sim_ = sim;
     cfg_ = cfg;
+    group_ = group;
+    device_ = device;
     buffered_.assign(static_cast<std::size_t>(stageCount), 0);
     redeliveries_ = 0;
 }
@@ -66,7 +68,8 @@ RecoveryManager::scheduleRedeliver(
     int stage, QueueBase* q, std::function<void(QueueBase&)> redeliver,
     int count, std::uint32_t tries)
 {
-    VP_ASSERT(sim_ && cfg_, "RecoveryManager used before init()");
+    VP_ASSERT(sim_ && cfg_ && group_,
+              "RecoveryManager used before init()");
     VP_ASSERT(count > 0 && redeliver, "empty redelivery batch");
     buffered_[static_cast<std::size_t>(stage)] += count;
     sim_->after(
@@ -77,7 +80,7 @@ RecoveryManager::scheduleRedeliver(
             if (tracer_)
                 tracer_->instant(TraceKind::Redeliver, 0,
                                  sim_->now(), stage, count);
-            QueueBase* target = redirect_ ? redirect_(stage) : nullptr;
+            QueueBase* target = group_->redirect(device_, stage);
             fn(target ? *target : *q);
             if (onRedelivered_)
                 onRedelivered_(stage);

@@ -26,6 +26,8 @@
 
 namespace vp {
 
+class GroupCoordinator;
+
 /** Retry/backoff/watchdog policy for one run. */
 struct RecoveryConfig
 {
@@ -155,9 +157,15 @@ struct FaultRecoveryStats
 class RecoveryManager
 {
   public:
-    /** Wire up; must be called before use. */
+    /**
+     * Wire up; must be called before use. @p group and @p device
+     * place the owning runner in its run's device group: each
+     * redelivery lands where GroupCoordinator::redirect says, so
+     * once the device has died, batches scheduled against its queues
+     * land on the stage's new home.
+     */
     void init(Simulator* sim, const RecoveryConfig* cfg,
-              int stageCount);
+              int stageCount, GroupCoordinator* group, int device);
 
     /**
      * Schedule @p redeliver(*q) after the backoff for @p tries;
@@ -195,27 +203,14 @@ class RecoveryManager
      *  redelivery landing records a Redeliver instant. */
     void setTracer(Tracer* t) { tracer_ = t; }
 
-    /**
-     * Install a redirect consulted when each redelivery fires: a
-     * non-null return replaces the queue the batch would land in.
-     * The group coordinator uses it after a device death so
-     * redeliveries scheduled against a dead device's queues land on
-     * the stage's new home instead — including batches that were
-     * already waiting out their backoff when the device died.
-     */
-    void
-    setRedirect(std::function<QueueBase*(int)> fn)
-    {
-        redirect_ = std::move(fn);
-    }
-
   private:
     Simulator* sim_ = nullptr;
     const RecoveryConfig* cfg_ = nullptr;
     std::vector<std::int64_t> buffered_;
     std::uint64_t redeliveries_ = 0;
     std::function<void(int)> onRedelivered_;
-    std::function<QueueBase*(int)> redirect_;
+    GroupCoordinator* group_ = nullptr;
+    int device_ = 0;
     Tracer* tracer_ = nullptr;
 };
 

@@ -18,15 +18,15 @@ namespace vp {
 
 DpRunner::DpRunner(Simulator& sim, Device& dev, Host& host,
                    Pipeline& pipe, const PipelineConfig& cfg,
-                   FaultContext fc)
-    : RunnerBase(sim, dev, host, pipe, cfg, fc)
+                   RunnerContext rc)
+    : RunnerBase(sim, dev, host, pipe, cfg, rc)
 {
     makeQueueSets(1);
     claimed_.assign(pipe.stageCount(), 0);
     // DP has no polling workers: redelivered items need a kernel
     // spawned for them explicitly.
     recovery_.setOnRedelivered([this](int s) {
-        int unclaimed = static_cast<int>(totalQueued(s)) - claimed_[s];
+        int unclaimed = static_cast<int>(queuedFor(s)) - claimed_[s];
         if (unclaimed > 0 && dev_.numOnlineSms() > 0)
             spawnKernel(s, unclaimed, false);
     });
@@ -40,7 +40,7 @@ DpRunner::onSmFailed(int sm)
         return;
     // Respawn for anything queued but orphaned by the failure.
     for (int t = 0; t < pipe_.stageCount(); ++t) {
-        int unclaimed = static_cast<int>(totalQueued(t)) - claimed_[t];
+        int unclaimed = static_cast<int>(queuedFor(t)) - claimed_[t];
         if (unclaimed > 0) {
             ++faultStats_.degradeRelaunches;
             spawnKernel(t, unclaimed, false);
@@ -51,11 +51,9 @@ DpRunner::onSmFailed(int sm)
 void
 DpRunner::start(AppDriver& driver)
 {
-    for (int f = 0; f < driver.flowCount(); ++f)
-        seedFlow(driver, queueSets_.front(), f);
     host_.memcpy(driver.inputBytes(), [this] {
         for (int s = 0; s < pipe_.stageCount(); ++s) {
-            int n = static_cast<int>(totalQueued(s));
+            int n = static_cast<int>(queuedFor(s));
             if (n > 0)
                 spawnKernel(s, n, false);
         }
@@ -95,7 +93,7 @@ DpRunner::spawnKernel(int s, int items, bool fromDevice)
                 int spawns = 0;
                 for (int t = 0; t < pipe_.stageCount(); ++t) {
                     int unclaimed =
-                        static_cast<int>(totalQueued(t)) - claimed_[t];
+                        static_cast<int>(queuedFor(t)) - claimed_[t];
                     if (unclaimed > 0) {
                         claimed_[t] += unclaimed;
                         to_spawn.emplace_back(t, unclaimed);
@@ -128,7 +126,7 @@ DpRunner::spawnKernel(int s, int items, bool fromDevice)
             claimed_[s] -= *remaining;
             *remaining = 0;
             int unclaimed =
-                static_cast<int>(totalQueued(s)) - claimed_[s];
+                static_cast<int>(queuedFor(s)) - claimed_[s];
             if (unclaimed > 0 && dev_.numOnlineSms() > 0)
                 spawnKernel(s, unclaimed, false);
         });

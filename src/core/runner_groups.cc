@@ -17,8 +17,8 @@ namespace vp {
 
 GroupsRunner::GroupsRunner(Simulator& sim, Device& dev, Host& host,
                            Pipeline& pipe, const PipelineConfig& cfg,
-                           FaultContext fc)
-    : RunnerBase(sim, dev, host, pipe, cfg, fc)
+                           RunnerContext rc)
+    : RunnerBase(sim, dev, host, pipe, cfg, rc)
 {
     // Distributed queues give each SM its own set; blocks work on
     // their home set and steal from the others when it runs dry
@@ -108,8 +108,8 @@ GroupsRunner::buildSpecs()
         // Placement is uniform within a group (ShardPlan::validate),
         // so the first stage decides for all of them.
         if (!grp.stages.empty()
-            && shard_->plan->pinnedElsewhere(grp.stages.front(),
-                                             shard_->deviceIndex))
+            && group_->plan().pinnedElsewhere(grp.stages.front(),
+                                              device_))
             continue;
         buildGroupSpecs(g);
     }
@@ -429,8 +429,8 @@ GroupsRunner::maybeRefill()
     int best = -1;
     std::size_t depth = 0;
     for (int s = 0; s < pipe_.stageCount(); ++s) {
-        if (totalQueued(s) > depth) {
-            depth = totalQueued(s);
+        if (queuedFor(s) > depth) {
+            depth = queuedFor(s);
             best = s;
         }
     }

@@ -24,8 +24,8 @@ namespace vp {
 
 KbkRunner::KbkRunner(Simulator& sim, Device& dev, Host& host,
                      Pipeline& pipe, const PipelineConfig& cfg,
-                     FaultContext fc)
-    : RunnerBase(sim, dev, host, pipe, cfg, fc)
+                     RunnerContext rc)
+    : RunnerBase(sim, dev, host, pipe, cfg, rc)
 {
 }
 
@@ -102,8 +102,22 @@ KbkRunner::startNextFlows()
         tracer_->begin(TraceKind::FlowSpan,
                        static_cast<std::int16_t>(flow.id),
                        sim_.now(), flow.id);
-    seedFlow(*driver_, queueSets_[flow.id], flow.id);
+    seedFlow(flow.id);
     flowPass(flow);
+}
+
+void
+KbkRunner::seedFlow(int flow)
+{
+    QueueSet& qs = queueSets_[static_cast<std::size_t>(flow)];
+    Seeder seeder;
+    seeder.pipe_ = &pipe_;
+    seeder.route_ = [&qs](int stage, int) -> QueueBase& {
+        return *qs[static_cast<std::size_t>(stage)];
+    };
+    seeder.pending_ = pendingPtr_;
+    seeder.prov_ = prov_;
+    driver_->seedFlow(seeder, flow);
 }
 
 void

@@ -13,26 +13,25 @@ namespace vp {
 
 RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
                        Pipeline& pipe, const PipelineConfig& cfg,
-                       FaultContext fc)
-    : sim_(sim), dev_(dev), host_(host), pipe_(pipe), cfg_(cfg)
+                       RunnerContext rc)
+    : sim_(sim), dev_(dev), host_(host), pipe_(pipe), cfg_(cfg),
+      group_(rc.group), device_(rc.device)
 {
-    injector_ = fc.injector;
-    if (fc.recovery)
-        recoveryCfg_ = *fc.recovery;
-    recovery_.init(&sim_, &recoveryCfg_, pipe_.stageCount());
-
     // Group wiring must precede makeQueueSets: remote-stub
     // installation depends on the plan, and seeding/commits go
     // through the shared counter.
-    shard_ = fc.shard;
-    VP_ASSERT(shard_ && shard_->plan && shard_->sharedPending
-                  && shard_->sharedJoins,
-              "a runner needs its run's device-group context");
-    trackBase_ = shard_->smTrackBase;
-    pendingPtr_ = shard_->sharedPending;
-    joinsPtr_ = shard_->sharedJoins;
+    VP_ASSERT(group_, "a runner needs its run's device group");
+    trackBase_ = group_->smTrackBase(device_);
+    pendingPtr_ = &group_->pending();
+    joinsPtr_ = &group_->joins();
 
-    obs_ = fc.obs;
+    injector_ = rc.injector;
+    if (rc.recovery)
+        recoveryCfg_ = *rc.recovery;
+    recovery_.init(&sim_, &recoveryCfg_, pipe_.stageCount(), group_,
+                   device_);
+
+    obs_ = rc.obs;
     if (obs_) {
         tracer_ = obs_->tracerPtr();
         recovery_.setTracer(tracer_);
@@ -54,8 +53,8 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
         // Device kills evict blocks exactly like SM kills.
         evictable_ = !plan.smEvents.empty() || !plan.deviceEvents.empty();
     }
-    graphCapture_ = fc.capture;
-    graphReplay_ = fc.replay;
+    graphCapture_ = rc.capture;
+    graphReplay_ = rc.replay;
     dev_.setBlockAbortHook(
         [this](BlockContext& ctx) { blockAborted(ctx); });
     dev_.setSmFailedHook([this](int sm) { onSmFailed(sm); });
@@ -78,7 +77,7 @@ RunnerBase::makeQueueSets(int n)
     for (QueueSet& qs : queueSets_) {
         for (int s = 0; s < pipe_.stageCount(); ++s) {
             StageBase& st = pipe_.stage(s);
-            if (shard_->plan->pinnedElsewhere(s, shard_->deviceIndex)) {
+            if (group_->plan().pinnedElsewhere(s, device_)) {
                 // Stage homed on another device: pushes divert across
                 // the interconnect. Bounded stages keep backpressure via
                 // the coordinator's credit probe — full() consults the
@@ -87,12 +86,12 @@ RunnerBase::makeQueueSets(int n)
                 RemoteFullProbe probe;
                 if (st.queueCapacity > 0)
                     probe = [this, s] {
-                        return shard_->remoteFull && shard_->remoteFull(s);
+                        return group_->remoteFull(device_, s);
                     };
                 qs.push_back(st.makeRemoteStub(
                     [this, s](int bytes, std::uint64_t provId,
                               std::function<void(QueueBase&)> deliver) {
-                        shard_->forward(s, bytes, provId,
+                        group_->forward(device_, s, bytes, provId,
                                         std::move(deliver));
                     },
                     std::move(probe)));
@@ -106,32 +105,14 @@ RunnerBase::makeQueueSets(int n)
             if (graphReplay_)
                 qs.back()->enableTags();
             if (prov_)
-                qs.back()->setProvenance(prov_, &sim_, s,
-                                         shard_->deviceIndex);
-            if (tracer_) {
-                std::string qname = st.name;
-                if (shard_->numDevices > 1)
-                    qname = "d" + std::to_string(shard_->deviceIndex)
-                        + "/" + qname;
+                qs.back()->setProvenance(prov_, &sim_, s, device_);
+            if (tracer_)
                 qs.back()->setTrace(tracer_,
                                     static_cast<std::int16_t>(s),
-                                    tracer_->intern(qname));
-            }
+                                    tracer_->intern(deviceTag()
+                                                    + st.name));
         }
     }
-}
-
-void
-RunnerBase::seedFlow(AppDriver& driver, QueueSet& qs, int flow)
-{
-    Seeder seeder;
-    seeder.pipe_ = &pipe_;
-    seeder.route_ = [&qs](int stage, int) -> QueueBase& {
-        return *qs[static_cast<std::size_t>(stage)];
-    };
-    seeder.pending_ = pendingPtr_;
-    seeder.prov_ = prov_;
-    driver.seedFlow(seeder, flow);
 }
 
 QueueBase&
@@ -173,7 +154,7 @@ RunnerBase::futureWork(StageMask watch) const
         return true;
     // In a group: a remote device running an ancestor stage — or an
     // item in flight on the interconnect — may still feed us.
-    return shard_->remoteWork && shard_->remoteWork(watch);
+    return group_->remoteWork(device_, watch);
 }
 
 std::uint64_t
@@ -187,7 +168,7 @@ RunnerBase::drainProgress() const
 }
 
 std::size_t
-RunnerBase::totalQueued(int s) const
+RunnerBase::queuedFor(int s) const
 {
     std::size_t total = 0;
     for (const QueueSet& qs : queueSets_)
@@ -219,18 +200,6 @@ RunnerBase::redeliverForeign(int stage, std::uint64_t hint,
 {
     recovery_.scheduleRedeliver(stage, &deliveryQueue(stage, hint),
                                 std::move(deliver), 1, 1);
-}
-
-void
-RunnerBase::setRecoveryRedirect(std::function<QueueBase*(int)> fn)
-{
-    recovery_.setRedirect(std::move(fn));
-}
-
-void
-RunnerBase::adoptStages(const std::vector<int>& stages)
-{
-    (void)stages;
 }
 
 int
@@ -598,17 +567,28 @@ RunnerBase::blockAborted(BlockContext& ctx)
     onBlockAborted(ctx);
 }
 
+std::string
+RunnerBase::deviceTag() const
+{
+    if (group_->size() == 1)
+        return {};
+    // Built by appending: GCC 12 at -O3 takes "d" + to_string() for
+    // an overlapping copy (a -Wrestrict false positive).
+    std::string tag(1, 'd');
+    tag += std::to_string(device_);
+    tag += '/';
+    return tag;
+}
+
 void
 RunnerBase::registerProbes(Sampler& sampler)
 {
     // Per-device series prefix so group runs keep the devices apart.
-    std::string pre;
-    if (shard_->numDevices > 1)
-        pre = "d" + std::to_string(shard_->deviceIndex) + "/";
+    std::string pre = deviceTag();
     for (int s = 0; s < pipe_.stageCount(); ++s)
         sampler.addSeries(
             pre + "queue_depth/" + pipe_.stage(s).name, [this, s] {
-                return static_cast<double>(totalQueued(s));
+                return static_cast<double>(queuedFor(s));
             });
     sampler.addSeries(pre + "resident_blocks", [this] {
         return static_cast<double>(dev_.residentBlocks());
@@ -620,7 +600,7 @@ RunnerBase::registerProbes(Sampler& sampler)
     sampler.addSeries(pre + "occupancy", [this, slots] {
         return slots > 0.0 ? dev_.residentBlocks() / slots : 0.0;
     });
-    if (shard_->deviceIndex == 0) {
+    if (device_ == 0) {
         // pending_work is group-wide; register it once.
         sampler.addSeries("pending_work", [this] {
             return static_cast<double>(pendingPtr_->value());
@@ -639,7 +619,7 @@ RunnerBase::diagnoseStall() const
        << pendingPtr_->value() << "\n";
     for (int s = 0; s < pipe_.stageCount(); ++s) {
         os << "  stage `" << pipe_.stage(s).name
-           << "`: queued=" << totalQueued(s);
+           << "`: queued=" << queuedFor(s);
         if (std::size_t cap = queueSets_.front()[s]->capacity())
             os << "/cap" << cap;
         os << " inFlight=" << inFlight_[s]
@@ -713,19 +693,19 @@ RunnerBase::collect()
 
 std::unique_ptr<RunnerBase>
 makeRunner(Simulator& sim, Device& dev, Host& host, Pipeline& pipe,
-           const PipelineConfig& cfg, FaultContext fc)
+           const PipelineConfig& cfg, RunnerContext rc)
 {
     switch (cfg.top) {
       case PipelineConfig::Top::Groups:
         return std::make_unique<GroupsRunner>(sim, dev, host, pipe,
-                                              cfg, fc);
+                                              cfg, rc);
       case PipelineConfig::Top::Kbk:
       case PipelineConfig::Top::KbkStream:
         return std::make_unique<KbkRunner>(sim, dev, host, pipe, cfg,
-                                           fc);
+                                           rc);
       case PipelineConfig::Top::DynamicParallelism:
         return std::make_unique<DpRunner>(sim, dev, host, pipe, cfg,
-                                          fc);
+                                          rc);
     }
     VP_PANIC("unknown runner top");
 }

@@ -9,6 +9,10 @@
  *  - KbkRunner: host-sequenced kernel-by-kernel, optionally with
  *    per-flow streams (Fig. 3b / Fig. 13).
  *  - DpRunner: CUDA dynamic-parallelism comparison (sec 8.4).
+ *
+ * A GroupCoordinator is one run's device group: it owns a runner per
+ * device and everything they share, routes items between them, runs
+ * failover, and is what the Supervisor drives.
  */
 
 #ifndef VP_CORE_RUNTIME_HH
@@ -29,86 +33,42 @@
 #include "core/shard.hh"
 #include "core/stage.hh"
 #include "gpu/block.hh"
+#include "gpu/device_group.hh"
 #include "gpu/host.hh"
 #include "obs/obs.hh"
 #include "queueing/pending_counter.hh"
 
 namespace vp {
 
-class RunnerBase;
 class FaultInjector;
+class GroupCoordinator;
+struct FaultPlan;
+struct LinkFaultEvent;
 
 /**
- * Wiring of one runner into its run's device group: its position in
- * the group, the shared termination and join counters, and callbacks
- * into the group coordinator for remote-work queries and cross-device
- * item forwarding. Every run has a group (a plain run is the
- * one-device group of the engine's first device), and every runner
- * one context. The callbacks are set only in groups of two or more
- * devices.
+ * The run wiring handed to a runner: its place in the run's device
+ * group and the run's fault, recovery, observability and task-graph
+ * settings, all owned by the run. `group` is required; every other
+ * pointer may be null (the default). With no injector, no batch
+ * takes a fault branch; with no recovery policy, the defaults apply.
  */
-struct ShardContext
+struct RunnerContext
 {
+    /** The run's device group (required). */
+    GroupCoordinator* group = nullptr;
     /** This runner's device index within the group. */
-    int deviceIndex = 0;
-    /** Devices in the group. */
-    int numDevices = 1;
-    /** First global trace track of this device's SMs. */
-    int smTrackBase = 0;
-    /** Stage placement over the group; owned by the caller. */
-    const ShardPlan* plan = nullptr;
-    /** Group-wide outstanding-work counter; owned by the caller. */
-    PendingCounter* sharedPending = nullptr;
-    /** Group-wide join counters; owned by the caller. */
-    JoinCounters* sharedJoins = nullptr;
-    /**
-     * True when another device (or an in-flight transfer) may still
-     * generate work for any stage in the mask. Consulted by block
-     * exit decisions so a device does not retire its blocks while a
-     * remote producer is still running.
-     */
-    std::function<bool(StageMask)> remoteWork;
-    /**
-     * Forward one item of a pinned stage toward its home device:
-     * (stage, payload bytes, provenance id, deliver closure). The
-     * coordinator pays the interconnect cost and delivers at arrival
-     * time; the id (0 when untracked) lets it record the transfer on
-     * the item's provenance lineage.
-     */
-    std::function<void(int, int, std::uint64_t,
-                       std::function<void(QueueBase&)>)>
-        forward;
-    /**
-     * Credit probe for bounded stages pinned remotely: true when the
-     * stage's home queue is out of credit (home depth + in-flight
-     * transfers >= home capacity), so producers on this device must
-     * backpressure exactly like the home device's own producers.
-     */
-    std::function<bool(int)> remoteFull;
-};
-
-/**
- * The run wiring handed to a runner. Every pointer but `shard` may be
- * null (the default). With no injector, no batch takes a fault
- * branch; with no recovery policy, the defaults apply.
- */
-struct FaultContext
-{
-    /** Fault decision oracle; owned by the caller (Engine). */
+    int device = 0;
+    /** Fault decision oracle. */
     FaultInjector* injector = nullptr;
-    /** Retry/backoff policy; owned by the caller. */
+    /** Retry/backoff policy. */
     const RecoveryConfig* recovery = nullptr;
-    /** Observability bundle (tracer/metrics/histograms); owned by
-     *  the caller. Null records nothing. */
+    /** Observability bundle (tracer/metrics/histograms); null
+     *  records nothing. */
     ObsData* obs = nullptr;
-    /** The runner's place in the run's device group (required);
-     *  owned by the caller. */
-    const ShardContext* shard = nullptr;
-    /** Task graph the run records into as its payload executes;
-     *  owned by the caller (core/task_graph.hh). */
+    /** Task graph the run records into as its payload executes
+     *  (core/task_graph.hh). */
     TaskGraph* capture = nullptr;
-    /** Sealed task graph the run replays instead of the payload;
-     *  owned by the caller. */
+    /** Sealed task graph the run replays instead of the payload. */
     const TaskGraph* replay = nullptr;
 };
 
@@ -150,8 +110,8 @@ class Seeder
     }
 
   private:
-    friend class RunnerBase;
     friend class GroupCoordinator;
+    friend class KbkRunner;
     Pipeline* pipe_ = nullptr;
     /** The run's outstanding-work counter; counts every seed. */
     PendingCounter* pending_ = nullptr;
@@ -216,13 +176,14 @@ class RunnerBase
 {
   public:
     RunnerBase(Simulator& sim, Device& dev, Host& host, Pipeline& pipe,
-               const PipelineConfig& cfg, FaultContext fc);
+               const PipelineConfig& cfg, RunnerContext rc);
 
     virtual ~RunnerBase() = default;
 
     /**
-     * Launch the configured execution. The engine has seeded a
-     * Groups run already; KBK and DP runners seed their own flows.
+     * Launch the configured execution. The group coordinator has
+     * seeded Groups and DP runs already; KBK runners seed their own
+     * flows, one at a time.
      */
     virtual void start(AppDriver& driver) = 0;
 
@@ -274,7 +235,7 @@ class RunnerBase
     void registerProbes(Sampler& sampler);
 
     /** Items currently queued for stage @p s (all queue sets). */
-    std::size_t queuedFor(int s) const { return totalQueued(s); }
+    std::size_t queuedFor(int s) const;
 
     /** @name Device-failure failover (group coordinator hooks) @{ */
 
@@ -304,19 +265,11 @@ class RunnerBase
                           std::function<void(QueueBase&)> deliver);
 
     /**
-     * Install the redirect consulted when this runner's buffered
-     * redeliveries fire; see RecoveryManager::setRedirect. The
-     * coordinator returns the current live queue for a stage once
-     * this device is dead, null while it is alive.
-     */
-    void setRecoveryRedirect(std::function<QueueBase*(int)> fn);
-
-    /**
      * Launch kernels for stages this device adopted from a dead
      * peer. Default no-op: only GroupsRunner (the only sharded
      * runner) builds and launches the adopted groups' specs.
      */
-    virtual void adoptStages(const std::vector<int>& stages);
+    virtual void adoptStages(const std::vector<int>&) {}
 
     /** @} */
 
@@ -347,9 +300,6 @@ class RunnerBase
   protected:
     /** Build the runner's @p n queue sets; called once, n >= 1. */
     void makeQueueSets(int n);
-
-    /** Seed one flow of @p driver into @p qs (KBK and DP). */
-    void seedFlow(AppDriver& driver, QueueSet& qs, int flow);
 
     /**
      * The stages whose work can reach any of @p stages: each one and
@@ -430,12 +380,13 @@ class RunnerBase
     /** The queue sets, alike (see the class comment); every loop
      *  over them runs from set 0. */
     std::vector<QueueSet> queueSets_;
+    /** The run's device group and this runner's index in it. */
+    GroupCoordinator* group_;
+    int device_;
     /** The run's outstanding-work counter, shared by the group. */
     PendingCounter* pendingPtr_ = nullptr;
     /** The run's join arrivals (core/join.hh), shared likewise. */
     JoinCounters* joinsPtr_ = nullptr;
-    /** The runner's place in the run's device group. */
-    const ShardContext* shard_ = nullptr;
     /** Global trace-track offset of this device's SMs/stages. */
     int trackBase_ = 0;
     std::vector<std::int64_t> inFlight_;
@@ -457,9 +408,6 @@ class RunnerBase
 
     /** @} */
 
-    /** Items queued for stage @p s across all queue sets. */
-    std::size_t totalQueued(int s) const;
-
     /** @name Fault injection / recovery @{ */
 
     /** Decision oracle; null when no fault plan is configured. */
@@ -476,7 +424,7 @@ class RunnerBase
     bool evictable_ = false;
 
     /** Task-graph capture / replay of the batch path (see
-     *  FaultContext); null runs the payload only. */
+     *  RunnerContext); null runs the payload only. */
     TaskGraph* graphCapture_ = nullptr;
     const TaskGraph* graphReplay_ = nullptr;
 
@@ -525,6 +473,10 @@ class RunnerBase
     /** @} */
 
   private:
+    /** "d<i>/" in a group of two or more devices, else empty: the
+     *  prefix of this device's queue trace names and sampler series. */
+    std::string deviceTag() const;
+
     /** A batch that has executed and waits to commit its outputs. */
     struct BatchCommit
     {
@@ -572,7 +524,7 @@ class GroupsRunner : public RunnerBase, private PollSink
   public:
     GroupsRunner(Simulator& sim, Device& dev, Host& host,
                  Pipeline& pipe, const PipelineConfig& cfg,
-                 FaultContext fc);
+                 RunnerContext rc);
 
     ~GroupsRunner() override;
 
@@ -694,7 +646,7 @@ class KbkRunner : public RunnerBase
 {
   public:
     KbkRunner(Simulator& sim, Device& dev, Host& host, Pipeline& pipe,
-              const PipelineConfig& cfg, FaultContext fc);
+              const PipelineConfig& cfg, RunnerContext rc);
 
     ~KbkRunner() override;
 
@@ -726,6 +678,8 @@ class KbkRunner : public RunnerBase
     };
 
     void buildUnits();
+    /** Seed flow @p flow of the driver into its own queue set. */
+    void seedFlow(int flow);
     void startNextFlows();
     void flowPass(Flow& flow);
     void flowStage(Flow& flow, int unitIdx);
@@ -751,7 +705,7 @@ class DpRunner : public RunnerBase
 {
   public:
     DpRunner(Simulator& sim, Device& dev, Host& host, Pipeline& pipe,
-             const PipelineConfig& cfg, FaultContext fc);
+             const PipelineConfig& cfg, RunnerContext rc);
 
     void start(AppDriver& driver) override;
 
@@ -766,12 +720,160 @@ class DpRunner : public RunnerBase
     std::vector<int> claimed_;
 };
 
-/** Instantiate the runner for a configuration; @p fc.shard places
- *  it in its run's device group. */
+/**
+ * One run's device group, built once per run by Engine::runGroup (a
+ * plain run is the one-device group of the engine's first device
+ * under a replicate-all plan). It owns a runner per device and all
+ * they share: one PendingCounter over queued, in-flight and
+ * in-transit work on every device (producers add() outputs before
+ * they sub() inputs, so the run drains exactly when it does), the
+ * join counters, per-stage in-transit credit, the delivery sequence,
+ * the failover state and the scheduled fault events.
+ *
+ * Failover has no separate path: with no device or link event every
+ * device stays alive, no home moves and every path is usable, so
+ * each member computes what the failure-free run needs. The
+ * Supervisor drives the run through progress, diagnose, adaptEpoch,
+ * serveWake and collect.
+ */
+class GroupCoordinator
+{
+  public:
+    /**
+     * One runner per device of @p group, wired by @p rc (its group
+     * and device are set here). @p sharded: the run came through
+     * runSharded, so collect() merges the devices' statistics.
+     */
+    GroupCoordinator(Simulator& sim, DeviceGroup& group, Pipeline& pipe,
+                     const PipelineConfig& cfg, const ShardPlan& plan,
+                     bool sharded, RunnerContext rc);
+
+    GroupCoordinator(const GroupCoordinator&) = delete;
+    GroupCoordinator& operator=(const GroupCoordinator&) = delete;
+
+    /** @name Set-up @{ */
+
+    /** Schedule @p plan's SM, device and link events; those still
+     *  outstanding are cancelled when the group drains. */
+    void scheduleFaults(const FaultPlan& plan);
+    /** Register the runners' probes, and sharded the interconnect's
+     *  in-flight count, on @p sampler. */
+    void registerProbes(Sampler& sampler);
+    /** Arm @p ac on every runner; true when any of them adapts. */
+    bool armAdaptive(const AdaptiveConfig& ac);
+    /** Seed every flow of @p driver through seeder() (except under
+     *  KBK, whose host sequencing seeds flow by flow), then start
+     *  the runners. */
+    void start(AppDriver& driver);
+    /**
+     * A seeder routing each item by (stage, ordinal): a pinned stage
+     * to its home device, a replicated one hashed over the group
+     * (shardSeedDevice) — the only point where replicated work is
+     * distributed. The ordinal rolls for as long as the seeder lives.
+     */
+    Seeder seeder();
+
+    /** @} */
+
+    /** @name Shared with the runners @{ */
+
+    int size() const { return group_.size(); }
+    int smTrackBase(int device) const { return group_.smTrackBase(device); }
+    const ShardPlan& plan() const { return plan_; }
+    PendingCounter& pending() { return pending_; }
+    JoinCounters& joins() { return joins_; }
+
+    /**
+     * Forward one item of @p stage from device @p from to the
+     * stage's home over the interconnect (@p bytes); @p deliver
+     * lands it in a home delivery queue at arrival. @p provId (0 =
+     * untracked) records the hop. Over a failed path it dead-letters.
+     */
+    void forward(int from, int stage, int bytes, std::uint64_t provId,
+                 std::function<void(QueueBase&)> deliver);
+    /** Credit probe of a bounded stage homed away from @p from: home
+     *  depth plus in-flight transfers reach its capacity. A failed
+     *  path never waits (its pushes dead-letter). */
+    bool remoteFull(int from, int stage) const;
+    /** True when another device holds work for a stage of
+     *  @p relevant or a transfer is in flight: @p from's blocks
+     *  then stay for a remote producer. */
+    bool remoteWork(int from, StageMask relevant) const;
+    /** Where a redelivery buffered on device @p device lands: null
+     *  (its own queue) while the device lives, else the live target
+     *  of @p stage. */
+    QueueBase* redirect(int device, int stage);
+
+    /** @} */
+
+    /** @name Supervisor hooks @{ */
+
+    /** Drain-progress heartbeat: the runners' queue traffic and dead
+     *  letters plus interconnect deliveries. */
+    std::uint64_t progress() const;
+    /** Where work is stuck, for stall and timeout diagnostics. */
+    std::string diagnose() const;
+    void adaptEpoch();
+    void serveWake();
+    /** The run's statistics, failover counters included. */
+    RunResult collect();
+
+    /** @} */
+
+  private:
+    /** Home of @p stage (re-homed, else the plan's); -1 replicated. */
+    int curHome(int stage) const;
+    /** Landing device of @p stage: its home, or replicated the
+     *  lowest-index survivor. */
+    int liveTarget(int stage) const;
+    /** A forwarded item reaches @p home. */
+    void arrive(int home, int stage,
+                std::function<void(QueueBase&)> deliver);
+    /** Device @p d dies: sever, evict, re-home, evacuate, adopt. */
+    void killDevice(int d);
+    /** A scripted link fails or degrades. */
+    void linkEvent(const LinkFaultEvent& e);
+
+    Simulator& sim_;
+    DeviceGroup& group_;
+    Interconnect& icx_;
+    Pipeline& pipe_;
+    const PipelineConfig& cfg_;
+    const ShardPlan& plan_;
+    bool sharded_;
+    ObsData* obs_;
+    Tracer* tracer_;
+    ProvenanceTracker* prov_;
+
+    PendingCounter pending_;
+    JoinCounters joins_;
+    /** Per stage: transfers in flight to its home (the credit). */
+    std::vector<std::int64_t> inTransit_;
+    /** Rolls over deliveries to spread them across queue sets. */
+    std::uint64_t deliverySeq_ = 0;
+
+    /** Failover: per device alive, items evacuated off it and
+     *  stages it adopted; per stage the re-homed device (-1 = the
+     *  plan's) and items dead-lettered at failed links; the group's
+     *  failover counters; the scheduled fault events. */
+    std::vector<char> alive_;
+    std::vector<std::uint64_t> evacuated_;
+    std::vector<int> rehomedIn_;
+    std::vector<int> homeOverride_;
+    std::vector<std::uint64_t> linkDeadLettered_;
+    FaultRecoveryStats failover_;
+    std::vector<EventHandle> faultEvents_;
+
+    /** Declared last: destroyed before the state they point at. */
+    std::vector<std::unique_ptr<RunnerBase>> runners_;
+};
+
+/** Instantiate the runner for a configuration; @p rc places it in
+ *  its run's device group. */
 std::unique_ptr<RunnerBase> makeRunner(Simulator& sim, Device& dev,
                                        Host& host, Pipeline& pipe,
                                        const PipelineConfig& cfg,
-                                       FaultContext fc);
+                                       RunnerContext rc);
 
 } // namespace vp
 

@@ -32,22 +32,26 @@ Supervisor::run(const SupervisedRun& r)
     ObsData* obs = r.obs.get();
     Tracer* tracer = obs ? obs->tracerPtr() : nullptr;
     const RecoveryConfig* rc = r.recovery;
+    GroupCoordinator& group = *r.group;
 
     // Serving mode (core/serve_hook.hh): the session ingests requests
-    // at epoch boundaries through the engine's run-lifetime seeder.
-    bool serveOn = r.serve != nullptr;
+    // at epoch boundaries through one run-lifetime seeder, whose
+    // ordinal rolls across epochs so placement is a pure function of
+    // the admission order.
+    Seeder serveSeeder;
     Tick serveEpoch = 0.0;
     bool serveActive = false;
-    if (serveOn) {
+    if (r.serve) {
         serveEpoch = r.serve->epochCycles();
         VP_CHECK(serveEpoch > 0.0, ErrorCode::Config,
                  "serve session must use a positive epoch period");
+        serveSeeder = group.seeder();
         ServeBinding sb;
         sb.sim = &sim_;
-        sb.seeder = r.serveSeeder;
+        sb.seeder = &serveSeeder;
         sb.obs = obs;
-        sb.wake = r.serveWake;
-        sb.queueTraffic = r.progress;
+        sb.wake = [g = r.group] { g->serveWake(); };
+        sb.queueTraffic = [g = r.group] { return g->progress(); };
         r.serve->begin(sb);
         serveActive = true;
     }
@@ -57,103 +61,96 @@ Supervisor::run(const SupervisedRun& r)
     bool samplerOn = obs && obs->sampler.enabled();
     bool adaptOn = r.adaptive != nullptr;
 
+    // Slice the run at every scheduled boundary and sample the
+    // coordinator's drain-progress heartbeat / metric probes between
+    // slices. This costs no simulation events, so a healthy run's
+    // event trace — and cycle count — is identical to an unsupervised
+    // one.
     bool drained;
     std::optional<RunOutcome> failure;
     std::string reason;
-    if (!watchdogOn && !timeoutOn && !samplerOn && !adaptOn
-        && !serveOn) {
-        drained = sim_.runUntil(r.cycleLimit, r.eventLimit);
-    } else {
-        // Slice the run at every scheduled boundary and sample the
-        // engine's drain-progress heartbeat / metric probes between
-        // slices. This costs no simulation events, so a healthy
-        // run's event trace — and cycle count — is identical to an
-        // unsupervised one.
-        std::uint64_t lastProgress = r.progress();
-        std::uint64_t lastEvents = sim_.eventsRun();
-        int stalledChecks = 0;
-        constexpr Tick kInf = std::numeric_limits<Tick>::infinity();
-        Tick checkpoint = watchdogOn ? rc->watchdogIntervalCycles : kInf;
-        Tick sampNext = samplerOn ? obs->sampler.interval() : kInf;
-        Tick adaptNext = adaptOn ? r.adaptive->epochCycles : kInf;
-        Tick serveNext = serveActive ? serveEpoch : kInf;
-        // One serve epoch at @p serveNext. runUntil already delivered
-        // every event at or before the boundary, so the clock hop is
-        // zero-event (and legal on a drained heap).
-        auto serveTick = [&] {
-            if (sim_.now() < serveNext)
-                sim_.advanceTo(serveNext);
-            serveActive = r.serve->epoch(serveNext);
-            serveNext = serveActive ? serveNext + serveEpoch : kInf;
-        };
-        for (;;) {
-            Tick target = std::min({checkpoint, sampNext, adaptNext,
-                                    serveNext, r.cycleLimit});
-            if (timeoutOn)
-                target = std::min(target, rc->drainTimeoutCycles);
-            std::uint64_t budget = r.eventLimit > sim_.eventsRun()
-                ? r.eventLimit - sim_.eventsRun()
-                : 0;
-            drained = sim_.runUntil(target, budget);
-            if (drained) {
-                if (serveActive) {
-                    // The pipeline idled dry between bursts: let the
-                    // session refill it at the next boundary.
-                    serveTick();
-                    continue;
-                }
-                break;
-            }
-            if (sim_.eventsRun() >= r.eventLimit
-                || target >= r.cycleLimit)
-                break;
-            if (samplerOn && target >= sampNext) {
-                obs->sampler.sampleAt(sampNext);
-                sampNext += obs->sampler.interval();
-            }
-            if (adaptOn && target >= adaptNext) {
-                r.adaptEpoch();
-                adaptNext += r.adaptive->epochCycles;
-            }
-            if (serveActive && target >= serveNext)
+    std::uint64_t lastProgress = watchdogOn ? group.progress() : 0;
+    std::uint64_t lastEvents = sim_.eventsRun();
+    int stalledChecks = 0;
+    constexpr Tick kInf = std::numeric_limits<Tick>::infinity();
+    Tick checkpoint = watchdogOn ? rc->watchdogIntervalCycles : kInf;
+    Tick sampNext = samplerOn ? obs->sampler.interval() : kInf;
+    Tick adaptNext = adaptOn ? r.adaptive->epochCycles : kInf;
+    Tick serveNext = serveActive ? serveEpoch : kInf;
+    // One serve epoch at @p serveNext. runUntil already delivered
+    // every event at or before the boundary, so the clock hop is
+    // zero-event (and legal on a drained heap).
+    auto serveTick = [&] {
+        if (sim_.now() < serveNext)
+            sim_.advanceTo(serveNext);
+        serveActive = r.serve->epoch(serveNext);
+        serveNext = serveActive ? serveNext + serveEpoch : kInf;
+    };
+    for (;;) {
+        Tick target = std::min({checkpoint, sampNext, adaptNext,
+                                serveNext, r.cycleLimit});
+        if (timeoutOn)
+            target = std::min(target, rc->drainTimeoutCycles);
+        std::uint64_t budget = r.eventLimit > sim_.eventsRun()
+            ? r.eventLimit - sim_.eventsRun()
+            : 0;
+        drained = sim_.runUntil(target, budget);
+        if (drained) {
+            if (serveActive) {
+                // The pipeline idled dry between bursts: let the
+                // session refill it at the next boundary.
                 serveTick();
-            if (timeoutOn && target >= rc->drainTimeoutCycles) {
-                failure = RunOutcome::DrainTimeout;
-                reason = "global drain timeout ("
-                    + std::to_string(rc->drainTimeoutCycles)
-                    + " cycles) elapsed\n" + r.diagnose();
+                continue;
+            }
+            break;
+        }
+        if (sim_.eventsRun() >= r.eventLimit || target >= r.cycleLimit)
+            break;
+        if (samplerOn && target >= sampNext) {
+            obs->sampler.sampleAt(sampNext);
+            sampNext += obs->sampler.interval();
+        }
+        if (adaptOn && target >= adaptNext) {
+            group.adaptEpoch();
+            adaptNext += r.adaptive->epochCycles;
+        }
+        if (serveActive && target >= serveNext)
+            serveTick();
+        if (timeoutOn && target >= rc->drainTimeoutCycles) {
+            failure = RunOutcome::DrainTimeout;
+            reason = "global drain timeout ("
+                + std::to_string(rc->drainTimeoutCycles)
+                + " cycles) elapsed\n" + group.diagnose();
+            break;
+        }
+        if (!watchdogOn || target < checkpoint)
+            continue;
+        std::uint64_t progress = group.progress();
+        std::uint64_t events = sim_.eventsRun();
+        if (tracer) {
+            tracer->instant(TraceKind::WatchdogCheck, 0, sim_.now(),
+                            stalledChecks);
+        }
+        if (progress != lastProgress) {
+            stalledChecks = 0;
+        } else if (events != lastEvents && group.pending().value() > 0) {
+            // Events are being dispatched but the queues are silent:
+            // the pipeline is spinning (polls, commit retries)
+            // without moving work. A window with NO events is not
+            // counted — the simulator is merely jumping time toward
+            // a scheduled future event (memcpy completion, retry
+            // backoff), which is legitimate waiting, not a stall.
+            if (++stalledChecks >= rc->watchdogStallChecks) {
+                failure = RunOutcome::Stalled;
+                reason = "watchdog: no drain progress for "
+                    + std::to_string(stalledChecks) + " checks\n"
+                    + group.diagnose();
                 break;
             }
-            if (!watchdogOn || target < checkpoint)
-                continue;
-            std::uint64_t progress = r.progress();
-            std::uint64_t events = sim_.eventsRun();
-            if (tracer) {
-                tracer->instant(TraceKind::WatchdogCheck, 0,
-                                sim_.now(), stalledChecks);
-            }
-            if (progress != lastProgress) {
-                stalledChecks = 0;
-            } else if (events != lastEvents && r.pending->value() > 0) {
-                // Events are being dispatched but the queues are
-                // silent: the pipeline is spinning (polls, commit
-                // retries) without moving work. A window with NO
-                // events is not counted — the simulator is merely
-                // jumping time toward a scheduled future event
-                // (memcpy completion, retry backoff), which is
-                // legitimate waiting, not a stall.
-                if (++stalledChecks >= rc->watchdogStallChecks) {
-                    failure = RunOutcome::Stalled;
-                    reason = "watchdog: no drain progress for "
-                        + std::to_string(stalledChecks)
-                        + " checks\n" + r.diagnose();
-                    break;
-                }
-            }
-            lastProgress = progress;
-            lastEvents = events;
-            checkpoint += rc->watchdogIntervalCycles;
         }
+        lastProgress = progress;
+        lastEvents = events;
+        checkpoint += rc->watchdogIntervalCycles;
     }
 
     // Close out the run's trace and attach the observability data to
@@ -175,7 +172,7 @@ Supervisor::run(const SupervisedRun& r)
     // recorder: append it to the diagnostic so post-mortems need no
     // separate export step.
     auto failed = [&](RunOutcome outcome, std::string why) {
-        RunResult result = r.collect();
+        RunResult result = group.collect();
         result.completed = false;
         result.outcome = outcome;
         if (tracer && obs->config.diagnosticTailEvents > 0) {
@@ -204,7 +201,7 @@ Supervisor::run(const SupervisedRun& r)
                  << " cycles for `" << describe() << "`");
         return std::nullopt;
     }
-    if (r.pending->value() != 0) {
+    if (group.pending().value() != 0) {
         // With faults in play, leftover work is a diagnosable stall
         // (e.g., every SM died), not a programming error.
         VP_REQUIRE(rc != nullptr,
@@ -212,12 +209,12 @@ Supervisor::run(const SupervisedRun& r)
                    << describe() << "`)");
         RunResult result = failed(
             RunOutcome::Stalled,
-            "drained events but work is left\n" + r.diagnose());
+            "drained events but work is left\n" + group.diagnose());
         finish(result);
         return result;
     }
 
-    RunResult result = r.collect();
+    RunResult result = group.collect();
     // A serving run has no one-shot verify(): the pipeline was
     // re-seeded continuously, so per-request conservation — checked
     // by the session — replaces the app's whole-workload check. A

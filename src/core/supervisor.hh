@@ -6,26 +6,27 @@
  * checkpoints, drain timeout, sampler ticks, adaptive epochs, serve
  * epochs, the cycle limit and the event budget), the outcome
  * classification and the observability finish. The engine's run
- * set-up builds the device group and its runners and hands over the
- * rest (SupervisedRun).
+ * set-up builds the run's GroupCoordinator (core/runtime.hh) and
+ * hands over the rest (SupervisedRun); the loop calls the
+ * coordinator's progress, diagnose, adaptEpoch, serveWake and
+ * collect directly.
  *
  * Supervision happens only at slice boundaries: the loop cuts
  * Simulator::runUntil at the next scheduled boundary and samples the
- * engine's hooks in between. That costs no simulation events, so a
+ * coordinator in between. That costs no simulation events, so a
  * supervised run's event trace and cycle count match an unsupervised
- * one. A run with nothing armed is a single runUntil call — the
- * timeout-execute primitive of the auto-tuner (Fig. 10).
+ * one. With nothing armed the only boundary is the cycle limit, so
+ * the loop makes one runUntil call — the timeout-execute primitive
+ * of the auto-tuner (Fig. 10).
  */
 
 #ifndef VP_CORE_SUPERVISOR_HH
 #define VP_CORE_SUPERVISOR_HH
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "core/adaptive.hh"
 #include "core/recovery.hh"
@@ -63,29 +64,17 @@ struct SupervisedRun
     std::shared_ptr<ObsData> obs;
     /** Epoch period of the armed adaptive controller(s). */
     const AdaptiveConfig* adaptive = nullptr;
-    /** Serving session and the seeder its epochs inject through. */
+    /** Serving session; its epochs seed through one coordinator
+     *  seeder that lives for the whole run. */
     ServeSession* serve = nullptr;
-    Seeder* serveSeeder = nullptr;
 
     /** @} */
 
-    /** @name Engine hooks @{ */
-
-    /** Outstanding work, the group's one counter. */
-    const PendingCounter* pending = nullptr;
-    /** Monotonic drain-progress heartbeat (also the serve session's
-     *  queue-traffic counter). */
-    std::function<std::uint64_t()> progress;
-    /** Where work is stuck, for stall and timeout diagnostics. */
-    std::function<std::string()> diagnose;
-    /** One adaptive epoch over the runner(s). */
-    std::function<void()> adaptEpoch;
-    /** Relaunch retired kernels after serve-epoch seeding. */
-    std::function<void()> serveWake;
-    /** Gather the run's statistics, failover counters included. */
-    std::function<RunResult()> collect;
-
-    /** @} */
+    /** The run's device group (required): its pending counter, drain
+     *  heartbeat (also the serve session's queue-traffic counter),
+     *  stall diagnosis, adaptive epochs, serve wake-up and
+     *  statistics. */
+    GroupCoordinator* group = nullptr;
 };
 
 /** Drives a SupervisedRun to its classified outcome. */
