@@ -7,7 +7,7 @@
  * (Degraded), and bit-identical rerun determinism of every failover
  * scenario.
  *
- * Failover.MatchesGolden pins eight failover scenarios byte for byte
+ * Failover.MatchesGolden pins nine failover scenarios byte for byte
  * against tests/golden/failover.json: outcome, clock, event and poll
  * counts, per-stage items and dead letters, every failover counter,
  * interconnect traffic, per-device failover state and redeliveries.
@@ -486,15 +486,15 @@ runSmKill()
                             ShardPlan::replicateAll(app->pipeline()));
 }
 
-/** Pyramid megakernel replicated over two GTX 1080s, device 0
- *  killed at 20000 cycles. */
+/** @p name's megakernel replicated over two GTX 1080s, @p device
+ *  killed at @p time. */
 RunResult
-runReplicatedKill()
+runReplicatedKill(const char* name, int device, Tick time)
 {
-    auto app = makeApp("pyramid", AppScale::Small);
+    auto app = makeApp(name, AppScale::Small);
     PipelineConfig cfg = makeMegakernelConfig(app->pipeline());
     Engine group(groupOf(2));
-    group.setFaultPlan(killDeviceAt(0, 20000.0));
+    group.setFaultPlan(killDeviceAt(device, time));
     group.setRecovery(RecoveryConfig{});
     return group.runSharded(*app, cfg,
                             ShardPlan::replicateAll(app->pipeline()));
@@ -525,12 +525,16 @@ failoverGolden()
             2, linkEventAt0(LinkFaultEvent::Kind::Degrade, 0.25), false),
         false);
     appendScenario(out, "pyramid-replicated-kill-d0-20000",
-                   runReplicatedKill(), false);
+                   runReplicatedKill("pyramid", 0, 20000.0), false);
     appendScenario(out, "raster-rr3-kill-d1-40000",
                    runRasterPinned(3, killDeviceAt(1, 40000.0), true),
                    false);
     appendScenario(out, "raster-replicated-kill-d1-sm0-25000",
                    runSmKill(), false);
+    // The kill evicts retryable batches on device 1, whose recovery
+    // manager redirects their redeliveries to device 0.
+    appendScenario(out, "raster-replicated-kill-d1-25000",
+                   runReplicatedKill("raster", 1, 25000.0), false);
     appendScenario(
         out, "raster-rr2-bounded4-kill-d1-24000",
         runRasterPinned(2, killDeviceAt(1, 24000.0), true, 4), true);
