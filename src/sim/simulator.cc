@@ -258,22 +258,34 @@ Simulator::park(PollChain chain, Tick backoff, Tick cap, PollSink* sink,
     return h;
 }
 
+std::uint64_t
+Simulator::drawnBefore(Chain& c)
+{
+    std::uint64_t end = logBase_ + log_.size();
+    while (c.logIdx < end && entryBefore(log_[c.logIdx - logBase_], c))
+        ++c.logIdx;
+    VP_ASSERT(c.logIdx > logBase_, "poll chain lost its log position");
+    return log_[c.logIdx - 1 - logBase_].drawn;
+}
+
+void
+Simulator::notePoll(Tick when)
+{
+    if (!polled_ || when > lastPoll_)
+        lastPoll_ = when;
+    polled_ = true;
+}
+
 void
 Simulator::step(Chain& c)
 {
     // The next poll drew its number when this one fired: right after
     // the r real numbers drawn before it, so it takes 2r + 1.
-    std::uint64_t end = logBase_ + log_.size();
-    while (c.logIdx < end && entryBefore(log_[c.logIdx - logBase_], c))
-        ++c.logIdx;
-    VP_ASSERT(c.logIdx > logBase_, "poll chain lost its log position");
-    std::uint64_t r = log_[c.logIdx - 1 - logBase_].drawn;
+    std::uint64_t r = drawnBefore(c);
     ++c.polls;
     c.idle += c.backoff;
     ++eventsRun_;
-    if (!polled_ || c.when > lastPoll_)
-        lastPoll_ = c.when;
-    polled_ = true;
+    notePoll(c.when);
     // Repeated addition, as now + delay computes each poll today.
     c.when += c.backoff;
     c.backoff = std::min(c.backoff * 1.5, c.cap);
@@ -285,9 +297,43 @@ Simulator::settle(Chain& c, const LogEntry& pos)
 {
     std::uint64_t n = 0;
     while (!entryBefore(pos, c)) {
+        if (c.backoff == c.cap) {
+            // At the cap, every poll before both the next log entry
+            // and pos follows the same entry, so each takes 2r + 1.
+            // Count them in one run of the additions step() makes.
+            // A poll that ties either time needs the key order: it
+            // goes through step().
+            std::uint64_t r = drawnBefore(c);
+            std::size_t next = c.logIdx - logBase_;
+            Tick end = next < log_.size()
+                ? std::min(pos.when, log_[next].when)
+                : pos.when;
+            if (c.when < end) {
+                const Tick cap = c.cap;
+                Tick when = c.when;
+                Tick idle = c.idle;
+                Tick last;
+                std::uint64_t k = 0;
+                do {
+                    last = when;
+                    idle += cap;
+                    when += cap;
+                    ++k;
+                } while (when < end);
+                c.when = when;
+                c.idle = idle;
+                c.polls += k;
+                c.key = 2 * r + 1;
+                eventsRun_ += k;
+                notePoll(last);
+                n += k;
+                continue;
+            }
+        }
         step(c);
         ++n;
     }
+    report(c);
     return n;
 }
 
@@ -301,7 +347,6 @@ Simulator::settleAll(const LogEntry& pos)
         if (c.state != ChainState::Parked)
             continue;
         n += settle(c, pos);
-        report(c);
         lo = std::min(lo, c.when);
     }
     floor_ = lo;
@@ -315,7 +360,6 @@ Simulator::wake(PollChain chain)
     if (!c || c->state != ChainState::Parked)
         return;
     settle(*c, log_.back());
-    report(*c);
     std::uint32_t idx = allocSlot();
     slab_[idx].fn = std::move(c->onWake);
     slab_[idx].chain = chain.idx;
@@ -362,7 +406,6 @@ Simulator::cancel(PollChain chain)
     }
     if (c->state != ChainState::Awake)
         unlinkLive(*c);
-    report(*c);
     freeChain(chain.idx);
 }
 
@@ -445,7 +488,6 @@ Simulator::dispatch()
         c.state = ChainState::Awake;
         c.slot = kNone;
         unlinkLive(c);
-        report(c);
     }
     // With no chain parked, nothing reads the log behind the current
     // position.
@@ -533,6 +575,9 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
     polled_ = false;
     runHooks();
     bool drained = false;
+    // The slice ended at its time limit with every parked chain
+    // counted there.
+    bool settled = false;
     for (;;) {
         if (heap_.empty() && parked_ == 0) {
             drained = true;
@@ -546,9 +591,15 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
         // bulk; otherwise they are fired now, in order, so the limit
         // falls exactly where it would with every poll dispatched.
         if (parked_ > 0 && (!due || pollBound(heap_[0].when) >= budget)) {
-            settleAll(log_.back());
-            used = eventsRun_ - start;
-            budget = used < eventLimit ? eventLimit - used : 0;
+            // The polls before the current position fired already.
+            // They count first when the budget may end among the
+            // polls due by the limit; else the bulk path counts them
+            // with the rest, in one settle per chain.
+            if (pollBound(timeLimit) >= budget) {
+                settleAll(log_.back());
+                used = eventsRun_ - start;
+                budget = used < eventLimit ? eventLimit - used : 0;
+            }
             LogEntry target{timeLimit, kAfterTick, 0, 0.0, 0};
             if (due) {
                 const HeapEntry& top = heap_[0];
@@ -569,8 +620,10 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
                 break;
             }
             if (!due) {
-                if (timeLimit >= log_.back().when)
+                if (timeLimit >= log_.back().when) {
                     mark(target);
+                    settled = true;
+                }
                 break;
             }
         }
@@ -581,7 +634,8 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
     }
     // Count the polls that fired before the position the run stopped
     // at; the last event fired, elided or not, sets the clock.
-    settleAll(log_.back());
+    if (!settled)
+        settleAll(log_.back());
     if (polled_)
         now_ = dispatchedAny ? std::max(now_, lastPoll_) : lastPoll_;
     return drained;
@@ -600,9 +654,12 @@ Simulator::advanceTo(Tick t)
     if (!(t > now_))
         return;
     Tick next = heap_.empty() ? kInf : heap_[0].when;
-    for (std::uint32_t idx : live_)
-        if (chains_[idx].state == ChainState::Parked)
-            next = std::min(next, chains_[idx].when);
+    // floor_ bounds every parked cursor from below: the chains need a
+    // look only when it could lie before t.
+    if (parked_ > 0 && floor_ < t)
+        for (std::uint32_t idx : live_)
+            if (chains_[idx].state == ChainState::Parked)
+                next = std::min(next, chains_[idx].when);
     VP_ASSERT(next + 1e-9 >= t,
               "advanceTo(" << t << ") would skip an event at " << next);
     now_ = t;

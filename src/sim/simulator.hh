@@ -540,10 +540,18 @@ class Simulator
     void unlinkLive(Chain& c);
     void report(Chain& c);
 
+    /** Move @p c's log index past the entries before its cursor
+     *  poll. @return the real numbers drawn before that poll. */
+    std::uint64_t drawnBefore(Chain& c);
+
+    /** Note an elided poll at @p when for the clock. */
+    void notePoll(Tick when);
+
     /** Count @p c's cursor poll as fired and move to the next one. */
     void step(Chain& c);
 
-    /** Count @p c's polls that precede @p pos. @return how many. */
+    /** Count @p c's polls that precede @p pos and report them.
+     *  @return how many. */
     std::uint64_t settle(Chain& c, const LogEntry& pos);
 
     /** settle() every parked chain; refreshes floor_. */
@@ -555,8 +563,10 @@ class Simulator
     /**
      * Fire the parked polls that precede @p target, in stream order,
      * at most @p budget of them. Every parked cursor must follow the
-     * current position. @return false when the budget ran out first;
-     * @p stop then holds the position after the last one fired.
+     * current position, unless the budget covers every poll due by
+     * @p target: the bulk path then may start from cursors behind
+     * it. @return false when the budget ran out first; @p stop then
+     * holds the position after the last one fired.
      */
     bool fireBefore(const LogEntry& target, std::uint64_t budget,
                     std::uint64_t& fired, LogEntry& stop);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <functional>
 #include <cstdint>
 #include <deque>
@@ -491,6 +492,9 @@ struct Block
     bool alive = true;
     /** Waiting for its next poll. */
     bool parked = false;
+    /** Where it last parked, and its first poll's backoff since. */
+    Tick parkedAt = 0.0;
+    Tick backoff = 0.0;
     std::uint64_t takes = 0;
     std::uint64_t polls = 0;
     PollChain chain;
@@ -541,8 +545,11 @@ struct ChainPolls : PollSink
     Simulator& sim;
     std::deque<Block>& blocks;
     PollWaiters waiters[kSets];
-    /** Woken polls that found neither work nor a drained set. */
+    /** Woken polls that found neither work nor a drained set, on
+     *  the engine's schedule: the first backoff parked. A chain on
+     *  another one has every poll dispatched. */
     std::uint64_t idleWakes = 0;
+    Tick schedule = 0.0;
     const Block* waking = nullptr;
 
     ChainPolls(Simulator& s, std::deque<Block>& b) : sim(s), blocks(b) {}
@@ -557,7 +564,9 @@ struct ChainPolls : PollSink
     void
     park(Block& b, std::size_t id, Tick backoff, Check check)
     {
-        if (waking == &b)
+        if (schedule == 0.0)
+            schedule = backoff;
+        if (waking == &b && pollFor(b.set) == schedule)
             ++idleWakes;
         b.chain = sim.park(b.chain, backoff, capFor(b.set), this,
                            static_cast<int>(id), [this, &b, check] {
@@ -658,6 +667,8 @@ driveModel(Sim& sim, Polls& polls, std::deque<Block>& blocks,
         }
         ++b.polls;
         b.parked = true;
+        b.parkedAt = sim.now();
+        b.backoff = backoff;
         polls.park(b, bi, backoff,
                    [&check, bi](Tick next) { check(bi, next); });
     };
@@ -665,6 +676,41 @@ driveModel(Sim& sim, Polls& polls, std::deque<Block>& blocks,
         blocks.emplace_back();
         blocks.back().set = set;
         check(blocks.size() - 1, pollFor(set));
+    };
+
+    // A parked block picked by @p h, or none.
+    auto pickParked = [&](std::uint64_t h) -> Block* {
+        std::vector<std::size_t> parked;
+        for (std::size_t i = 0; i < blocks.size(); ++i)
+            if (blocks[i].alive && blocks[i].parked)
+                parked.push_back(i);
+        return parked.empty() ? nullptr
+                              : &blocks[parked[h % parked.size()]];
+    };
+    // An item for @p b's set, exactly on one of its polls past the
+    // ramp: the first one after now, then @p extra more. Repeated
+    // addition, as both engines compute each poll, so the push ties a
+    // poll at the end of a log gap. (The reference re-parks at every
+    // poll, the engine only at real checks; both walk the same grid.)
+    auto gridPush = [&](const Block& b, std::uint64_t extra) {
+        Tick t = b.parkedAt;
+        Tick d = b.backoff;
+        auto nextPoll = [&] {
+            t += d;
+            d = std::min(d * 1.5, capFor(b.set));
+        };
+        do
+            nextPoll();
+        while (t <= sim.now() || d != capFor(b.set));
+        for (; extra > 0; --extra)
+            nextPoll();
+        std::size_t id = handles.size();
+        int set = b.set;
+        handles.push_back(sim.at(t, [&, id, set] {
+            log.fired.emplace_back(id, sim.now());
+            if (!closed)
+                ++items[set];
+        }));
     };
 
     auto delayFor = [](std::uint64_t h) -> Tick {
@@ -684,16 +730,15 @@ driveModel(Sim& sim, Polls& polls, std::deque<Block>& blocks,
                 launch(set);
         }
         if ((h >> 42) % 7 == 0) {
-            std::vector<std::size_t> parked;
-            for (std::size_t i = 0; i < blocks.size(); ++i)
-                if (blocks[i].alive && blocks[i].parked)
-                    parked.push_back(i);
-            if (!parked.empty()) {
-                Block& b = blocks[parked[(h >> 46) % parked.size()]];
-                polls.evict(b);
-                b.alive = false;
-                b.parked = false;
+            if (Block* b = pickParked(h >> 46)) {
+                polls.evict(*b);
+                b->alive = false;
+                b->parked = false;
             }
+        }
+        if ((h >> 50) % 4 == 0) {
+            if (Block* b = pickParked(h >> 52))
+                gridPush(*b, (h >> 56) % 3);
         }
         // 0, 1 or 2 children (0.8 on average), then maybe a cancel.
         int children = static_cast<int>(h % 10 < 4 ? 0 : h % 10 < 8 ? 1 : 2);
@@ -722,6 +767,14 @@ driveModel(Sim& sim, Polls& polls, std::deque<Block>& blocks,
         log.polls.push_back(std::move(p));
     };
 
+    // Odd seeds start at a full-precision time up to 2^17 cycles below
+    // a power of two from 2^34 to 2^39: chains cross it, and repeated
+    // addition rounds where the spacing of doubles doubles.
+    if (seed % 2 == 1) {
+        std::uint64_t o = mix(seed ^ 0x5eedull);
+        sim.advanceTo(hop(std::ldexp(1.0, 34 + static_cast<int>(o % 6))
+                          - std::ldexp(static_cast<Tick>(o >> 11), -36)));
+    }
     std::uint64_t r = mix(seed);
     for (int step = 0; step < 60; ++step) {
         r = mix(r);
@@ -738,8 +791,22 @@ driveModel(Sim& sim, Polls& polls, std::deque<Block>& blocks,
                 hop(sim.now() + static_cast<Tick>(r >> 8 & 0xff)));
         }
         r = mix(r);
+        // A push on a parked block's poll up to 40 polls ahead: it may
+        // end a quiet stretch.
+        if (r % 5 == 0) {
+            if (Block* b = pickParked(r >> 8))
+                gridPush(*b, (r >> 16) % 40);
+        }
+        r = mix(r);
         Tick limit = sim.now() + static_cast<Tick>((r >> 4) % 1200);
-        std::uint64_t events = (r >> 24) % 3 == 0 ? ~0ull : (r >> 32) % 40;
+        // One slice in six is a quiet stretch of many cap periods,
+        // with an event limit (if any) that falls among its polls.
+        bool quiet = (r >> 12) % 6 == 0;
+        if (quiet)
+            limit += 450.0 * static_cast<Tick>(10 + (r >> 16) % 50);
+        std::uint64_t events = (r >> 24) % 3 == 0
+            ? ~0ull
+            : (r >> 32) % (quiet ? 400 : 40);
         record(sim.runUntil(limit, events));
     }
     record(sim.runUntil(1e18, ~0ull));
