@@ -83,7 +83,7 @@ void
 VsDecode::execute(ExecContext& ctx, VsItem& item)
 {
     app_.luma_[app_.slot(item.cam, item.frame)] =
-        app_.lumaOf(item.cam, item.frame);
+        app_.signals_.lumaOf(item.cam, item.frame);
     ctx.enqueue<VsDetect>(VsItem{item.cam, item.frame, 0, 0});
 }
 
@@ -113,7 +113,7 @@ void
 VsDetect::execute(ExecContext& ctx, VsItem& item)
 {
     std::size_t s = app_.slot(item.cam, item.frame);
-    int n = app_.faceCount(item.cam, item.frame);
+    int n = app_.signals_.faceCount(item.cam, item.frame);
     app_.faces_[s] = n;
     app_.faceRemaining_[s] = n;
     if (n == 0) {
@@ -181,7 +181,7 @@ VsExtract::execute(ExecContext& ctx, VsItem& item)
 {
     std::size_t s = app_.slot(item.cam, item.frame);
     app_.samples_[s * app_.params_.maxFaces + item.face] =
-        app_.sampleOf(item.cam, item.frame, item.face);
+        app_.signals_.sampleOf(item.cam, item.frame, item.face);
     ctx.enqueue<VsFilter>(item);
 }
 
@@ -211,7 +211,7 @@ VsFilter::execute(ExecContext&, VsItem& item)
 {
     std::size_t s = app_.slot(item.cam, item.frame);
     app_.filtered_[s * app_.params_.maxFaces + item.face] =
-        app_.filteredOf(item.cam, item.frame, item.face);
+        app_.signals_.filteredOf(item.cam, item.frame, item.face);
     if (--app_.faceRemaining_[s] == 0)
         ++app_.framesFiltered_;
 }
@@ -255,24 +255,34 @@ VidstreamApp::slot(int cam, int frame) const
 }
 
 int
+VidstreamApp::firstFaces(int cam) const
+{
+    std::uint64_t k0 = key(params_.seed, cam, -1);
+    return 1
+        + static_cast<int>(mix(k0)
+                           % static_cast<std::uint64_t>(
+                               params_.maxFaces / 2 + 1));
+}
+
+int
+VidstreamApp::walkFaces(int cam, int from, int n, int to) const
+{
+    for (int w = from + 1; w <= to; ++w) {
+        std::uint64_t r = key(params_.seed, cam, -2, w);
+        int step = static_cast<int>(r % 3) - 1;
+        n = std::clamp(n + step, 0, params_.maxFaces);
+    }
+    return n;
+}
+
+int
 VidstreamApp::faceCount(int cam, int frame) const
 {
     // Bounded random walk, one +/-1/0 step per drift window: faces
     // enter and leave the scene, so per-frame fan-out is
     // non-stationary but piecewise constant and a pure function of
     // (seed, cam, frame).
-    int windows = frame / params_.driftPeriod;
-    std::uint64_t k0 = key(params_.seed, cam, -1);
-    int n = 1
-        + static_cast<int>(mix(k0)
-                           % static_cast<std::uint64_t>(
-                               params_.maxFaces / 2 + 1));
-    for (int w = 1; w <= windows; ++w) {
-        std::uint64_t r = key(params_.seed, cam, -2, w);
-        int step = static_cast<int>(r % 3) - 1;
-        n = std::clamp(n + step, 0, params_.maxFaces);
-    }
-    return n;
+    return walkFaces(cam, 0, firstFaces(cam), frame / params_.driftPeriod);
 }
 
 double
@@ -309,7 +319,7 @@ VidstreamApp::roiOf(int cam, int frame, int face) const
 }
 
 double
-VidstreamApp::sampleOf(int cam, int frame, int face) const
+VidstreamApp::sampleWith(int cam, int frame, int face, double luma) const
 {
     auto [x0, y0] = roiOf(cam, frame, face);
     // Mean hashed-pixel luma over an 8x8 grid inside the ROI,
@@ -324,11 +334,18 @@ VidstreamApp::sampleOf(int cam, int frame, int face) const
         }
     }
     double roiMean = sum / (kRoiGrid * kRoiGrid);
-    return 0.6 * roiMean + 0.4 * lumaOf(cam, frame);
+    return 0.6 * roiMean + 0.4 * luma;
 }
 
 double
-VidstreamApp::filteredOf(int cam, int frame, int face) const
+VidstreamApp::sampleOf(int cam, int frame, int face) const
+{
+    return sampleWith(cam, frame, face, lumaOf(cam, frame));
+}
+
+template <typename Sample>
+double
+VidstreamApp::filterOver(int frame, Sample sample) const
 {
     // Triangular-weighted average over the face's own recent sample
     // window. Past samples are recomputed from the pure model, never
@@ -339,10 +356,84 @@ VidstreamApp::filteredOf(int cam, int frame, int face) const
     double wsum = 0.0;
     for (int k = 0; k < window; ++k) {
         double w = params_.filterWindow - k;
-        acc += w * sampleOf(cam, frame - k, face);
+        acc += w * sample(frame - k);
         wsum += w;
     }
     return acc / wsum;
+}
+
+double
+VidstreamApp::filteredOf(int cam, int frame, int face) const
+{
+    return filterOver(frame,
+                      [&](int f) { return sampleOf(cam, f, face); });
+}
+
+// --------------------------- signal memo ------------------------ //
+
+void
+VsSignalCache::clear()
+{
+    const VsParams& p = app_.params();
+    depth_ = 2 * p.filterWindow;
+    std::size_t slots = static_cast<std::size_t>(p.cameras)
+        * static_cast<std::size_t>(depth_);
+    luma_.assign(slots, Entry{});
+    samples_.assign(slots * static_cast<std::size_t>(p.maxFaces), Entry{});
+    walk_.clear();
+    for (int cam = 0; cam < p.cameras; ++cam)
+        walk_.emplace_back(0, app_.firstFaces(cam));
+}
+
+std::size_t
+VsSignalCache::slot(int cam, int frame) const
+{
+    return static_cast<std::size_t>(cam)
+        * static_cast<std::size_t>(depth_)
+        + static_cast<std::size_t>(frame % depth_);
+}
+
+int
+VsSignalCache::faceCount(int cam, int frame)
+{
+    auto& [window, n] = walk_[static_cast<std::size_t>(cam)];
+    int to = frame / app_.params().driftPeriod;
+    if (to < window) {
+        window = 0;
+        n = app_.firstFaces(cam);
+    }
+    n = app_.walkFaces(cam, window, n, to);
+    window = to;
+    return n;
+}
+
+double
+VsSignalCache::lumaOf(int cam, int frame)
+{
+    Entry& e = luma_[slot(cam, frame)];
+    if (e.frame != frame)
+        e = Entry{frame, app_.lumaOf(cam, frame)};
+    return e.value;
+}
+
+double
+VsSignalCache::sampleOf(int cam, int frame, int face)
+{
+    Entry& e = samples_[slot(cam, frame)
+                            * static_cast<std::size_t>(
+                                app_.params().maxFaces)
+                        + static_cast<std::size_t>(face)];
+    if (e.frame != frame)
+        e = Entry{frame,
+                  app_.sampleWith(cam, frame, face, lumaOf(cam, frame))};
+    return e.value;
+}
+
+double
+VsSignalCache::filteredOf(int cam, int frame, int face)
+{
+    return app_.filterOver(
+        frame, [&](int f) { return sampleOf(cam, f, face); });
 }
 
 double
@@ -369,6 +460,7 @@ VidstreamApp::reset()
     filtered_.assign(faceSlots, 0.0);
     framesFiltered_ = 0;
     nextFrame_.assign(static_cast<std::size_t>(params_.cameras), 0);
+    signals_.clear();
 }
 
 void

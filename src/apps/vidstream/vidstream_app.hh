@@ -16,16 +16,18 @@
  *
  * Every per-item computation is a pure function of (seed, camera,
  * frame, face): stages store results only into slots owned by their
- * item, and the temporal filter *recomputes* its window of past
- * samples from the pure helpers instead of reading state written by
- * other frames' items. Execution order across frames and faces
- * therefore cannot change any value, so all execution models and
- * shard plans agree bit-for-bit.
+ * item, and the temporal filter takes its window of past samples
+ * from the pure helpers (through a memo of their values,
+ * VsSignalCache) instead of reading state written by other frames'
+ * items. Execution order across frames and faces therefore cannot
+ * change any value, so all execution models and shard plans agree
+ * bit-for-bit.
  */
 
 #ifndef VP_APPS_VIDSTREAM_VIDSTREAM_APP_HH
 #define VP_APPS_VIDSTREAM_VIDSTREAM_APP_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -124,6 +126,53 @@ class VsFilter : public Stage<VsItem>
     VidstreamApp& app_;
 };
 
+/**
+ * The stages' memo of the pure signal model. Every value comes from
+ * the helper behind the pure function of the same name, so it is the
+ * same double; the memo only decides what gets recomputed. Luma and
+ * samples sit in direct-mapped slots tagged with the exact (cam,
+ * frame) and (cam, frame, face), twice the filter window of frames
+ * per camera, so their size comes from VsParams and not from the
+ * length of the stream. The face-count walk resumes from the
+ * camera's last window (and restarts when asked for an earlier one).
+ * Frames count from 0. Each driver has its own, so it needs no lock.
+ */
+class VsSignalCache
+{
+  public:
+    explicit VsSignalCache(const VidstreamApp& app) : app_(app) {}
+
+    /** Size the slots for the app's params and forget every value. */
+    void clear();
+
+    /** @name The pure functions of VidstreamApp, memoized @{ */
+    int faceCount(int cam, int frame);
+    double lumaOf(int cam, int frame);
+    double sampleOf(int cam, int frame, int face);
+    double filteredOf(int cam, int frame, int face);
+    /** @} */
+
+  private:
+    /** One slot: the frame it holds (-1: none) and its value. */
+    struct Entry
+    {
+        int frame = -1;
+        double value = 0.0;
+    };
+
+    /** Slot of (cam, frame) in luma_. */
+    std::size_t slot(int cam, int frame) const;
+
+    const VidstreamApp& app_;
+    /** Frames kept per camera. */
+    int depth_ = 0;
+    std::vector<Entry> luma_;
+    /** Per face of each luma_ slot. */
+    std::vector<Entry> samples_;
+    /** Per camera: the last window the walk reached, and its count. */
+    std::vector<std::pair<int, int>> walk_;
+};
+
 /** The streaming video-analytics application driver. */
 class VidstreamApp : public AppDriver
 {
@@ -183,9 +232,30 @@ class VidstreamApp : public AppDriver
     friend class VsTrack;
     friend class VsExtract;
     friend class VsFilter;
+    friend class VsSignalCache;
+
+    /** @name The signal formulas, one copy each @{ */
+
+    /** Faces at window 0 of camera @p cam's walk. */
+    int firstFaces(int cam) const;
+
+    /** The walk's count at window @p to, from count @p n at window
+     *  @p from (from <= to). */
+    int walkFaces(int cam, int from, int n, int to) const;
+
+    /** Raw sample of (cam, frame, face) given the frame's luma. */
+    double sampleWith(int cam, int frame, int face, double luma) const;
+
+    /** Filter of @p frame's window over @p sample(frame - k). */
+    template <typename Sample>
+    double filterOver(int frame, Sample sample) const;
+
+    /** @} */
 
     VsParams params_;
     Pipeline pipe_;
+    /** The stages' memo of the signals. */
+    VsSignalCache signals_{*this};
 
     /** Slot index of (cam, frame) into the batch-mode tables. */
     std::size_t slot(int cam, int frame) const;

@@ -383,6 +383,14 @@ bits(float f)
     return u;
 }
 
+std::uint64_t
+bits(double d)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+}
+
 } // namespace
 
 TEST(AppKernels, LbpRowsMatchClampedPerPixelCodes)
@@ -891,6 +899,74 @@ TEST(AppKernels, ReyesDiceOncePerColumnMatchesPerPointCubics)
             ASSERT_TRUE(sameBits(reyes::dicePatch(patches[i], grid),
                                  dicePerPoint(patches[i], grid)))
                 << "grid " << grid << " patch " << i;
+        }
+    }
+}
+
+TEST(AppKernels, VidstreamSignalCacheMatchesPureFunctions)
+{
+    // The stages read their signals through a VsSignalCache. Drive
+    // one as a served stream would (every camera, frame after frame),
+    // then in a seeded random order that jumps back and forth, over
+    // frames past both VsParams::frames and the cache's depth of
+    // 2 x filterWindow frames per camera. Every face count, luma,
+    // sample and filtered value must be the pure function's, bit for
+    // bit, for every face slot whether the walk has that face or not.
+    for (bool small : {true, false}) {
+        for (std::uint64_t n : {0u, 7u}) {
+            vidstream::VsParams p =
+                small ? vidstream::VsParams::small() : vidstream::VsParams{};
+            p.seed = workloadSeed(p.seed, n);
+            vidstream::VidstreamApp app(p);
+            vidstream::VsSignalCache cache(app);
+            cache.clear();
+            const int frames = p.frames + 4 * p.filterWindow + 3;
+            auto check = [&](int op, int cam, int frame, int face) {
+                switch (op) {
+                case 0:
+                    ASSERT_EQ(cache.faceCount(cam, frame),
+                              app.faceCount(cam, frame));
+                    break;
+                case 1:
+                    ASSERT_EQ(bits(cache.lumaOf(cam, frame)),
+                              bits(app.lumaOf(cam, frame)));
+                    break;
+                case 2:
+                    ASSERT_EQ(bits(cache.sampleOf(cam, frame, face)),
+                              bits(app.sampleOf(cam, frame, face)));
+                    break;
+                default:
+                    ASSERT_EQ(bits(cache.filteredOf(cam, frame, face)),
+                              bits(app.filteredOf(cam, frame, face)));
+                }
+            };
+            for (int f = 0; f < frames; ++f) {
+                for (int cam = 0; cam < p.cameras; ++cam) {
+                    for (int op = 0; op < 4; ++op) {
+                        for (int face = 0; face < p.maxFaces; ++face) {
+                            check(op, cam, f, face);
+                            ASSERT_FALSE(HasFatalFailure())
+                                << "in order: op " << op << " cam "
+                                << cam << " frame " << f << " face "
+                                << face;
+                        }
+                    }
+                }
+            }
+            Rng rng(59 + n);
+            for (int i = 0; i < 4000; ++i) {
+                int op = static_cast<int>(rng.nextBelow(4));
+                int cam = static_cast<int>(
+                    rng.nextBelow(static_cast<std::uint32_t>(p.cameras)));
+                int frame = static_cast<int>(
+                    rng.nextBelow(static_cast<std::uint32_t>(frames)));
+                int face = static_cast<int>(
+                    rng.nextBelow(static_cast<std::uint32_t>(p.maxFaces)));
+                check(op, cam, frame, face);
+                ASSERT_FALSE(HasFatalFailure())
+                    << "out of order: op " << op << " cam " << cam
+                    << " frame " << frame << " face " << face;
+            }
         }
     }
 }
