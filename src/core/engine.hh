@@ -51,13 +51,6 @@ class Engine
         return group_ ? static_cast<int>(group_->devices.size()) : 1;
     }
 
-    /** The group configuration, if constructed with one. */
-    const std::optional<DeviceGroupConfig>&
-    groupConfig() const
-    {
-        return group_;
-    }
-
     /** @name Fault injection and recovery @{ */
 
     /**
@@ -71,12 +64,6 @@ class Engine
         plan_ = plan;
     }
 
-    /** Stop injecting faults. */
-    void clearFaultPlan() { plan_.reset(); }
-
-    /** The active fault plan, if any. */
-    const std::optional<FaultPlan>& faultPlan() const { return plan_; }
-
     /**
      * Configure retry/backoff/watchdog policy for subsequent runs.
      * Also switches "drained but work left"/watchdog conditions from
@@ -87,10 +74,6 @@ class Engine
     {
         recovery_ = rc;
     }
-
-    /** Drop the recovery policy (defaults apply while a fault plan
-     *  is set). */
-    void clearRecovery() { recovery_.reset(); }
 
     /** @} */
 

@@ -223,9 +223,6 @@ class RunnerBase
      */
     std::string diagnoseStall() const;
 
-    /** Fault/recovery counters accumulated so far. */
-    const FaultRecoveryStats& faultStats() const { return faultStats_; }
-
     /**
      * Register this runner's live-state probes (per-stage queue
      * depths, resident blocks, occupancy, pending work, in-flight

@@ -79,9 +79,6 @@ class Sm
     /** Currently used registers. */
     int usedRegs() const { return regs_; }
 
-    /** Currently used threads. */
-    int usedThreads() const { return threads_; }
-
     /** @} */
 
     /** @name Execution @{ */
@@ -94,9 +91,6 @@ class Sm
      */
     ExecId beginWork(const WorkSpec& work, int kernelId,
                      EventFn onDone);
-
-    /** Number of in-flight executions. */
-    std::size_t activeExecs() const { return execs_.size(); }
 
     /** @} */
 

@@ -193,7 +193,6 @@ class ProvenanceTracker
      * seed sequence.
      */
     void setAlwaysTrack(bool on) { alwaysTrack_ = on; }
-    bool alwaysTrack() const { return alwaysTrack_; }
 
     /** Id for an output of the batch that popped @p parent; 0 when
      *  the parent itself is untracked. */
