@@ -59,19 +59,28 @@ def flatten(obj, prefix=""):
     return out
 
 
-def fingerprint(checkout, workload, seed):
-    """Run one workload pass in checkout; its fingerprint, or None."""
+def perfbench(checkout, workload, seed, seconds=0.0):
+    """Run one workload with perfbench/run.py in checkout (building it
+    when needed): its (fingerprint, result JSON), or None on failure."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--seconds", "0"]
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(float(seconds))]
     proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode == 0:
-        for line in proc.stdout.splitlines():
-            if line.startswith("fingerprint "):
-                return flatten(json.loads(line[len("fingerprint "):]))
+    lines = proc.stdout.splitlines()
+    prints = [line for line in lines if line.startswith("fingerprint ")]
+    if proc.returncode == 0 and prints:
+        return (flatten(json.loads(prints[0][len("fingerprint "):])),
+                json.loads(lines[-1]))
     sys.stderr.write(proc.stderr[-4000:])
-    sys.stderr.write("fingerprint_parity: %s seed %d failed in %s\n"
+    sys.stderr.write("perfbench: %s seed %d failed in %s\n"
                      % (workload, seed, checkout))
     return None
+
+
+def fingerprint(checkout, workload, seed):
+    """One --seconds 0 pass in checkout; its fingerprint, or None."""
+    out = perfbench(checkout, workload, seed)
+    return out[0] if out else None
 
 
 def main():
