@@ -348,9 +348,10 @@ double
 VidstreamApp::filterOver(int frame, Sample sample) const
 {
     // Triangular-weighted average over the face's own recent sample
-    // window. Past samples are recomputed from the pure model, never
-    // read from state written by other frames' items — execution
-    // order across frames cannot change the result.
+    // window. @p sample gives the pure model's value (recomputed, or
+    // memoized under its exact coordinates), never state written by
+    // other frames' items — execution order across frames cannot
+    // change the result.
     int window = std::min(params_.filterWindow, frame + 1);
     double acc = 0.0;
     double wsum = 0.0;

@@ -298,11 +298,11 @@ Simulator::settle(Chain& c, const LogEntry& pos)
     std::uint64_t n = 0;
     while (!entryBefore(pos, c)) {
         if (c.backoff == c.cap) {
-            // At the cap, every poll before both the next log entry
-            // and pos follows the same entry, so each takes 2r + 1.
-            // Count them in one run of the additions step() makes.
-            // A poll that ties either time needs the key order: it
-            // goes through step().
+            // At the cap, the polls before both the next log entry
+            // and pos all follow the same entry, so each leaves its
+            // successor the key 2r + 1. Count them in one run of the
+            // additions step() makes. A poll that ties either time
+            // needs the key order: it goes through step().
             std::uint64_t r = drawnBefore(c);
             std::size_t next = c.logIdx - logBase_;
             Tick end = next < log_.size()

@@ -609,10 +609,12 @@ struct ChainPolls : PollSink
  * when their set is empty; a set drains once the mix is closed and
  * nothing upstream is queued or busy, and its blocks then retire.
  * Delays are mostly multiples of 18.75, like the poll grids, so
- * pushes land exactly on grid points; the last set polls on a second
- * schedule. runUntil slices with time and event
- * limits alternate with advanceTo hops; @p hop maps a proposed target
- * to a legal one.
+ * pushes land exactly on grid points, and some pushes are placed on a
+ * parked block's own polls past the ramp; the last set polls on a
+ * second schedule. runUntil slices with time and event limits
+ * alternate with advanceTo hops; one slice in six is a quiet stretch
+ * of many cap periods, and odd seeds start just below a power of two
+ * above 2^33. @p hop maps a proposed target to a legal one.
  */
 template <typename Sim, typename Polls, typename Hop>
 EngineLog
