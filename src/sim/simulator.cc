@@ -444,17 +444,6 @@ Simulator::runHooks()
 }
 
 void
-Simulator::mark(const LogEntry& e)
-{
-    LogEntry m = e;
-    m.drawn = drawn_;
-    if (live_.empty())
-        log_.back() = m;
-    else
-        log_.push_back(m);
-}
-
-void
 Simulator::compactLog()
 {
     settleAll(log_.back());
@@ -522,7 +511,7 @@ Simulator::pollBound(Tick t) const
 
 bool
 Simulator::fireBefore(const LogEntry& target, std::uint64_t budget,
-                      std::uint64_t& fired, LogEntry& stop)
+                      std::uint64_t& fired)
 {
     fired = 0;
     // In bulk while the budget covers every poll due by a horizon:
@@ -544,8 +533,7 @@ Simulator::fireBefore(const LogEntry& target, std::uint64_t budget,
         Tick h = floor_ + static_cast<Tick>(per - 1) * first_;
         if (!(h < target.when))
             break;
-        stop = LogEntry{h, kAfterTick, 0, 0.0, 0};
-        fired += settleAll(stop);
+        fired += settleAll(LogEntry{h, kAfterTick, 0, 0.0, 0});
     }
     // The rest one at a time, in stream order, up to the limit.
     for (;;) {
@@ -560,7 +548,6 @@ Simulator::fireBefore(const LogEntry& target, std::uint64_t budget,
             return true;
         if (fired == budget)
             return false;
-        stop = LogEntry{next->when, next->key, 0, next->t0, next->n0};
         step(*next);
         report(*next);
         ++fired;
@@ -575,9 +562,6 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
     polled_ = false;
     runHooks();
     bool drained = false;
-    // The slice ended at its time limit with every parked chain
-    // counted there.
-    bool settled = false;
     for (;;) {
         if (heap_.empty() && parked_ == 0) {
             drained = true;
@@ -591,15 +575,6 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
         // bulk; otherwise they are fired now, in order, so the limit
         // falls exactly where it would with every poll dispatched.
         if (parked_ > 0 && (!due || pollBound(heap_[0].when) >= budget)) {
-            // The polls before the current position fired already.
-            // They count first when the budget may end among the
-            // polls due by the limit; else the bulk path counts them
-            // with the rest, in one settle per chain.
-            if (pollBound(timeLimit) >= budget) {
-                settleAll(log_.back());
-                used = eventsRun_ - start;
-                budget = used < eventLimit ? eventLimit - used : 0;
-            }
             LogEntry target{timeLimit, kAfterTick, 0, 0.0, 0};
             if (due) {
                 const HeapEntry& top = heap_[0];
@@ -610,32 +585,18 @@ Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
                     target.n0 = chains_[w].n0;
                 }
             }
-            LogEntry stop{};
             std::uint64_t fired = 0;
-            bool all = fireBefore(target, budget, fired, stop);
+            bool all = fireBefore(target, budget, fired);
             budget -= fired;
-            if (!all || (due && budget == 0)) {
-                if (fired > 0)
-                    mark(stop);
+            if (!all)
                 break;
-            }
-            if (!due) {
-                if (timeLimit >= log_.back().when) {
-                    mark(target);
-                    settled = true;
-                }
-                break;
-            }
         }
         if (!due || budget == 0)
             break;
         dispatch();
         dispatchedAny = true;
     }
-    // Count the polls that fired before the position the run stopped
-    // at; the last event fired, elided or not, sets the clock.
-    if (!settled)
-        settleAll(log_.back());
+    // The last event fired, elided or not, sets the clock.
     if (polled_)
         now_ = dispatchedAny ? std::max(now_, lastPoll_) : lastPoll_;
     return drained;

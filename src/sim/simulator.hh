@@ -279,9 +279,9 @@ class Simulator
      * nothing waits min(1.5 × its backoff, cap) for the next. The
      * polls stay virtual. They count in eventsRun(), reach the
      * chain's PollSink, and move the clock at the end of a slice, but
-     * nothing is dispatched until wake() materializes the first poll
-     * after the current position under the exact (time, sequence)
-     * key it would have had (docs/MODEL.md, "Event engine
+     * nothing is dispatched until wake() materializes the next poll
+     * that has not fired under the exact (time, sequence) key it
+     * would have had (docs/MODEL.md, "Event engine
      * internals"). Origin order ranks chains on one schedule (first
      * backoff and cap): the first chain parked sets it, and a chain
      * on another one has each of its polls dispatched.
@@ -296,8 +296,9 @@ class Simulator
     PollChain park(PollChain chain, Tick backoff, Tick cap,
                    PollSink* sink, int tag, EventFn onWake);
 
-    /** Dispatch @p chain's first poll after the current position.
-     *  No-op for a woken or stale chain. */
+    /** Dispatch the next of @p chain's polls that has not fired:
+     *  every one before the current position has. No-op for a woken
+     *  or stale chain. */
     void wake(PollChain chain);
 
     /** Of @p n chains, the one whose next poll comes first (a woken
@@ -413,13 +414,12 @@ class Simulator
         (std::uint64_t(1) << kSlotBits) - 1;
 
     /**
-     * One position in the event stream: a dispatched event, or the
-     * end of a slice. Dispatched events log (time, sequence number,
-     * real numbers drawn by the end of the event); a wake also logs
-     * its chain's origin. A slice that ends on a time limit logs
-     * (limit, kAfterTick); one that ends on an event limit after an
-     * elided poll logs that poll. The last entry is the current
-     * position, and draws made outside a dispatch count in it.
+     * One position in the event stream. Dispatched events log (time,
+     * sequence number, real numbers drawn by the end of the event); a
+     * wake also logs its chain's origin. The last entry is the current
+     * position, and draws made outside a dispatch count in it. Elided
+     * polls are not logged: those a run counted past the position
+     * precede no parked cursor, so no walk needs them.
      */
     struct LogEntry
     {
@@ -430,7 +430,7 @@ class Simulator
         std::uint64_t n0;
     };
 
-    /** Key of a slice end on a time limit: after all of its tick. */
+    /** Key of a position after all of its tick. */
     static constexpr std::uint64_t kAfterTick = ~std::uint64_t(0);
 
     enum class ChainState : std::uint8_t
@@ -562,17 +562,13 @@ class Simulator
 
     /**
      * Fire the parked polls that precede @p target, in stream order,
-     * at most @p budget of them. Every parked cursor must follow the
-     * current position, unless the budget covers every poll due by
-     * @p target: the bulk path then may start from cursors behind
-     * it. @return false when the budget ran out first; @p stop then
-     * holds the position after the last one fired.
+     * at most @p budget of them; @p fired counts them. Polls behind
+     * the current position may be among them: each dispatch left the
+     * budget room for every poll due by its time. @return false when
+     * the budget ran out first.
      */
     bool fireBefore(const LogEntry& target, std::uint64_t budget,
-                    std::uint64_t& fired, LogEntry& stop);
-
-    /** Append @p e as the current position. */
-    void mark(const LogEntry& e);
+                    std::uint64_t& fired);
 
     /** Drop log entries no parked chain can still query. */
     void compactLog();
