@@ -125,9 +125,9 @@ class CfdApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
-    /** (block, outer, inner) names one step of one composite; its
-     *  cost and successor depend on nothing else. */
-    bool keyedItems() const override { return true; }
+    /** Lineage fixes (block, outer, inner); its cost and successor
+     *  depend on nothing else. */
+    bool replayable() const override { return true; }
 
     const CfdParams& params() const { return params_; }
 

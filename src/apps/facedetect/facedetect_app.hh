@@ -145,9 +145,9 @@ class FaceDetectApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
-    /** An item fixes its task's cost; each level's next steps are
-     *  joins' continuations, keyed by (image, level). */
-    bool keyedItems() const override { return true; }
+    /** Lineage fixes an item and so its cost; each level's next
+     *  steps are joins' continuations, keyed by (image, level). */
+    bool replayable() const override { return true; }
 
     const FdParams& params() const { return params_; }
 

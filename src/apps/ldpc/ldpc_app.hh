@@ -118,9 +118,9 @@ class LdpcApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
-    /** (frame, iter, pass) names one pass over one frame; its cost
-     *  and successor depend on nothing else. */
-    bool keyedItems() const override { return true; }
+    /** Lineage fixes (frame, iter, pass); its cost and successor
+     *  depend on nothing else. */
+    bool replayable() const override { return true; }
 
     const LdpcParams& params() const { return params_; }
 

@@ -98,9 +98,9 @@ class PyramidApp : public AppDriver
     double inputBytes() const override { return 0.0; }
     bool verify() override;
 
-    /** (image, level, band) fixes a band's cost; the next level is a
-     *  join's continuation, keyed by (image, level). */
-    bool keyedItems() const override { return true; }
+    /** Lineage fixes (image, level, band) and so a band's cost; the
+     *  next level is a join's continuation, keyed by (image, level). */
+    bool replayable() const override { return true; }
 
     const PyrParams& params() const { return params_; }
 

@@ -106,9 +106,9 @@ class RasterApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
-    /** A triangle id (or triangle-tile pair) fixes the cull result,
-     *  the touched tiles and so every cost and child. */
-    bool keyedItems() const override { return true; }
+    /** Lineage fixes a triangle id (or triangle-tile pair), so the
+     *  cull result, the touched tiles and every cost and child. */
+    bool replayable() const override { return true; }
 
     const RasterParams& params() const { return params_; }
 

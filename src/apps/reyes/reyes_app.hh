@@ -116,6 +116,11 @@ class ReyesApp : public AppDriver
     void seedFlow(Seeder& seeder, int flow) override;
     bool verify() override;
 
+    /** Every stage's cost is a constant, and split's children read
+     *  only its patch, which its lineage fixes; dice's grid id
+     *  depends on the schedule but reaches only shade's payload. */
+    bool replayable() const override { return true; }
+
     const ReyesParams& params() const { return params_; }
 
     /** Rendered framebuffer (intensity-packed, max-combined). */

@@ -53,7 +53,7 @@ Engine::runShardedTimed(AppDriver& driver,
 bool
 Engine::canReplay(AppDriver& driver) const
 {
-    if (!driver.keyedItems() || plan_ || recovery_ || obsCfg_ || serve_)
+    if (!driver.replayable() || plan_ || recovery_ || obsCfg_ || serve_)
         return false;
     const Pipeline& pipe = driver.pipeline();
     for (int s = 0; s < pipe.stageCount(); ++s)
@@ -63,21 +63,24 @@ Engine::canReplay(AppDriver& driver) const
 }
 
 void
-Engine::requireTaskGraph(AppDriver& driver, const TaskGraph& graph) const
+Engine::requireTaskGraph(AppDriver& driver, const TaskGraph* capture,
+                         const TaskGraph* replay) const
 {
     VP_CHECK(canReplay(driver), ErrorCode::Config,
-             "task-graph capture and replay need an app that declares "
-             "keyed items, no bounded stage, and no fault plan, "
-             "recovery policy, observability or serving session");
-    const Pipeline& pipe = driver.pipeline();
-    VP_CHECK(graph.stageCount() == pipe.stageCount(), ErrorCode::Config,
+             "task-graph capture and replay need a replayable app, no "
+             "bounded stage, and no fault plan, recovery policy, "
+             "observability or serving session");
+    const TaskGraph& graph = capture ? *capture : *replay;
+    int stages = driver.pipeline().stageCount();
+    VP_CHECK(graph.stageCount() == stages, ErrorCode::Config,
              "task graph spans " << graph.stageCount() << " stages, "
-             << driver.name() << " has " << pipe.stageCount());
-    for (int s = 0; s < pipe.stageCount(); ++s)
-        VP_CHECK(pipe.stage(s).keyable(), ErrorCode::Config,
-                 driver.name() << " declares keyed items, but the items "
-                 "of stage `" << pipe.stage(s).name << "` have no byte "
-                 "key (padding or floating-point members)");
+             << driver.name() << " has " << stages);
+    VP_CHECK(!capture || (!capture->sealed() && capture->size() == 0),
+             ErrorCode::Config,
+             "task-graph capture needs an empty graph; this one is "
+             << (capture->sealed() ? "sealed" : "already captured into"));
+    VP_CHECK(!replay || replay->sealed(), ErrorCode::Config,
+             "task-graph replay needs a sealed graph");
 }
 
 } // namespace vp

@@ -210,10 +210,10 @@ class Engine
 
     /**
      * True when runs of @p driver here may capture and replay its
-     * task graph: the app declares keyed items
-     * (AppDriver::keyedItems), no stage has a bounded queue, and no
-     * fault plan, recovery policy, observability or serving session
-     * is armed — nothing then reads app state during a run.
+     * task graph: the app is replayable (AppDriver::replayable), no
+     * stage has a bounded queue, and no fault plan, recovery policy,
+     * observability or serving session is armed — nothing then reads
+     * app state during a run.
      */
     bool canReplay(AppDriver& driver) const;
 
@@ -222,9 +222,10 @@ class Engine
 
   private:
     /** Fatal (ErrorCode::Config) unless a run of @p driver may
-     *  capture into or replay @p graph. */
-    void requireTaskGraph(AppDriver& driver,
-                          const TaskGraph& graph) const;
+     *  capture into @p capture, an empty graph, or replay @p replay,
+     *  a sealed one (exactly one is set). */
+    void requireTaskGraph(AppDriver& driver, const TaskGraph* capture,
+                          const TaskGraph* replay) const;
 
     /**
      * The one run set-up behind every entry point: validate, build

@@ -38,7 +38,8 @@ GroupCoordinator::GroupCoordinator(Simulator& sim, DeviceGroup& group,
     : sim_(sim), group_(group), icx_(group.interconnect()), pipe_(pipe),
       cfg_(cfg), plan_(plan), sharded_(sharded), obs_(rc.obs),
       tracer_(obs_ ? obs_->tracerPtr() : nullptr),
-      prov_(obs_ ? obs_->provenancePtr() : nullptr)
+      prov_(obs_ ? obs_->provenancePtr() : nullptr),
+      capture_(rc.capture), replay_(rc.replay)
 {
     auto n = static_cast<std::size_t>(group.size());
     auto stages = static_cast<std::size_t>(pipe.stageCount());
@@ -111,6 +112,7 @@ GroupCoordinator::start(AppDriver& driver)
         && cfg_.top != PipelineConfig::Top::KbkStream) {
         for (int f = 0; f < driver.flowCount(); ++f) {
             Seeder s = seeder();
+            s.flow_ = f;
             driver.seedFlow(s, f);
         }
     }
@@ -124,6 +126,8 @@ GroupCoordinator::seeder()
     Seeder s;
     s.pipe_ = &pipe_;
     s.prov_ = prov_;
+    s.capture_ = capture_;
+    s.replay_ = replay_;
     s.pending_ = &pending_;
     s.route_ = [this](int stage, int ordinal) -> QueueBase& {
         int home = plan_.homeDevice(stage);
@@ -158,7 +162,7 @@ GroupCoordinator::liveTarget(int stage) const
 
 void
 GroupCoordinator::forward(int from, int stage, int bytes,
-                          std::uint64_t provId,
+                          std::uint64_t provId, const void* tag,
                           std::function<void(QueueBase&)> deliver)
 {
     int home = curHome(stage);
@@ -181,14 +185,14 @@ GroupCoordinator::forward(int from, int stage, int bytes,
         prov_->noteForward(provId, stage, from, home, sim_.now());
     ++inTransit_[static_cast<std::size_t>(stage)];
     icx_.transfer(from, home, static_cast<double>(bytes),
-                  [this, home, stage,
+                  [this, home, stage, tag,
                    deliver = std::move(deliver)]() mutable {
-                      arrive(home, stage, std::move(deliver));
+                      arrive(home, stage, tag, std::move(deliver));
                   });
 }
 
 void
-GroupCoordinator::arrive(int home, int stage,
+GroupCoordinator::arrive(int home, int stage, const void* tag,
                          std::function<void(QueueBase&)> deliver)
 {
     --inTransit_[static_cast<std::size_t>(stage)];
@@ -205,8 +209,10 @@ GroupCoordinator::arrive(int home, int stage,
             stage, deliverySeq_++, std::move(deliver));
         return;
     }
-    deliver(runners_[static_cast<std::size_t>(home)]->deliveryQueue(
-        stage, deliverySeq_++));
+    QueueBase& q = runners_[static_cast<std::size_t>(home)]->deliveryQueue(
+        stage, deliverySeq_++);
+    q.stampNextPushTag(tag);
+    deliver(q);
 }
 
 bool
@@ -463,10 +469,8 @@ Engine::runGroup(AppDriver& driver, const PipelineConfig& config,
     else
         replicate = ShardPlan::replicateAll(pipe);
     const ShardPlan& plan = shardPlan ? *shardPlan : replicate;
-    if (capture)
-        requireTaskGraph(driver, *capture);
-    if (replay)
-        requireTaskGraph(driver, *replay);
+    if (capture || replay)
+        requireTaskGraph(driver, capture, replay);
     driver.reset();
     pipe.resetStages();
 

@@ -117,6 +117,9 @@ KbkRunner::seedFlow(int flow)
     };
     seeder.pending_ = pendingPtr_;
     seeder.prov_ = prov_;
+    seeder.flow_ = flow;
+    seeder.capture_ = graphCapture_;
+    seeder.replay_ = graphReplay_;
     driver_->seedFlow(seeder, flow);
 }
 

@@ -90,8 +90,9 @@ RunnerBase::makeQueueSets(int n)
                     };
                 qs.push_back(st.makeRemoteStub(
                     [this, s](int bytes, std::uint64_t provId,
+                              const void* tag,
                               std::function<void(QueueBase&)> deliver) {
-                        group_->forward(device_, s, bytes, provId,
+                        group_->forward(device_, s, bytes, provId, tag,
                                         std::move(deliver));
                     },
                     std::move(probe)));
@@ -102,7 +103,7 @@ RunnerBase::makeQueueSets(int n)
             }
             if (injector_ && injector_->plan().anyTaskFaults())
                 qs.back()->enableRetryMeta();
-            if (graphReplay_)
+            if (graphCapture_ || graphReplay_)
                 qs.back()->enableTags();
             if (prov_)
                 qs.back()->setProvenance(prov_, &sim_, s, device_);
@@ -285,7 +286,7 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
     ExecContext ectx(pipe_, inlineMask, ctx.smId(),
                      std::max(1, st.threadNum), joinsPtr_);
     if (graphCapture_ || graphReplay_)
-        ectx.setTaskGraph(s, graphCapture_, graphReplay_);
+        ectx.setTaskGraph(graphCapture_, graphReplay_);
     int avail = static_cast<int>(std::min<std::size_t>(q.size(), cap));
     Tick bstart = sim_.now();
     Tick pop_cost = q.accessCost(dcfg, sim_.now(), std::max(avail, 1));

@@ -91,9 +91,14 @@ class Seeder
         int idx = pipe_->indexOf<S>();
         int n = static_cast<int>(items.size());
         for (auto& it : items) {
-            QueueBase& q = route_(idx, ordinal_++);
+            int ordinal = ordinal_++;
+            QueueBase& q = route_(idx, ordinal);
             if (prov_)
                 q.stampNextPushId(prov_->mintSeed());
+            if (capture_)
+                q.stampNextPushTag(&capture_->newSeed(flow_, ordinal, idx));
+            else if (replay_)
+                q.stampNextPushTag(&replay_->seed(flow_, ordinal, idx));
             typedQueue<T>(q).push(std::move(it));
         }
         pending_->add(n);
@@ -117,9 +122,15 @@ class Seeder
     PendingCounter* pending_ = nullptr;
     /** The queue of each item, by (stage, ordinal). */
     std::function<QueueBase&(int, int)> route_;
+    /** The flow being seeded, and the ordinal of its next item. */
+    int flow_ = 0;
     int ordinal_ = 0;
     /** Stamps each seed with a fresh provenance id when armed. */
     ProvenanceTracker* prov_ = nullptr;
+    /** The run's task graph (core/task_graph.hh): each seed gets a
+     *  fresh record under capture, its recorded one under replay. */
+    TaskGraph* capture_ = nullptr;
+    const TaskGraph* replay_ = nullptr;
 };
 
 /**
@@ -157,14 +168,14 @@ class AppDriver
     virtual bool verify() { return true; }
 
     /**
-     * True when every item's bytes identify its task: the same
-     * (stage, item) always costs the same and enqueues the same
-     * children, whatever the schedule, and no item executes twice.
-     * The auto-tuner then captures the app's task graph once and
-     * replays it for its candidates instead of the payload
-     * (docs/MODEL.md, "Tuner replay"). Every stage must be keyable.
+     * True when a task's cost and effects depend only on its lineage
+     * (its seed's flow and ordinal, and the effects that led from
+     * that seed to it), whatever the schedule. The auto-tuner then
+     * captures the app's task graph once and replays it for its
+     * candidates instead of the payload (docs/MODEL.md, "Tuner
+     * replay").
      */
-    virtual bool keyedItems() const { return false; }
+    virtual bool replayable() const { return false; }
 };
 
 /**
@@ -783,11 +794,12 @@ class GroupCoordinator
     /**
      * Forward one item of @p stage from device @p from to the
      * stage's home over the interconnect (@p bytes); @p deliver
-     * lands it in a home delivery queue at arrival. @p provId (0 =
-     * untracked) records the hop. Over a failed path it dead-letters.
+     * lands it in a home delivery queue at arrival, stamped with
+     * @p tag (null = untagged). @p provId (0 = untracked) records the
+     * hop. Over a failed path it dead-letters.
      */
     void forward(int from, int stage, int bytes, std::uint64_t provId,
-                 std::function<void(QueueBase&)> deliver);
+                 const void* tag, std::function<void(QueueBase&)> deliver);
     /** Credit probe of a bounded stage homed away from @p from: home
      *  depth plus in-flight transfers reach its capacity. A failed
      *  path never waits (its pushes dead-letter). */
@@ -823,8 +835,9 @@ class GroupCoordinator
     /** Landing device of @p stage: its home, or replicated the
      *  lowest-index survivor. */
     int liveTarget(int stage) const;
-    /** A forwarded item reaches @p home. */
-    void arrive(int home, int stage,
+    /** A forwarded item reaches @p home, where its @p tag is
+     *  stamped on it. */
+    void arrive(int home, int stage, const void* tag,
                 std::function<void(QueueBase&)> deliver);
     /** Device @p d dies: sever, evict, re-home, evacuate, adopt. */
     void killDevice(int d);
@@ -841,6 +854,9 @@ class GroupCoordinator
     ObsData* obs_;
     Tracer* tracer_;
     ProvenanceTracker* prov_;
+    /** The run's task graph, for the seeder. */
+    TaskGraph* capture_;
+    const TaskGraph* replay_;
 
     PendingCounter pending_;
     JoinCounters joins_;

@@ -34,7 +34,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <typeindex>
 #include <vector>
 
@@ -155,13 +154,6 @@ class StageBase
     /** Payload size in bytes. */
     virtual int itemBytes() const = 0;
 
-    /**
-     * True when this stage's items have a replay key: their bytes are
-     * their value (std::has_unique_object_representations_v), so
-     * equal bytes mean equal items (core/task_graph.hh).
-     */
-    virtual bool keyable() const = 0;
-
     /** Create this stage's input work queue. */
     virtual std::unique_ptr<QueueBase> makeQueue() const = 0;
 
@@ -199,26 +191,28 @@ class StageBase
 struct StagedOutput
 {
     int stage;
+    /** Pushes the payload; empty for a replayed child, which is
+     *  pushed as a placeholder. */
     std::function<void(QueueBase&)> push;
     /** Provenance id of the popped item whose task produced this
      *  output (0 = untracked); the runtime mints the output's own id
      *  from it at commit time, so aborted batches leave no orphan
      *  lineage records. */
     std::uint64_t provParent = 0;
-    /** A replayed child: pushed by its record, which rides with the
-     *  item as its queue tag (`push` is empty then). */
-    const TaskGraph::Effect* recorded = nullptr;
+    /** Under capture and replay: the child's task record, which
+     *  rides with the item as its queue tag. */
+    const TaskGraph::Task* record = nullptr;
 
     /** Push the output into @p q. */
     void
     commit(QueueBase& q)
     {
-        if (!recorded) {
+        if (record)
+            q.stampNextPushTag(record);
+        if (push)
             push(q);
-            return;
-        }
-        q.stampNextPushTag(recorded->task);
-        recorded->push(q);
+        else
+            q.pushPlaceholder();
     }
 };
 
@@ -337,28 +331,23 @@ class ExecContext
     /** @name Task-graph capture and replay (core/task_graph.hh) @{ */
 
     /**
-     * This batch runs stage @p stage. With @p capture, record each
-     * task's cost and effects into it (the batch must inline
-     * nothing); with @p replay, take them from that sealed graph
-     * instead of running the payload. Both null: the payload only.
+     * With @p capture, record each task's cost and effects into it
+     * (the batch must inline nothing); with @p replay, take them
+     * from that sealed graph instead of running the payload. Both
+     * null: the payload only.
      */
-    void setTaskGraph(int stage, TaskGraph* capture,
-                      const TaskGraph* replay);
+    void setTaskGraph(TaskGraph* capture, const TaskGraph* replay);
 
     bool capturing() const { return capture_ != nullptr; }
     bool replaying() const { return replay_ != nullptr; }
 
-    /** Record the task just executed, item @p key, with its
-     *  effects. */
-    void captureTask(std::string key);
+    /** Fill the record @p tag of the task just executed with its
+     *  cost and effects. */
+    void captureTask(const void* tag);
 
-    /** The recorded task of item @p key (a popped item that carries
-     *  no record: a seed, or a delivery from another device). */
-    const TaskGraph::Task& recordOf(const std::string& key) const;
-
-    /** Begin recorded task @p t: its cost, its inline chain, its
-     *  arrivals and its staged outputs. */
-    void replayTask(const TaskGraph::Task& t);
+    /** Begin the recorded task @p tag: its cost, its inline chain,
+     *  its arrivals and its staged outputs. */
+    void replayTask(const void* tag);
 
     /** @} */
 
@@ -402,7 +391,6 @@ class ExecContext
     std::vector<StagedOutput> outputs_;
     std::vector<std::pair<int, int>> inlineRuns_;
 
-    int stage_ = -1;
     TaskGraph* capture_ = nullptr;
     const TaskGraph* replay_ = nullptr;
     /** Under capture: the current task's effects, and where effects
@@ -440,12 +428,6 @@ class Stage : public StageBase
     itemBytes() const override
     {
         return static_cast<int>(sizeof(T));
-    }
-
-    bool
-    keyable() const override
-    {
-        return std::has_unique_object_representations_v<T>;
     }
 
     std::unique_ptr<QueueBase>

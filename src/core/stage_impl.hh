@@ -32,21 +32,19 @@ ExecContext::enqueue(typename S::DataItemType item)
         --inlineDepth_;
         return;
     }
+    // Under capture the child gets a fresh record, named by this
+    // effect; the child's task fills it.
+    const TaskGraph::Task* record = nullptr;
     if (capture_) {
-        // Replay pushes the child from its record, on many runs and
-        // threads at once: that push copies the item.
-        TaskGraph::Effect e;
-        e.stage = idx;
-        e.key = itemKey(item);
-        e.push = [item](QueueBase& q) { typedQueue<T>(q).push(item); };
-        effects_->push_back(std::move(e));
+        record = &capture_->newTask();
+        effects_->push_back(TaskGraph::Effect{idx, -1, record});
     }
     outputs_.push_back(StagedOutput{
         idx,
         [item = std::move(item)](QueueBase& q) mutable {
             typedQueue<T>(q).push(std::move(item));
         },
-        provParent_});
+        provParent_, record});
 }
 
 template <typename K>
@@ -78,8 +76,8 @@ Stage<T>::runBatch(ExecContext& ctx, QueueBase& q, int maxItems,
     // of runs that inject fetch faults.
     const std::vector<std::uint64_t>& ids = tq.poppedIds();
     const std::vector<std::uint32_t>& tries = tq.poppedTries();
-    // Under replay, each item pushed by a replayed task carries its
-    // record as its tag.
+    // Under capture and replay, each item carries its task record as
+    // its tag.
     const std::vector<const void*>& tags = tq.poppedTags();
     bool tracked = tq.provenanceEnabled();
     auto idOf = [&](std::size_t i) -> std::uint64_t {
@@ -144,20 +142,14 @@ Stage<T>::runBatch(ExecContext& ctx, QueueBase& q, int maxItems,
             captured.push_back({item, triesOf(i) + 1, idOf(i)});
         if (tracked)
             ctx.setProvParent(idOf(i));
+        const void* tag = i < tags.size() ? tags[i] : nullptr;
         if (ctx.replaying()) {
-            const void* tag = i < tags.size() ? tags[i] : nullptr;
-            ctx.replayTask(
-                tag ? *static_cast<const TaskGraph::Task*>(tag)
-                    : ctx.recordOf(itemKey(item)));
-        } else if (ctx.capturing()) {
-            // The key is the item as popped: execute() may change it.
-            std::string key = itemKey(item);
-            ctx.beginTask(cost(item));
-            execute(ctx, item);
-            ctx.captureTask(std::move(key));
+            ctx.replayTask(tag);
         } else {
             ctx.beginTask(cost(item));
             execute(ctx, item);
+            if (ctx.capturing())
+                ctx.captureTask(tag);
         }
         TaskCost c = ctx.endTask();
         r.maxTaskInsts = std::max(r.maxTaskInsts,

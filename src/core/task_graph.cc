@@ -5,30 +5,37 @@
 
 namespace vp {
 
-void
-noItemKey()
-{
-    VP_PANIC("item type has no byte key");
-}
-
 TaskGraph::TaskGraph(int stages)
-    : byStage_(static_cast<std::size_t>(stages))
+    : stages_(stages)
 {
 }
 
-void
-TaskGraph::add(int stage, std::string key, const TaskCost& cost,
-               std::vector<Effect> effects)
+TaskGraph::Task&
+TaskGraph::newTask()
 {
     VP_ASSERT(!sealed_, "task graph is sealed");
-    auto [it, fresh] = byStage_.at(static_cast<std::size_t>(stage))
-                           .try_emplace(std::move(key));
-    VP_CHECK(fresh, ErrorCode::Config,
-             "task graph capture: stage " << stage
-             << " executed the same item twice, so its items do not "
-                "identify its tasks (AppDriver::keyedItems)");
-    it->second.cost = cost;
-    it->second.effects = std::move(effects);
+    return tasks_.emplace_back();
+}
+
+TaskGraph::Task&
+TaskGraph::newSeed(int flow, int ordinal, int stage)
+{
+    auto f = static_cast<std::size_t>(flow);
+    if (seeds_.size() <= f)
+        seeds_.resize(f + 1);
+    VP_ASSERT(static_cast<std::size_t>(ordinal) == seeds_[f].size(),
+              "flow " << flow << " seeded out of order");
+    Task& t = newTask();
+    seeds_[f].push_back(Effect{stage, -1, &t});
+    return t;
+}
+
+void
+TaskGraph::fill(Task& t, const TaskCost& cost, std::vector<Effect> effects)
+{
+    t.cost = cost;
+    t.effects = std::move(effects);
+    ++filled_;
 }
 
 int
@@ -46,76 +53,58 @@ TaskGraph::slotFor(const JoinKey& key, int expected)
 }
 
 void
-TaskGraph::link(Task& t)
-{
-    for (Effect& e : t.effects)
-        if (e.stage >= 0)
-            e.task = &find(e.stage, e.key);
-}
-
-void
 TaskGraph::seal()
 {
-    for (auto& tasks : byStage_)
-        for (auto& [key, task] : tasks)
-            link(task);
-    for (Slot& s : slots_)
-        link(s.then);
+    VP_CHECK(filled_ == tasks_.size(), ErrorCode::Config,
+             "task graph: " << tasks_.size() - filled_ << " of "
+             << tasks_.size() << " recorded tasks never executed");
     sealed_ = true;
 }
 
 const TaskGraph::Task&
-TaskGraph::find(int stage, const std::string& key) const
+TaskGraph::seed(int flow, int ordinal, int stage) const
 {
-    const auto& tasks = byStage_.at(static_cast<std::size_t>(stage));
-    auto it = tasks.find(key);
-    VP_CHECK(it != tasks.end(), ErrorCode::Config,
-             "task graph: stage " << stage
-             << " has no recorded task for this item");
-    return it->second;
-}
-
-std::size_t
-TaskGraph::size() const
-{
-    std::size_t n = 0;
-    for (const auto& tasks : byStage_)
-        n += tasks.size();
-    return n;
+    auto f = static_cast<std::size_t>(flow);
+    auto o = static_cast<std::size_t>(ordinal);
+    VP_CHECK(f < seeds_.size() && o < seeds_[f].size(), ErrorCode::Config,
+             "task graph: flow " << flow << " has no recorded seed "
+             << ordinal);
+    const Effect& e = seeds_[f][o];
+    VP_CHECK(e.stage == stage, ErrorCode::Config,
+             "task graph: seed " << ordinal << " of flow " << flow
+             << " entered stage " << e.stage << " in the capture, "
+             "stage " << stage << " here");
+    return *e.task;
 }
 
 // ------------------------- ExecContext side ---------------------- //
 
 void
-ExecContext::setTaskGraph(int stage, TaskGraph* capture,
-                          const TaskGraph* replay)
+ExecContext::setTaskGraph(TaskGraph* capture, const TaskGraph* replay)
 {
     VP_ASSERT(!(capture && replay), "capture and replay at once");
     VP_CHECK(!capture || inlineMask_ == 0, ErrorCode::Config,
              "task graph capture needs a run that inlines nothing");
-    VP_ASSERT(!replay || replay->sealed(), "replay of an unsealed graph");
-    stage_ = stage;
     capture_ = capture;
     replay_ = replay;
 }
 
 void
-ExecContext::captureTask(std::string key)
+ExecContext::captureTask(const void* tag)
 {
-    capture_->add(stage_, std::move(key), taskCost_,
-                  std::move(taskEffects_));
+    VP_ASSERT(tag, "an untagged item under capture");
+    // The tag is a record of capture_, stamped when its item was
+    // pushed; this task fills it.
+    capture_->fill(*static_cast<TaskGraph::Task*>(const_cast<void*>(tag)),
+                   taskCost_, std::move(taskEffects_));
     taskEffects_.clear();
 }
 
-const TaskGraph::Task&
-ExecContext::recordOf(const std::string& key) const
-{
-    return replay_->find(stage_, key);
-}
-
 void
-ExecContext::replayTask(const TaskGraph::Task& t)
+ExecContext::replayTask(const void* tag)
 {
+    VP_ASSERT(tag, "an untagged item under replay");
+    const auto& t = *static_cast<const TaskGraph::Task*>(tag);
     beginTask(t.cost);
     replayEffects(t.effects);
 }
@@ -166,7 +155,7 @@ ExecContext::replayEffects(const std::vector<TaskGraph::Effect>& effects)
         }
         if (!(inlineMask_ & (StageMask(1) << e.stage))) {
             outputs_.push_back(
-                StagedOutput{e.stage, {}, provParent_, &e});
+                StagedOutput{e.stage, {}, provParent_, e.task});
             continue;
         }
         VP_ASSERT(inlineDepth_ < kMaxInlineDepth,

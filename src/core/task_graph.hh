@@ -6,13 +6,17 @@
  *
  * The timing model reads two things from a task's payload: its own
  * TaskCost and its effects, the children it enqueues and the joins
- * it arrives at (core/join.hh). When an item's bytes identify it —
- * the same (stage, item) always costs the same and has the same
- * effects, whatever the schedule (AppDriver::keyedItems) — one
- * capture fixes them for every item, and a run that replays the
- * capture reproduces the real run's cycles and events exactly. A
- * join's continuation is recorded once per (join, key); replay
- * counts the arrivals per run and emits it on the last one.
+ * it arrives at (core/join.hh). A task is named by its lineage, not
+ * by its item: each seed by (flow, ordinal in the flow), each child
+ * by the effect of its parent that enqueued it, the way CUDA Graphs
+ * replay captured work by its place in the graph. When a task's cost
+ * and effects depend only on its lineage, whatever the schedule
+ * (AppDriver::replayable), one capture fixes them for every task,
+ * and a run that replays the capture reproduces the real run's
+ * cycles and events exactly. Every item carries its record as its
+ * queue tag, so no item value is read under replay. A join's
+ * continuation is recorded once per (join, key); replay counts the
+ * arrivals per run and emits it on the last one.
  */
 
 #ifndef VP_CORE_TASK_GRAPH_HH
@@ -20,9 +24,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
-#include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -31,50 +32,22 @@
 
 namespace vp {
 
-class QueueBase;
-
-/** Panics: an item type without a byte key reached capture or
- *  replay (out of line, so item types without a key stay lean). */
-[[noreturn]] void noItemKey();
-
-/**
- * The replay key of @p item: its bytes. Only item types whose bytes
- * are their value (no padding, no floats) have one
- * (StageBase::keyable); capture refuses pipelines with other types
- * before any stage runs.
- */
-template <typename T>
-std::string
-itemKey(const T& item)
-{
-    if constexpr (std::has_unique_object_representations_v<T>) {
-        return std::string(reinterpret_cast<const char*>(&item),
-                           sizeof(T));
-    } else {
-        (void)item;
-        noItemKey();
-    }
-}
-
-/** Recorded stage executions of one run, keyed by (stage, item). */
+/** Recorded stage executions of one run, linked by lineage. */
 class TaskGraph
 {
   public:
     struct Task;
 
     /** One effect of a recorded task or continuation, in program
-     *  order: a child it enqueued, or an arrival at a join. */
+     *  order: a child it enqueued, or an arrival at a join. A seed
+     *  is an effect of its flow. */
     struct Effect
     {
         /** The child's stage; -1 for an arrival. */
         int stage = -1;
         /** An arrival's join slot. */
         int slot = -1;
-        /** The child item's key in `stage`. */
-        std::string key;
-        /** Pushes the child item into a queue of `stage`. */
-        std::function<void(QueueBase&)> push;
-        /** The child's own record; set by seal(). */
+        /** The child's own record. */
         const Task* task = nullptr;
     };
 
@@ -102,13 +75,17 @@ class TaskGraph
     /** An empty graph over @p stages stages. */
     explicit TaskGraph(int stages);
 
-    /**
-     * Record one execution of item @p key in @p stage. Fatal
-     * (ErrorCode::Config) when that (stage, key) executed before: the
-     * app's items do not identify its tasks.
-     */
-    void add(int stage, std::string key, const TaskCost& cost,
-             std::vector<Effect> effects);
+    /** A fresh record for one enqueued child (capture); the
+     *  parent's effect names it. */
+    Task& newTask();
+
+    /** A fresh record for seed @p ordinal of flow @p flow, which
+     *  enters stage @p stage (capture). A flow's seeds come in
+     *  order. */
+    Task& newSeed(int flow, int ordinal, int stage);
+
+    /** Fill record @p t with its task's @p cost and @p effects. */
+    void fill(Task& t, const TaskCost& cost, std::vector<Effect> effects);
 
     /** The slot of join instance @p key, created on its first
      *  arrival with @p expected arrivals (capture). */
@@ -123,9 +100,9 @@ class TaskGraph
     }
 
     /**
-     * Link every child to its own record. Fatal (ErrorCode::Config)
-     * when a child never executed. The graph is read-only afterwards,
-     * so concurrent runs may replay one sealed graph.
+     * Close the capture. Fatal (ErrorCode::Config) when a record was
+     * never filled. The graph is read-only afterwards, so concurrent
+     * runs may replay one sealed graph.
      */
     void seal();
 
@@ -133,22 +110,27 @@ class TaskGraph
     bool sealed() const { return sealed_; }
 
     /**
-     * The record of item @p key in @p stage. Fatal
-     * (ErrorCode::Config) on a miss: replay never falls back to the
-     * payload.
+     * The record of seed @p ordinal of flow @p flow, which enters
+     * stage @p stage (replay). Fatal (ErrorCode::Config) on a miss
+     * or when the captured seed entered another stage: replay never
+     * falls back to the payload.
      */
-    const Task& find(int stage, const std::string& key) const;
+    const Task& seed(int flow, int ordinal, int stage) const;
 
     /** Stages the graph spans. */
-    int stageCount() const { return static_cast<int>(byStage_.size()); }
+    int stageCount() const { return stages_; }
 
-    /** Recorded tasks over all stages. */
-    std::size_t size() const;
+    /** Recorded tasks. */
+    std::size_t size() const { return tasks_.size(); }
 
   private:
-    void link(Task& t);
-
-    std::vector<std::unordered_map<std::string, Task>> byStage_;
+    int stages_;
+    /** Every record; references stay valid while records are
+     *  added. */
+    std::deque<Task> tasks_;
+    std::size_t filled_ = 0;
+    /** Per flow, its seeds in order. */
+    std::vector<std::vector<Effect>> seeds_;
     std::unordered_map<JoinKey, int, JoinKeyHash> slotOf_;
     std::deque<Slot> slots_;
     bool sealed_ = false;

@@ -31,12 +31,12 @@ namespace vp {
 
 /**
  * Forwards one pushed item toward its home device: arguments are the
- * payload bytes, the item's provenance id (0 when untracked) and a
- * closure that pushes the item into whatever queue the coordinator
- * delivers it to.
+ * payload bytes, the item's provenance id (0 when untracked), its
+ * tag (null when untagged) and a closure that pushes the item into
+ * whatever queue the coordinator delivers it to.
  */
 using RemoteForward = std::function<void(
-    int, std::uint64_t, std::function<void(QueueBase&)>)>;
+    int, std::uint64_t, const void*, std::function<void(QueueBase&)>)>;
 
 /**
  * Answers "is the home queue of this stage out of credit?" — true
@@ -83,11 +83,9 @@ class RemoteStubQueue : public WorkQueue<T>
         }
         // The delivery closure re-stamps the id so the landing
         // queue's enqueue bookkeeping sees the same item, wherever
-        // failover ends up delivering it. A tag stays behind: the
-        // delivered item is looked up by its key.
+        // failover ends up delivering it. The tag travels beside it.
         std::uint64_t id = this->takeStampedId();
-        this->stampNextPushTag(nullptr);
-        forward_(this->itemBytes(), id,
+        forward_(this->itemBytes(), id, this->takeStampedTag(),
                  [id, v = std::move(v)](QueueBase& dst) mutable {
                      if (id)
                          dst.stampNextPushId(id);

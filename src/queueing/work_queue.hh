@@ -379,8 +379,8 @@ class QueueBase
     /** @name Item tags (tuner replay support) @{
      *
      * When enabled, the queue carries an opaque pointer per item in an
-     * ItemLane: a replayed item's task record (core/task_graph.hh),
-     * so its pop needs no lookup. Disabled by default.
+     * ItemLane: under task-graph capture and replay, the item's task
+     * record (core/task_graph.hh). Disabled by default.
      */
 
     /** Start carrying item tags (existing items get null). */
@@ -388,6 +388,13 @@ class QueueBase
 
     /** Stamp the NEXT pushed item with @p tag (one-shot). */
     void stampNextPushTag(const void* tag) { tags_.stamp(tag); }
+
+    /** Consume a pending tag stamp without pushing (remote stub). */
+    const void* takeStampedTag() { return tags_.take(); }
+
+    /** Push a value-initialised item: a replayed child, whose tag
+     *  stands in for its value. */
+    virtual void pushPlaceholder() = 0;
 
     /** Tags of the items removed by the last pop/popBatch (valid
      *  until the next pop; empty while tags are disabled). */
@@ -492,6 +499,8 @@ class WorkQueue : public QueueBase
         items_.push_back(std::move(v));
         recordPush(items_.size());
     }
+
+    void pushPlaceholder() override { push(T{}); }
 
     /** Remove the oldest item into @p out; false when empty. */
     bool

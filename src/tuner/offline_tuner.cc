@@ -90,8 +90,8 @@ class SweepReplay
                  << rep.simEvents << " events, " << rep.polls
                  << " polls but ran in " << real.cycles << ", "
                  << real.simEvents << ", " << real.polls
-                 << ": its items do not identify its tasks "
-                    "(AppDriver::keyedItems)");
+                 << ": its tasks depend on more than their lineage "
+                    "(AppDriver::replayable)");
         result.bestRun = std::move(real);
     }
 

@@ -62,7 +62,7 @@ struct TunerResult
     /**
      * Candidates that replayed the app's captured task graph instead
      * of running its payload (docs/MODEL.md, "Tuner replay"): every
-     * candidate when the app declares keyed items and no candidate
+     * candidate when the app is replayable and no candidate
      * run reads app state, otherwise none. `bestRun` is then the
      * winner's real, verified re-run, checked against its replay.
      */

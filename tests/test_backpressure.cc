@@ -282,7 +282,8 @@ TEST(Backpressure, RemoteStubReportsHomeQueueFull)
     bool full = false;
     RemoteStubQueue<ToyItem> stub(
         "stub",
-        [](int, std::uint64_t, std::function<void(QueueBase&)>) {});
+        [](int, std::uint64_t, const void*,
+           std::function<void(QueueBase&)>) {});
     EXPECT_FALSE(stub.full()); // unwired: permissive, as before
     stub.setFullProbe([&calls, &full] {
         ++calls;

@@ -344,7 +344,7 @@ TEST(OfflineTuner, ShardAndAdaptiveSweepOfAReplayedApp)
 
 TEST(OfflineTuner, ShardAndAdaptiveSweepOfARealPayloadApp)
 {
-    expectSweepDimensions("reyes", false);
+    expectSweepDimensions("vidstream", false);
 }
 
 // ------------------------------------------------------------------
@@ -427,5 +427,6 @@ expectFinishesExactlyWithinItsCycles(const std::string& name,
 TEST(OfflineTuner, ARunFinishesUnderALimitExactlyWhenItsCyclesFit)
 {
     expectFinishesExactlyWithinItsCycles("ldpc", true);
-    expectFinishesExactlyWithinItsCycles("reyes", false);
+    expectFinishesExactlyWithinItsCycles("reyes", true);
+    expectFinishesExactlyWithinItsCycles("vidstream", false);
 }

@@ -160,7 +160,7 @@ TEST(ParallelTuner, AdaptiveSweepOfAReplayedAppMatchesSerial)
 
 TEST(ParallelTuner, AdaptiveSweepOfARealPayloadAppMatchesSerial)
 {
-    expectAdaptiveSweepMatchesSerial("reyes");
+    expectAdaptiveSweepMatchesSerial("vidstream");
 }
 
 TEST(ParallelTuner, EveryAppMatchesSerialAtAnyThreadCount)

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tuner replay (docs/MODEL.md, "Tuner replay"): a run that replays
- * the captured task graph of an app that declares keyed items must
- * equal the real run of every candidate the tuner could try, and an
- * app whose items do not identify its tasks must be refused before
- * any candidate runs. Keyed joins (core/join.hh) run their
+ * the captured task graph of a replayable app must equal the real run
+ * of every candidate the tuner could try, records are linked by
+ * lineage whatever the items hold, and a graph used the wrong way is
+ * refused before any stage runs. Keyed joins (core/join.hh) run their
  * continuation once, in the last arrival's task, on every schedule.
  */
 
@@ -147,8 +147,8 @@ TEST(Replay, EveryCandidateMatchesItsRealRun)
         DeviceConfig cfg = DeviceConfig::byName(dev);
         Engine engine(cfg);
         Engine group(DeviceGroupConfig::homogeneous(cfg, 2));
-        for (const char* name :
-             {"cfd", "ldpc", "raster", "pyramid", "facedetect"}) {
+        for (const char* name : {"cfd", "ldpc", "raster", "pyramid",
+                                 "facedetect", "reyes"}) {
             auto app = makeApp(name, AppScale::Small);
             ASSERT_TRUE(engine.canReplay(*app)) << name;
             ProfileResult profile;
@@ -192,7 +192,7 @@ TEST(Replay, AdaptiveCandidatesMatchTheirRealRuns)
     ac.epochCycles = 20000.0;
     engine.setAdaptive(ac);
     for (const char* name :
-         {"cfd", "ldpc", "raster", "pyramid", "facedetect"}) {
+         {"cfd", "ldpc", "raster", "pyramid", "facedetect", "reyes"}) {
         auto app = makeApp(name, AppScale::Small);
         ProfileResult profile;
         auto graph = capture(engine, *app, profile);
@@ -221,11 +221,11 @@ TEST(Replay, SweepsOfKeyedAppsReplayAndEndOnARealRun)
     opts.search.maxConfigs = 60;
     for (const std::string& name : appNames()) {
         SCOPED_TRACE(name);
-        bool keyed = name != "reyes" && name != "vidstream";
+        bool replayed = name != "vidstream";
         TunerResult r = autotuneParallel(
             DeviceConfig::k20c(),
             [&] { return makeApp(name, AppScale::Small); }, opts);
-        EXPECT_EQ(r.replayed, keyed ? r.evaluated : 0);
+        EXPECT_EQ(r.replayed, replayed ? r.evaluated : 0);
         EXPECT_TRUE(r.bestRun.completed);
         EXPECT_EQ(r.bestRun.outcome, RunOutcome::Completed);
         // bestRun is a real run of the winner: a fresh one repeats it.
@@ -330,6 +330,31 @@ TEST(Replay, LookupMissIsAnError)
     }
 }
 
+TEST(Replay, KbkFlowsReplayTheirOwnSeeds)
+{
+    // KBK seeds flow by flow, one after another or in streams; each
+    // flow's seeds must find the records the capture gave that flow.
+    for (const char* dev : {"k20c", "gtx1080"}) {
+        Engine engine(DeviceConfig::byName(dev));
+        for (const char* name : {"pyramid", "facedetect"}) {
+            auto app = makeApp(name, AppScale::Small);
+            ASSERT_GT(app->flowCount(), 1) << name;
+            ProfileResult profile;
+            auto graph = capture(engine, *app, profile);
+            for (const PipelineConfig& c :
+                 {makeKbkConfig(), makeKbkStreamConfig(2),
+                  makeKbkStreamConfig(4)}) {
+                std::string what = std::string(name) + "@" + dev + " "
+                    + c.describe(app->pipeline());
+                auto real = engine.runTimed(*app, c, kNoLimit);
+                auto rep = engine.runTimed(*app, c, kNoLimit, graph.get());
+                ASSERT_TRUE(real && rep) << what;
+                expectSameRun(*real, *rep, what);
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------
 // Inline chains sum their costs in enqueue order.
 
@@ -387,7 +412,7 @@ class ChainApp : public AppDriver
     std::string name() const override { return "chain-toy"; }
     Pipeline& pipeline() override { return pipe_; }
     void reset() override {}
-    bool keyedItems() const override { return true; }
+    bool replayable() const override { return true; }
 
     void
     seedFlow(Seeder& seeder, int) override
@@ -497,7 +522,7 @@ class JoinToyApp : public AppDriver
 
     std::string name() const override { return "join-toy"; }
     Pipeline& pipeline() override { return pipe_; }
-    bool keyedItems() const override { return true; }
+    bool replayable() const override { return true; }
 
     void
     reset() override
@@ -555,13 +580,25 @@ TEST(Joins, SiblingsFinishingInAnyOrderJoinOnceAndReplay)
     ProfileResult profile;
     auto graph = capture(engine, app, profile);
     // A part's record holds its arrival alone; the continuation's
-    // child belongs to the join slot, whichever part came last.
+    // child belongs to the join slot, whichever part came last. Each
+    // group's seed record leads to its parts, the odd ones through
+    // their detour.
     for (std::int32_t g = 0; g < JoinToyApp::kGroups; ++g) {
-        for (std::int32_t p = 0; p < JoinToyApp::partsOf(g); ++p) {
-            const auto& part = graph->find(2, itemKey(PartItem{g, p}));
-            ASSERT_EQ(part.effects.size(), 1u);
-            ASSERT_EQ(part.effects[0].stage, -1);
-            const auto& then = graph->slot(part.effects[0].slot).then;
+        const TaskGraph::Task& split = graph->seed(0, g, 0);
+        ASSERT_EQ(split.effects.size(),
+                  static_cast<std::size_t>(JoinToyApp::partsOf(g)));
+        for (const TaskGraph::Effect& e : split.effects) {
+            const TaskGraph::Task* part = e.task;
+            if (e.stage == 1) {
+                ASSERT_EQ(part->effects.size(), 1u);
+                ASSERT_EQ(part->effects[0].stage, 2);
+                part = part->effects[0].task;
+            } else {
+                ASSERT_EQ(e.stage, 2);
+            }
+            ASSERT_EQ(part->effects.size(), 1u);
+            ASSERT_EQ(part->effects[0].stage, -1);
+            const auto& then = graph->slot(part->effects[0].slot).then;
             ASSERT_EQ(then.effects.size(), 1u);
             EXPECT_EQ(then.effects[0].stage, 3);
         }
@@ -621,11 +658,12 @@ TEST(Joins, AnArrivalPastTheExpectedCountIsAConfigError)
 }
 
 // ------------------------------------------------------------------
-// Apps that declare keyed items they do not have.
+// Lineage names a task whatever its item holds; only a real run can
+// tell a task that depends on more.
 
 namespace {
 
-/** An item whose bytes name it: (id, depth). */
+/** A split item: (id, depth). */
 struct SplitItem
 {
     std::int32_t id;
@@ -636,7 +674,7 @@ struct SplitSink;
 
 /**
  * Splits each item in two until depth 3, reyes-style: both halves
- * keep the parent's id, so the two children share one key.
+ * keep the parent's id, so the two children are equal items.
  */
 struct SplitStage : Stage<SplitItem>
 {
@@ -687,7 +725,7 @@ class CountingApp : public AppDriver
   public:
     Pipeline& pipeline() override { return pipe_; }
     void reset() override { ++runs; }
-    bool keyedItems() const override { return true; }
+    bool replayable() const override { return true; }
 
     int runs = 0;
 
@@ -716,7 +754,7 @@ class SplitApp : public CountingApp
     }
 };
 
-/** An item with a float member: its bytes are not its value. */
+/** An item with a float member, which no byte key could name. */
 struct FloatItem
 {
     float weight;
@@ -794,38 +832,61 @@ class DriftApp : public CountingApp
     }
 };
 
-/** Sweeps @p app and expects a Config error with no candidate run:
- *  at most the profiling run reset it. */
+/** Sweeps @p app: every candidate replays, and the winner's real
+ *  re-run matches its replay. */
 void
-expectRefused(CountingApp& app, int profilingRuns)
+expectEveryCandidateReplays(CountingApp& app)
 {
     Engine engine(DeviceConfig::k20c());
     TunerOptions opts;
     opts.search.smCandidates = 2;
     opts.search.blockCandidates = 2;
-    try {
-        autotune(engine, app, opts);
-        ADD_FAILURE() << app.name() << " was tuned";
-    } catch (const FatalError& e) {
-        EXPECT_EQ(e.code(), ErrorCode::Config) << e.what();
-    }
-    EXPECT_EQ(app.runs, profilingRuns) << app.name();
+    TunerResult r = autotune(engine, app, opts);
+    EXPECT_GT(r.evaluated, 0) << app.name();
+    EXPECT_EQ(r.replayed, r.evaluated) << app.name();
+    EXPECT_TRUE(r.bestRun.completed) << app.name();
 }
 
 } // namespace
 
-TEST(Replay, SplitChildrenSharingTheParentKeyAreRefused)
+TEST(Replay, SplitChildrenSharingTheParentIdReplay)
 {
     SplitApp app;
-    ASSERT_TRUE(app.pipeline().stage(0).keyable());
-    expectRefused(app, 1);
+    expectEveryCandidateReplays(app);
 }
 
-TEST(Replay, FloatItemsAreRefused)
+TEST(Replay, FloatItemsReplay)
 {
     FloatApp app;
-    ASSERT_FALSE(app.pipeline().stage(0).keyable());
-    expectRefused(app, 0);
+    expectEveryCandidateReplays(app);
+}
+
+TEST(Replay, TaskGraphMisuseIsAConfigErrorBeforeAnyStageRuns)
+{
+    SplitApp app;
+    Engine engine(DeviceConfig::k20c());
+    PipelineConfig mk = makeMegakernelConfig(app.pipeline());
+    auto expectConfig = [&](const char* what, auto run) {
+        int runs = app.runs;
+        try {
+            run();
+            ADD_FAILURE() << what;
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::Config) << what << ": "
+                                                   << e.what();
+        }
+        EXPECT_EQ(app.runs, runs) << what;
+    };
+    TaskGraph graph(app.pipeline().stageCount());
+    engine.run(app, mk, &graph);
+    expectConfig("captured twice into one graph",
+                 [&] { engine.run(app, mk, &graph); });
+    expectConfig("replayed an unsealed graph", [&] {
+        engine.runTimed(app, mk, kNoLimit, &graph);
+    });
+    graph.seal();
+    expectConfig("captured into a sealed graph",
+                 [&] { engine.run(app, mk, &graph); });
 }
 
 TEST(Replay, TheWinnerCheckCatchesAnUnsoundDeclaration)
